@@ -1,9 +1,9 @@
-"""Compare the compiled kernels against their pure-python originals.
+"""Compare the compiled CTC kernel against its pure-python original.
 
-Times the alignment-scoring recursion and the recurrent forward/backward
-passes in both flavors and prints per-kernel medians plus speedups. The
-compiled flavor is skipped when the package was loaded with CTS_NO_NUMBA
-or the compiler is unavailable.
+Times the alignment-scoring recursion in both flavors and prints the
+medians plus the speedup. The compiled flavor is skipped when the package
+was loaded with CTS_NO_NUMBA or the compiler is unavailable. (The GRU
+kernels are plain numpy; ``perfbench/run.py`` measures them in place.)
 
 Run:  python benchmarks/kernel_bench.py [--repeats 7]
 """
@@ -37,44 +37,22 @@ def _ctc_args(rng):
     return np.ascontiguousarray(logp), ext
 
 
-def _gru_args(rng):
-    t, d, h = 200, 64, 64
-    x = rng.standard_normal((t, d))
-    w = rng.standard_normal((3 * h, d)) * 0.1
-    u = rng.standard_normal((3 * h, h)) * 0.1
-    b = rng.standard_normal(3 * h) * 0.1
-    return x, w, u, b
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=7, help="timing repeats (default 7)")
     args = parser.parse_args()
 
-    rng = np.random.default_rng(0)
-    ctc_args = _ctc_args(rng)
-    gru_args = _gru_args(rng)
-    x, w, u, b = gru_args
-    h, z, r, n, vn = _kernels.gru_forward_py(x, w, u, b)
-    dh = rng.standard_normal(h.shape)
-    back_args = (x, h, z, r, n, vn, w, u, dh)
-
-    cases = [
-        ("ctc_forward", _kernels.ctc_forward_ll, _kernels.ctc_forward_ll_py, ctc_args),
-        ("gru_forward", _kernels.gru_forward, _kernels.gru_forward_py, gru_args),
-        ("gru_backward", _kernels.gru_backward, _kernels.gru_backward_py, back_args),
-    ]
+    ctc_args = _ctc_args(np.random.default_rng(0))
     print(f"repeats={args.repeats}  compiled={'yes' if _kernels.USE_NUMBA else 'no'}")
-    for name, fast, plain, case_args in cases:
-        t_plain = _time(plain, case_args, args.repeats)
-        if _kernels.USE_NUMBA:
-            t_fast = _time(fast, case_args, args.repeats)
-            print(
-                f"{name:13s} python {t_plain * 1e3:8.3f} ms   compiled {t_fast * 1e3:8.3f} ms"
-                f"   speedup {t_plain / t_fast:6.1f}x"
-            )
-        else:
-            print(f"{name:13s} python {t_plain * 1e3:8.3f} ms   compiled      n/a")
+    t_plain = _time(_kernels.ctc_forward_ll_py, ctc_args, args.repeats)
+    if _kernels.USE_NUMBA:
+        t_fast = _time(_kernels.ctc_forward_ll, ctc_args, args.repeats)
+        print(
+            f"ctc_forward   python {t_plain * 1e3:8.3f} ms   compiled {t_fast * 1e3:8.3f} ms"
+            f"   speedup {t_plain / t_fast:6.1f}x"
+        )
+    else:
+        print(f"ctc_forward   python {t_plain * 1e3:8.3f} ms   compiled      n/a")
 
 
 if __name__ == "__main__":

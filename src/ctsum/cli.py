@@ -4,9 +4,6 @@ Conventions: long kebab-case flags only; seeds are mandatory wherever
 randomness exists (generation, training) so no run depends on ambient
 state; diagnostics go to stderr, results go to stdout or to files named
 by --out. Exit codes: 0 success, 1 usage error, 2 data error.
-
-The CTS_THREADS environment variable bounds worker counts for corpus
-generation; benchmarking always runs single-threaded regardless.
 """
 
 from __future__ import annotations

@@ -31,7 +31,6 @@ from dataclasses import asdict, dataclass, field
 from enum import Enum
 from importlib import resources
 
-import jsonschema
 import numpy as np
 
 from ._version import __version__
@@ -332,6 +331,8 @@ def _schema() -> dict:
 
 def validate_report(report: dict):
     """Schema validation; rejects unknown systems by construction."""
+    import jsonschema  # deferred: it adds about 5 MB and 50 ms to every import of ctsum
+
     jsonschema.validate(report, _schema())
 
 

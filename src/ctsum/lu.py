@@ -7,9 +7,12 @@ pipeline flavor additionally owns a label-embedding table so decoded label
 ids can be fed through the same network; only input construction differs
 between flavors.
 
-Everything runs in float64. Gradients are fully hand-derived (see
-``_kernels.gru_backward``) and verified against central finite differences
-by ``gradient_check``.
+Everything runs in float64. Training computes one loss and gradient per
+minibatch: the batch is packed time-major without padding
+(``_kernels.pack_lengths``) and each GRU direction runs once over it
+(``_kernels.gru_forward`` / ``_kernels.gru_backward``); inference is the
+same path with a batch of one. Gradients are fully hand-derived and
+verified against central finite differences by ``gradient_check``.
 
 Parameter order (canonical, used by the optimizer, the gradient check and
 the model file): for each layer, forward direction then backward
@@ -98,6 +101,16 @@ def _layer_input_dims(config: LUConfig) -> list[int]:
     return [config.input_dim] + [2 * config.hidden] * (config.layers - 1)
 
 
+def _num_params(config: LUConfig) -> int:
+    """Parameter count of the architecture ``lu_init`` builds for config."""
+    h3 = 3 * config.hidden
+    total = sum(2 * (h3 * din + h3 * config.hidden + h3) for din in _layer_input_dims(config))
+    total += config.num_intents * (2 * config.hidden + 1)
+    if config.vocab_size is not None:
+        total += config.vocab_size * config.input_dim
+    return total
+
+
 def lu_init(config: LUConfig) -> LUModel:
     """Seeded uniform init in [-1/sqrt(fan_in), +1/sqrt(fan_in)] per array.
 
@@ -151,33 +164,53 @@ def embed_labels(ids, model: LUModel) -> np.ndarray:
     return model.embedding[ids]
 
 
-def _bigru_forward(model: LUModel, x):
-    """Run all layers; caches hold per-direction (input, h, z, r, n, vn)."""
+def _pack(xs):
+    """Packing of (T_i, D) inputs and the packed (N, D) input rows."""
+    pk = _kernels.pack_lengths([x.shape[0] for x in xs])
+    packed = np.empty((pk.rows.size, xs[0].shape[1]))
+    packed[pk.rows] = np.concatenate([xs[i] for i in pk.order])
+    return pk, packed
+
+
+def _bigru_forward(model: LUModel, pk: _kernels.Packing, x):
+    """Run all layers; caches hold per-direction (input, h), the
+    backward direction's in its reversed row order."""
     cur = x
     caches = []
     for fw, bw in model.layers:
-        cf = _kernels.gru_forward(cur, fw.w, fw.u, fw.b)
-        xr = np.ascontiguousarray(cur[::-1])
-        cb = _kernels.gru_forward(xr, bw.w, bw.u, bw.b)
-        caches.append((cur, cf, xr, cb))
-        cur = np.ascontiguousarray(np.concatenate((cf[0], cb[0][::-1]), axis=1))
+        hf = _kernels.gru_forward(cur, fw.w, fw.u, fw.b, pk)
+        xr = cur[pk.rev]
+        hb = _kernels.gru_forward(xr, bw.w, bw.u, bw.b, pk)
+        caches.append((cur, hf, xr, hb))
+        cur = np.concatenate((hf, hb[pk.rev]), axis=1)
     return cur, caches
 
 
-def _head_forward(model: LUModel, top):
-    pool = top.mean(axis=0)
-    logits = model.w_out @ pool + model.b_out
-    logits = logits - logits.max()
+def _head_forward(model: LUModel, pk: _kernels.Packing, top):
+    """Mean-pool each sequence's top-layer rows, then linear + softmax;
+    returns (pool, probs), one row per rank."""
+    starts = np.cumsum(pk.lengths) - pk.lengths
+    pool = np.add.reduceat(top[pk.rows], starts, axis=0) / pk.lengths[:, None]
+    logits = pool @ model.w_out.T + model.b_out
+    logits -= logits.max(axis=1, keepdims=True)
     e = np.exp(logits)
-    return pool, e / e.sum()
+    return pool, e / e.sum(axis=1, keepdims=True)
+
+
+def _probs(model: LUModel, xs) -> np.ndarray:
+    """Class probabilities of each input, one row per rank."""
+    pk, x = _pack(xs)
+    top, _ = _bigru_forward(model, pk, x)
+    return _head_forward(model, pk, top)[1]
+
+
+def _nll(probs, labels) -> np.ndarray:
+    return -np.log(np.maximum(probs[np.arange(labels.size), labels], 1e-30))
 
 
 def lu_forward(model: LUModel, seq) -> np.ndarray:
     """Class probability vector for one sequence of D-dim vectors."""
-    x = _as_float_seq(model, seq)
-    top, _ = _bigru_forward(model, x)
-    _, probs = _head_forward(model, top)
-    return probs
+    return _probs(model, [_as_float_seq(model, seq)])[0]
 
 
 def lu_classify(model: LUModel, seq) -> int:
@@ -197,43 +230,52 @@ def _sample_input(model: LUModel, data):
     return _as_float_seq(model, data), None
 
 
-def _loss_and_grads(model: LUModel, data, label: int):
-    """Cross-entropy loss and gradients in canonical parameter order."""
-    x, ids = _sample_input(model, data)
-    t = x.shape[0]
+def _batch_loss_and_grads(model: LUModel, items):
+    """Cross-entropy loss and gradients in canonical parameter order,
+    each summed over the (input, label) items of one minibatch."""
+    resolved = [_sample_input(model, data) for data, _ in items]
+    pk, x = _pack([xi for xi, _ in resolved])
+    labels = np.array([int(items[i][1]) for i in pk.order])
     h = model.config.hidden
-    top, caches = _bigru_forward(model, x)
-    pool, probs = _head_forward(model, top)
-    loss = -float(np.log(max(probs[label], 1e-30)))
+    top, caches = _bigru_forward(model, pk, x)
+    pool, probs = _head_forward(model, pk, top)
+    loss = float(_nll(probs, labels).sum())
 
     dlogits = probs.copy()
-    dlogits[label] -= 1.0
-    dw_out = np.outer(dlogits, pool)
-    db_out = dlogits
-    dpool = model.w_out.T @ dlogits
-    dh = np.tile(dpool / t, (t, 1))
+    dlogits[np.arange(labels.size), labels] -= 1.0
+    dw_out = dlogits.T @ pool
+    db_out = dlogits.sum(axis=0)
+    dpool = (dlogits @ model.w_out) / pk.lengths[:, None]
+    dh = np.empty_like(top)
+    dh[pk.rows] = np.repeat(dpool, pk.lengths, axis=0)
 
     layer_grads = []
-    for (fw, bw), (xin, cf, xr, cb) in zip(reversed(model.layers), reversed(caches)):
-        dh_f = np.ascontiguousarray(dh[:, :h])
-        dh_b = np.ascontiguousarray(dh[::-1, h:])
-        hf, zf, rf, nf, vnf = cf
-        hb, zb, rb, nb, vnb = cb
-        dwf, duf, dbf, dxf = _kernels.gru_backward(xin, hf, zf, rf, nf, vnf, fw.w, fw.u, dh_f)
-        dwb, dub, dbb, dxb = _kernels.gru_backward(xr, hb, zb, rb, nb, vnb, bw.w, bw.u, dh_b)
+    for (fw, bw), (xin, hf, xr, hb) in zip(reversed(model.layers), reversed(caches)):
+        dwf, duf, dbf, dxf = _kernels.gru_backward(xin, hf, fw.w, fw.u, fw.b, pk, dh[:, :h])
+        dwb, dub, dbb, dxb = _kernels.gru_backward(xr, hb, bw.w, bw.u, bw.b, pk, dh[pk.rev, h:])
         layer_grads.append([dwf, duf, dbf, dwb, dub, dbb])
-        dh = np.ascontiguousarray(dxf + dxb[::-1])
+        dh = dxf + dxb[pk.rev]
 
     grads = []
     for g in reversed(layer_grads):
         grads += g
     grads += [dw_out, db_out]
     if model.embedding is not None:
+        ids = np.empty(pk.rows.size, dtype=np.int64)
+        ranked = (resolved[k] for k in pk.order)
+        ids[pk.rows] = np.concatenate(
+            [np.full(len(xi), -1) if xi_ids is None else xi_ids for xi, xi_ids in ranked]
+        )
+        real = ids >= 0  # an empty decode's zero row has no table row
         demb = np.zeros_like(model.embedding)
-        if ids is not None:
-            np.add.at(demb, ids, dh)
+        np.add.at(demb, ids[real], dh[real])
         grads.append(demb)
     return loss, grads
+
+
+def _loss_and_grads(model: LUModel, data, label: int):
+    """Cross-entropy loss and gradients of one sample (a batch of one)."""
+    return _batch_loss_and_grads(model, [(data, label)])
 
 
 class _Adam:
@@ -300,18 +342,11 @@ def lu_train(config: LUConfig, corpus, init_model: LUModel | None = None) -> LUM
         epoch_loss = 0.0
         for lo in range(0, n, config.batch_size):
             batch = perm[lo : lo + config.batch_size]
-            acc = [np.zeros_like(p) for p in params]
-            batch_loss = 0.0
-            for idx in batch:
-                data, label = corpus[idx]
-                loss, grads = _loss_and_grads(model, data, int(label))
-                batch_loss += loss
-                for a, g in zip(acc, grads):
-                    a += g
+            batch_loss, grads = _batch_loss_and_grads(model, [corpus[i] for i in batch])
             scale = 1.0 / len(batch)
-            for a in acc:
-                a *= scale
-            opt.step(acc)
+            for g in grads:
+                g *= scale
+            opt.step(grads)
             epoch_loss += batch_loss
         model.train_losses.append(epoch_loss / n)
     return model
@@ -327,12 +362,10 @@ def gradient_check(config: LUConfig, sample) -> float:
     """
     data, label = sample
     model = lu_init(config)
+    labels = np.array([int(label)])
 
     def loss_only():
-        x, _ = _sample_input(model, data)
-        top, _ = _bigru_forward(model, x)
-        _, probs = _head_forward(model, top)
-        return -float(np.log(max(probs[int(label)], 1e-30)))
+        return float(_nll(_probs(model, [_sample_input(model, data)[0]]), labels)[0])
 
     _, grads = _loss_and_grads(model, data, int(label))
     step = 1e-5
@@ -382,13 +415,16 @@ def load_model(path) -> LUModel:
         except (ValueError, KeyError, TypeError) as exc:
             raise FormatError(f"{path}: invalid model header: {exc}") from exc
         blob = fh.read()
-    flat = np.frombuffer(blob, dtype="<f4").astype(np.float64)
-    model = lu_init(config)
-    expected = model.num_params()
-    if flat.size != expected:
+    expected = _num_params(config)
+    if len(blob) != 4 * expected:
         raise FormatError(
-            f"{path}: parameter count {flat.size} does not match config ({expected})"
+            f"{path}: {len(blob)} parameter bytes do not match config "
+            f"({expected} float32 parameters, {4 * expected} bytes)"
         )
+    flat = np.frombuffer(blob, dtype="<f4").astype(np.float64)
+    if not np.isfinite(flat).all():
+        raise FormatError(f"{path}: non-finite parameter values")
+    model = lu_init(config)
     pos = 0
     for p in model.param_arrays():
         p[...] = flat[pos : pos + p.size].reshape(p.shape)

@@ -14,8 +14,7 @@ decoded-text route and the latent-frame route are solvable.
 
 Reproducibility: every consumer of randomness gets its own child stream
 of the corpus seed (projection, templates, and one stream per utterance),
-so corpora are byte-identical across runs and independent of generation
-parallelism.
+so corpora are byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ._parallel import pmap
 from .ctc import LabelSequence
 from .seqcore import (
     FormatError,
@@ -245,8 +243,8 @@ def build_corpus(spec: SynthSpec) -> Corpus:
     assert templates_disjoint(templates)
     vocab = default_vocab(spec.vocab_size)
 
-    def one(i: int) -> Utterance:
-        return generate_utterance(
+    utts = [
+        generate_utterance(
             spec,
             i % spec.num_intents,
             _stream(spec.seed, _KEY_UTTERANCE_BASE + i),
@@ -254,8 +252,8 @@ def build_corpus(spec: SynthSpec) -> Corpus:
             templates=templates,
             uid=f"u{i:05d}",
         )
-
-    utts = pmap(one, range(spec.num_utterances))
+        for i in range(spec.num_utterances)
+    ]
     rows = [
         {
             "id": u.id,

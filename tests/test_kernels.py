@@ -1,11 +1,13 @@
-"""Compiled kernels against their pure-numpy originals.
+"""Hot kernels against their references.
 
-Within one process only one path executes (chosen at import from the
-CTS_NO_NUMBA environment variable), so these tests compare the active
-path against the ``_py`` originals directly. The CTC recursion uses only
-scalar ops and must agree bit for bit; the GRU kernels go through matrix
-products whose summation order the JIT may change, so they get a tight
-allclose instead.
+The CTC recursion: within one process only one path executes (chosen at
+import from the CTS_NO_NUMBA environment variable), so these tests
+compare the active path against the ``ctc_forward_ll_py`` original
+directly; it uses only scalar ops and must agree bit for bit.
+
+The GRU kernels run a packed minibatch and go through matrix products
+over many rows at once, so they are held to a tight allclose against the
+per-sequence reference in ``gru_reference``.
 """
 
 import numpy as np
@@ -17,11 +19,11 @@ from ctsum._kernels import (
     ctc_forward_ll,
     ctc_forward_ll_py,
     gru_backward,
-    gru_backward_py,
     gru_forward,
-    gru_forward_py,
+    pack_lengths,
 )
 from ctsum.ctc import _expanded_target
+from gru_reference import gru_backward_py, gru_forward_py
 
 
 def random_ctc_instance(seed, t=12, v=6, l=4):
@@ -33,13 +35,27 @@ def random_ctc_instance(seed, t=12, v=6, l=4):
     return log_probs, ext
 
 
-def random_gru_instance(seed, t=7, din=5, h=4):
+def random_gru_instance(seed, lengths=(7, 2, 7, 1, 5), din=5, h=4):
+    """Ragged sequences (x_i per input order), shared weights, their packing
+    and the packed input."""
     rng = np.random.default_rng(seed)
-    x = np.ascontiguousarray(rng.standard_normal((t, din)))
-    w = np.ascontiguousarray(rng.standard_normal((3 * h, din)) * 0.4)
-    u = np.ascontiguousarray(rng.standard_normal((3 * h, h)) * 0.4)
-    b = np.ascontiguousarray(rng.standard_normal(3 * h) * 0.1)
-    return x, w, u, b
+    xs = [rng.standard_normal((t, din)) for t in lengths]
+    w = rng.standard_normal((3 * h, din)) * 0.4
+    u = rng.standard_normal((3 * h, h)) * 0.4
+    b = rng.standard_normal(3 * h) * 0.1
+    pk = pack_lengths(lengths)
+    x = np.empty((pk.rows.size, din))
+    x[pk.rows] = np.concatenate([xs[i] for i in pk.order])
+    return xs, w, u, b, pk, x
+
+
+def sequence_rows(pk):
+    """Packed rows of each input sequence, indexed by input position."""
+    ends = np.cumsum(pk.lengths)
+    out = [None] * len(pk.order)
+    for j, i in enumerate(pk.order):
+        out[i] = pk.rows[ends[j] - pk.lengths[j] : ends[j]]
+    return out
 
 
 class TestFlag:
@@ -49,8 +65,6 @@ class TestFlag:
             assert hasattr(ctc_forward_ll, "py_func")
         else:
             assert ctc_forward_ll is ctc_forward_ll_py
-            assert gru_forward is gru_forward_py
-            assert gru_backward is gru_backward_py
 
     def test_numba_available(self):
         assert _kernels.HAVE_NUMBA
@@ -73,44 +87,72 @@ class TestCtcKernel:
         assert ctc_forward_ll(log_probs, ext) == -np.inf
 
 
+class TestPacking:
+    def test_layout(self):
+        pk = pack_lengths([2, 3, 1, 3])
+        np.testing.assert_array_equal(pk.order, [1, 3, 0, 2])
+        np.testing.assert_array_equal(pk.lengths, [3, 3, 2, 1])
+        assert pk.active == [4, 3, 2]
+        assert pk.offsets == [0, 4, 7]
+        # ranks concatenated: rank 0 steps 0..2, rank 1 steps 0..2, ...
+        np.testing.assert_array_equal(pk.rows, [0, 4, 7, 1, 5, 8, 2, 6, 3])
+
+    @pytest.mark.parametrize("lengths", [(1,), (4,), (3, 3, 3), (5, 1, 2, 5, 4)])
+    def test_rev_reverses_each_sequence_in_place(self, lengths):
+        xs, *_, pk, x = random_gru_instance(0, lengths=lengths)
+        xr = x[pk.rev]
+        for xi, rows in zip(xs, sequence_rows(pk)):
+            np.testing.assert_array_equal(xr[rows], xi[::-1])
+        np.testing.assert_array_equal(pk.rev[pk.rev], np.arange(pk.rev.size))
+
+
 class TestGruKernels:
     def test_forward_close_to_python(self):
         for seed in range(10):
-            args = random_gru_instance(seed)
-            for a, b in zip(gru_forward(*args), gru_forward_py(*args)):
-                np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14)
+            xs, w, u, b, pk, x = random_gru_instance(seed)
+            h = gru_forward(x, w, u, b, pk)
+            for xi, rows in zip(xs, sequence_rows(pk)):
+                ref = gru_forward_py(xi, w, u, b)[0]
+                np.testing.assert_allclose(h[rows], ref, rtol=1e-12, atol=1e-14)
 
     def test_backward_close_to_python(self):
         for seed in range(10):
-            x, w, u, b = random_gru_instance(seed)
-            h, z, r, n, vn = gru_forward_py(x, w, u, b)
-            dh = np.ascontiguousarray(np.random.default_rng(seed + 100).standard_normal(h.shape))
-            jit_out = gru_backward(x, h, z, r, n, vn, w, u, dh)
-            py_out = gru_backward_py(x, h, z, r, n, vn, w, u, dh)
-            for a, bb in zip(jit_out, py_out):
-                np.testing.assert_allclose(a, bb, rtol=1e-10, atol=1e-12)
+            xs, w, u, b, pk, x = random_gru_instance(seed)
+            h = gru_forward(x, w, u, b, pk)
+            dh = np.random.default_rng(seed + 100).standard_normal(h.shape)
+            dw, du, db, dx = gru_backward(x, h, w, u, b, pk, dh)
+            sums = [np.zeros_like(w), np.zeros_like(u), np.zeros_like(b)]
+            for xi, rows in zip(xs, sequence_rows(pk)):
+                ref = gru_backward_py(xi, *gru_forward_py(xi, w, u, b), w, u, dh[rows])
+                for acc, g in zip(sums, ref):
+                    acc += g
+                np.testing.assert_allclose(dx[rows], ref[3], rtol=1e-10, atol=1e-12)
+            for got, want in zip((dw, du, db), sums):
+                np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 
     def test_backward_grad_matches_finite_differences(self):
-        x, w, u, b = random_gru_instance(3, t=4, din=3, h=2)
+        _, w, u, b, pk, x = random_gru_instance(3, lengths=(4, 1, 3), din=3, h=2)
 
-        def loss(wv):
-            h, *_ = gru_forward_py(x, wv, u, b)
-            return h.sum()
+        def loss(wv, uv):
+            return gru_forward(x, wv, uv, b, pk).sum()
 
-        h, z, r, n, vn = gru_forward_py(x, w, u, b)
-        dw, _, _, _ = gru_backward_py(x, h, z, r, n, vn, w, u, np.ones_like(h))
+        h = gru_forward(x, w, u, b, pk)
+        dw, du, _, _ = gru_backward(x, h, w, u, b, pk, np.ones_like(h))
         step = 1e-6
-        for idx in [(0, 0), (3, 2), (5, 1)]:
-            wp = w.copy()
-            wp[idx] += step
-            wm = w.copy()
-            wm[idx] -= step
-            fd = (loss(wp) - loss(wm)) / (2 * step)
-            assert dw[idx] == pytest.approx(fd, rel=1e-5, abs=1e-8)
+        for grad, arg in ((dw, 0), (du, 1)):
+            for idx in [(0, 0), (3, 1), (5, 1)]:
+                plus, minus = [w.copy(), u.copy()], [w.copy(), u.copy()]
+                plus[arg][idx] += step
+                minus[arg][idx] -= step
+                fd = (loss(*plus) - loss(*minus)) / (2 * step)
+                assert grad[idx] == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
     def test_zero_state_start(self):
-        x, w, u, b = random_gru_instance(5, t=1)
-        h, z, r, n, vn = gru_forward(x, w, u, b)
-        # first step sees h_prev = 0: h_0 = (1 - z_0) * n_0 exactly
-        np.testing.assert_allclose(h[0], (1 - z[0]) * n[0], atol=1e-15)
-        assert (vn[0] == 0).all()
+        _, w, u, b, pk, x = random_gru_instance(5, lengths=(1, 1, 1))
+        h = gru_forward(x, w, u, b, pk)
+        # every row is a first step and sees h_prev = 0: h = (1 - z) * n
+        # with z = s(a_z) and n = tanh(a_n), free of u
+        hidden = u.shape[1]
+        a = x @ w.T + b
+        z = 1.0 / (1.0 + np.exp(-a[:, :hidden]))
+        np.testing.assert_allclose(h, (1 - z) * np.tanh(a[:, 2 * hidden :]), atol=1e-15)

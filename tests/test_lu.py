@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from ctsum.lu import (
     LUConfig,
+    _Adam,
+    _batch_loss_and_grads,
     _loss_and_grads,
     embed_labels,
     gradient_check,
@@ -16,6 +18,7 @@ from ctsum.lu import (
     save_model,
 )
 from ctsum.seqcore import FormatError
+from gru_reference import loss_and_grads_py
 
 
 def tiny_config(**kw):
@@ -301,6 +304,83 @@ class TestTraining:
             lu_train(tiny_config(seed=2, epochs=1, hidden=3), corpus, init_model=base)
 
 
+def ragged_frames(seed, lengths, dim=3):
+    rng = np.random.default_rng(seed)
+    return [(rng.standard_normal((t, dim)), i % 3) for i, t in enumerate(lengths)]
+
+
+def summed_reference(model, items):
+    loss, grads = 0.0, [np.zeros_like(p) for p in model.param_arrays()]
+    for data, label in items:
+        one_loss, one_grads = loss_and_grads_py(model, data, label)
+        loss += one_loss
+        for acc, g in zip(grads, one_grads):
+            acc += g
+    return loss, grads
+
+
+BATCHES = {
+    "ragged-with-length-1": (None, ragged_frames(1, [6, 1, 4, 6, 2, 9, 3])),
+    "equal-lengths": (None, ragged_frames(2, [5, 5, 5, 5])),
+    "single": (None, ragged_frames(3, [7])),
+    "p1-with-empty-decode": (
+        6,
+        [
+            (np.array([1, 4, 2], dtype=np.int64), 0),
+            (np.array([], dtype=np.int64), 1),
+            (np.array([5], dtype=np.int64), 2),
+            (np.array([3, 3, 0, 1, 2], dtype=np.int64), 1),
+        ],
+    ),
+}
+
+
+class TestBatchedTraining:
+    """One packed pass per minibatch against the per-sample reference."""
+
+    @pytest.mark.parametrize("name", sorted(BATCHES))
+    def test_batch_matches_summed_reference(self, name):
+        vocab_size, items = BATCHES[name]
+        model = lu_init(
+            LUConfig(input_dim=3, num_intents=3, hidden=4, layers=2, seed=7, vocab_size=vocab_size)
+        )
+        loss, grads = _batch_loss_and_grads(model, items)
+        ref_loss, ref_grads = summed_reference(model, items)
+        assert abs(loss - ref_loss) <= 1e-12
+        for got, want in zip(grads, ref_grads):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        if vocab_size is not None:
+            # the empty decode's zero row has no table row to update; row 5
+            # appears only in the length-1 decode
+            assert np.abs(grads[-1][5]).max() > 0
+
+    @pytest.mark.parametrize("name", ["ragged-with-length-1", "p1-with-empty-decode"])
+    def test_lu_train_matches_per_sample_loop(self, name):
+        vocab_size, items = BATCHES[name]
+        cfg = LUConfig(
+            input_dim=3, num_intents=3, hidden=4, layers=2, seed=11,
+            epochs=2, batch_size=3, vocab_size=vocab_size,
+        )
+        trained = lu_train(cfg, items)
+
+        model = lu_init(cfg)
+        opt = _Adam(model.param_arrays(), cfg.learning_rate)
+        rng = np.random.default_rng(cfg.seed)
+        losses = []
+        for _ in range(cfg.epochs):
+            perm = rng.permutation(len(items))
+            total = 0.0
+            for lo in range(0, len(items), cfg.batch_size):
+                batch = [items[i] for i in perm[lo : lo + cfg.batch_size]]
+                loss, grads = summed_reference(model, batch)
+                opt.step([g / len(batch) for g in grads])
+                total += loss
+            losses.append(total / len(items))
+        np.testing.assert_allclose(trained.train_losses, losses, rtol=0, atol=1e-12)
+        for got, want in zip(trained.param_arrays(), model.param_arrays()):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
 class TestModelFile:
     def test_round_trip(self, tmp_path):
         model = lu_init(tiny_config(seed=14, vocab_size=5))
@@ -328,3 +408,18 @@ class TestModelFile:
         (tmp_path / "bad2.ctsm").write_bytes(raw[:-8])
         with pytest.raises(FormatError):
             load_model(tmp_path / "bad2.ctsm")
+
+    def test_rejects_partial_float(self, tmp_path):
+        path = tmp_path / "m.ctsm"
+        save_model(path, lu_init(tiny_config()))
+        (tmp_path / "odd.ctsm").write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(FormatError):
+            load_model(tmp_path / "odd.ctsm")
+
+    def test_rejects_non_finite_parameters(self, tmp_path):
+        model = lu_init(tiny_config())
+        model.w_out[0, 0] = np.nan
+        path = tmp_path / "nan.ctsm"
+        save_model(path, model)
+        with pytest.raises(FormatError, match="non-finite"):
+            load_model(path)
