@@ -1,88 +1,62 @@
 """Hot numeric kernels: CTC forward recursion and GRU forward/backward.
 
-The CTC recursion is a scalar double loop, JIT-compiled with numba at
-import time when numba is installed. Set ``CTS_NO_NUMBA=1`` to skip
-compilation and run the plain-Python original instead; it stays
-importable as ``ctc_forward_ll_py`` so the two paths can be compared,
-e.g. by ``benchmarks/kernel_bench.py``.
+All kernels are plain numpy. The CTC recursion runs state by state: the
+column of one target state over all frames is a first-order recurrence,
+solved with one ``np.logaddexp.accumulate``, so the Python loop has S =
+2L+1 iterations rather than T x S.
 
-The GRU kernels are plain numpy over a packed minibatch (see ``Packing``):
-the input projection of every row is one matrix product, and each time
-step advances all sequences still running with one more.
+The GRU kernels run over a packed minibatch (see ``Packing``): the input
+projection of every row is one matrix product, and each time step
+advances all sequences still running with one more.
 
 All kernels expect C-contiguous float64 arrays.
 """
 
-import os
 from typing import NamedTuple
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
-
-USE_NUMBA = HAVE_NUMBA and os.environ.get("CTS_NO_NUMBA", "0").lower() not in (
-    "1",
-    "true",
-    "yes",
-)
-
-NEG_INF = -np.inf
+# No kernel is compiled; kept because benchmark reports record the flag.
+USE_NUMBA = False
 
 
-def _jit(fn):
-    if USE_NUMBA:
-        return njit(cache=True)(fn)
-    return fn
-
-
-def _logaddexp2_py(a, b):
-    # two-term log-sum-exp; tolerates -inf on either side
-    if a < b:
-        a, b = b, a
-    if b == NEG_INF:
-        return a
-    return a + np.log1p(np.exp(b - a))
-
-
-_logaddexp2 = _jit(_logaddexp2_py)
-
-
-def ctc_forward_ll_py(log_probs, ext):
+def ctc_forward_ll(log_probs, ext):
     """Total log-probability of all alignments of an expanded CTC target.
 
-    log_probs : (T, V) per-frame label log-posteriors
+    log_probs : (T, V) per-frame label log-posteriors, all finite (the
+                state-major solve subtracts running sums of them, so a
+                -inf entry would turn into nan; ``PosteriorGrid`` floors
+                probabilities, which guarantees this)
     ext       : (2L+1,) target interleaved with blanks, blanks at even slots
 
     Standard forward recursion over the expanded target, log domain. The
     skip transition s-2 -> s is allowed only between distinct non-blank
     labels, which is equivalent to ext[s] != ext[s-2] since even slots all
-    hold the blank.
+    hold the blank. Returns -inf when no alignment fits in T frames.
+
+    Column s over time is alpha[t] = logaddexp(alpha[t-1], in[t-1]) +
+    e[t], with e the emissions of state s and in the log-sum of the
+    already-solved columns s-1 (and s-2 where the skip is allowed). With
+    c = cumsum(e), alpha - c is the running log-sum-exp of
+    [alpha0, in[0] - c[0], ..., in[T-2] - c[T-2]], where alpha0 is 0 for
+    the two start states and -inf for the rest.
     """
-    T = log_probs.shape[0]
-    S = ext.shape[0]
-    alpha = np.full(S, NEG_INF)
-    alpha[0] = log_probs[0, ext[0]]
-    if S > 1:
-        alpha[1] = log_probs[0, ext[1]]
-    for t in range(1, T):
-        for s in range(S - 1, -1, -1):
-            a = alpha[s]
-            if s >= 1:
-                a = _logaddexp2(a, alpha[s - 1])
-            if s >= 2 and ext[s] != ext[s - 2]:
-                a = _logaddexp2(a, alpha[s - 2])
-            alpha[s] = a + log_probs[t, ext[s]]
-    if S > 1:
-        return _logaddexp2(alpha[S - 1], alpha[S - 2])
-    return alpha[0]
-
-
-ctc_forward_ll = _jit(ctc_forward_ll_py)
+    emit_cum = np.cumsum(log_probs.T[ext], axis=1)  # (S, T): c of each state
+    labels = ext.tolist()
+    scan = np.empty(log_probs.shape[0])
+    col_1, col_2 = emit_cum[0], None  # alpha columns of states s-1 and s-2
+    for s in range(1, len(labels)):
+        c = emit_cum[s]
+        skip = s >= 2 and labels[s] != labels[s - 2]
+        into = np.logaddexp(col_1, col_2) if skip else col_1
+        scan[0] = 0.0 if s == 1 else -np.inf
+        np.subtract(into[:-1], c[:-1], out=scan[1:])
+        col = np.logaddexp.accumulate(scan)
+        col += c
+        col_1, col_2 = col, col_1
+    if col_2 is None:
+        return col_1[-1]
+    return np.logaddexp(col_1[-1], col_2[-1])
 
 
 class Packing(NamedTuple):

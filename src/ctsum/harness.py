@@ -11,8 +11,9 @@ The comparison is always three-way and nothing else:
 All three share one classifier architecture and identical layer sizes so
 accuracy and speed differences come from the inputs, not the capacity.
 
-Accuracy comes from k-fold cross-validation; speed from a single-threaded
-wall-clock benchmark expressed as a real-time factor (RTF): processing
+Accuracy comes from k-fold cross-validation; speed from a per-utterance
+wall-clock benchmark, run in the caller's BLAS thread configuration and
+expressed as a real-time factor (RTF): processing
 seconds per nominal audio second. Latent frames stand for a frontend that
 consumed four 10-ms audio frames per step, so one latent frame represents
 40 ms of nominal audio.
@@ -200,7 +201,9 @@ def bench_rtf(
     vocab: Vocabulary,
     repeats: int = 3,
 ) -> BenchResult:
-    """Median-of-repeats RTF, single-threaded, after one untimed warmup."""
+    """Median-of-repeats RTF, one utterance at a time, after one untimed
+    warmup. Runs in the caller's BLAS configuration: nothing here sets the
+    BLAS thread count."""
     if repeats < 3:
         raise ValueError("repeats must be >= 3")
     if not rows:

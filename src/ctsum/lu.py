@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import copy
 import json
+import os
 import struct
 from dataclasses import asdict, dataclass, field, replace
 
@@ -409,6 +410,8 @@ def load_model(path) -> LUModel:
             raise FormatError(f"{path}: bad magic {magic!r}, expected {MODEL_MAGIC!r}")
         if version != FORMAT_VERSION:
             raise FormatError(f"{path}: unsupported version {version}")
+        if 10 + hlen > os.fstat(fh.fileno()).st_size:
+            raise FormatError(f"{path}: truncated file: header declares a {hlen}-byte JSON header")
         try:
             meta = json.loads(_read_exact(fh, hlen, "JSON header").decode("utf-8"))
             config = LUConfig(**meta["config"])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -172,31 +173,43 @@ class FramePath:
         return self.arg_labels.shape[0]
 
 
+def _softmax_probs(seq: LatentSequence, proj: ProjectionMatrix) -> np.ndarray:
+    """The (T, V) float64 softmax of weights @ frame + bias, per frame.
+
+    Inputs are taken as finite, which ``LatentSequence`` and
+    ``ProjectionMatrix`` enforce at construction.
+    """
+    if proj.dim != seq.dim:
+        raise ValueError(
+            f"dimension mismatch: projection expects D={proj.dim}, sequence has D={seq.dim}"
+        )
+    logits = seq.frames.astype(np.float64) @ proj.weights.T.astype(np.float64)
+    logits += proj.bias.astype(np.float64)
+    logits -= logits.max(axis=1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=1, keepdims=True)
+    return logits
+
+
+def _argmax_path(probs: np.ndarray) -> FramePath:
+    labels = np.argmax(probs, axis=1)
+    return FramePath(labels, probs[np.arange(probs.shape[0]), labels])
+
+
 def project_softmax(seq: LatentSequence, proj: ProjectionMatrix) -> PosteriorGrid:
     """Per-frame softmax over label logits weights @ frame + bias.
 
     Logits are computed in float64 with the per-row maximum subtracted
     before exponentiation, so magnitudes up to ~1e4 stay stable.
     """
-    if proj.dim != seq.dim:
-        raise ValueError(
-            f"dimension mismatch: projection expects D={proj.dim}, sequence has D={seq.dim}"
-        )
     _require_finite("frames", seq.frames)
     _require_finite("weights", proj.weights)
-    logits = seq.frames.astype(np.float64) @ proj.weights.T.astype(np.float64)
-    logits += proj.bias.astype(np.float64)
-    logits -= logits.max(axis=1, keepdims=True)
-    np.exp(logits, out=logits)
-    logits /= logits.sum(axis=1, keepdims=True)
-    return PosteriorGrid(logits)
+    return PosteriorGrid(_softmax_probs(seq, proj))
 
 
 def frame_argmax(grid: PosteriorGrid) -> FramePath:
     """Argmax label per frame; ties break to the lowest label index."""
-    labels = np.argmax(grid.probs, axis=1)
-    scores = grid.probs[np.arange(grid.num_frames), labels]
-    return FramePath(labels, scores)
+    return _argmax_path(grid.probs)
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +226,16 @@ def _read_exact(fh, count, what):
     if len(data) != count:
         raise FormatError(f"truncated file while reading {what}")
     return data
+
+
+def _require_size(fh, path, declared):
+    """Reject a file whose size differs from the ``declared`` total its
+    header implies, before any payload is read (or allocated)."""
+    actual = os.fstat(fh.fileno()).st_size
+    if actual < declared:
+        raise FormatError(f"{path}: truncated file: header declares {declared} bytes, file has {actual}")
+    if actual > declared:
+        raise FormatError(f"{path}: trailing bytes: header declares {declared} bytes, file has {actual}")
 
 
 def _read_header(fh, magic, path):
@@ -237,11 +260,12 @@ def write_lseq(path, seq: LatentSequence):
 def read_lseq(path) -> LatentSequence:
     with open(path, "rb") as fh:
         t, d, shift = _read_header(fh, LSEQ_MAGIC, path)
+        _require_size(fh, path, _HEADER.size + 4 + 4 * t * d)
         data = _read_exact(fh, 4 * t * d, "frame data")
-        if fh.read(1):
-            raise FormatError(f"{path}: trailing bytes after frame data")
-    frames = np.frombuffer(data, dtype="<f4").reshape(t, d)
-    return LatentSequence(frames, shift)
+    try:
+        return LatentSequence(np.frombuffer(data, dtype="<f4").reshape(t, d), shift)
+    except ValueError as exc:
+        raise FormatError(f"{path}: invalid latent sequence: {exc}") from exc
 
 
 def write_proj(path, proj: ProjectionMatrix):
@@ -261,11 +285,13 @@ def read_proj(path) -> ProjectionMatrix:
             raise FormatError(f"{path}: bad magic {magic!r}, expected {PROJ_MAGIC!r}")
         if version != FORMAT_VERSION:
             raise FormatError(f"{path}: unsupported version {version}")
+        _require_size(fh, path, _HEADER.size + 4 * v * d + 4 * v)
         weights = np.frombuffer(_read_exact(fh, 4 * v * d, "weights"), dtype="<f4")
         bias = np.frombuffer(_read_exact(fh, 4 * v, "bias"), dtype="<f4")
-        if fh.read(1):
-            raise FormatError(f"{path}: trailing bytes after bias")
-    return ProjectionMatrix(weights.reshape(v, d), bias)
+    try:
+        return ProjectionMatrix(weights.reshape(v, d), bias)
+    except ValueError as exc:
+        raise FormatError(f"{path}: invalid projection: {exc}") from exc
 
 
 def write_vocab(path, vocab: Vocabulary):

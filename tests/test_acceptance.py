@@ -66,7 +66,7 @@ def default_crossval():
 
 def test_1_ctc_forward_matches_enumeration(capfd):
     rng = np.random.default_rng(2024)
-    # untimed call compiles the kernel before the clock starts
+    # one untimed call first, so first-use costs stay off the clock
     warm = PosteriorGrid(rng.dirichlet(np.ones(3), size=2))
     warm_vocab = Vocabulary(["0", "1", "2"])
     ctc_forward_logprob(warm, LabelSequence([1]), warm_vocab)

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -162,6 +164,16 @@ class TestSummarize:
                     path.arg_scores[seg.start : seg.end].max()
                 )
 
+    def test_equals_step_composition_bit_for_bit(self):
+        for seed in range(200):
+            seq, proj, _ = random_case(seed + 7000)
+            path = frame_argmax(project_softmax(seq, proj))
+            steps = select_representatives(segment_path(path), path, seq)
+            summ = summarize(seq, proj)
+            assert summ.vectors.tobytes() == steps.vectors.tobytes()
+            assert summ.segments == steps.segments
+            assert (summ.source_T, summ.frame_shift_ms) == (steps.source_T, steps.frame_shift_ms)
+
     def test_length_theorem(self):
         for seed in range(200):
             seq, proj, vocab = random_case(seed + 5000)
@@ -258,3 +270,38 @@ class TestSseqFile:
         (tmp_path / "x2.sseq").write_bytes(raw + b"\0")
         with pytest.raises(FormatError):
             read_sseq(tmp_path / "x2.sseq")
+
+    @staticmethod
+    def sseq_bytes(segments, d=2, vectors=None, shift=10.0):
+        """A .sseq file holding the given (start, end, label, rep, score) records."""
+        s = len(segments)
+        if vectors is None:
+            vectors = np.zeros((s, d))
+        head = struct.pack("<4sHIIf", b"CTSS", 1, s, d, shift)
+        table = b"".join(struct.pack("<IIIIf", *seg) for seg in segments)
+        return head + np.asarray(vectors, "<f4").tobytes() + table
+
+    @pytest.mark.parametrize(
+        "segments, vectors, shift",
+        [
+            ([], None, 10.0),
+            ([(3, 3, 1, 3, 0.5)], None, 10.0),
+            ([(0, 2, 1, 5, 0.5)], None, 10.0),
+            ([(0, 2, 1, 0, 0.5)], [[0.0, float("nan")]], 10.0),
+            ([(0, 2, 1, 0, float("nan"))], None, 10.0),
+            ([(0, 2, 1, 0, 0.5)], None, float("nan")),
+        ],
+        ids=["no-segments", "empty-span", "rep-outside-span", "nan-vector", "nan-score", "nan-shift"],
+    )
+    def test_invalid_contents_raise_format_error(self, tmp_path, segments, vectors, shift):
+        path = tmp_path / "x.sseq"
+        path.write_bytes(self.sseq_bytes(segments, vectors=vectors, shift=shift))
+        with pytest.raises(FormatError):
+            read_sseq(path)
+
+    def test_declared_size_checked_before_reading(self, tmp_path):
+        raw = self.sseq_bytes([(0, 2, 1, 0, 0.5), (2, 4, 0, 3, 0.5)])
+        path = tmp_path / "x.sseq"
+        path.write_bytes(raw[:18] + raw[18 + 8 :])  # one vector short
+        with pytest.raises(FormatError, match="header declares 74 bytes, file has 66"):
+            read_sseq(path)

@@ -416,6 +416,15 @@ class TestModelFile:
         with pytest.raises(FormatError):
             load_model(tmp_path / "odd.ctsm")
 
+    def test_json_header_length_checked_before_reading(self, tmp_path):
+        path = tmp_path / "m.ctsm"
+        save_model(path, lu_init(tiny_config()))
+        raw = path.read_bytes()
+        too_long = len(raw) - 9  # one byte more than the file holds after the fixed header
+        (tmp_path / "long.ctsm").write_bytes(raw[:6] + too_long.to_bytes(4, "little") + raw[10:])
+        with pytest.raises(FormatError, match="header declares"):
+            load_model(tmp_path / "long.ctsm")
+
     def test_rejects_non_finite_parameters(self, tmp_path):
         model = lu_init(tiny_config())
         model.w_out[0, 0] = np.nan

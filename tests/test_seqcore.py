@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -213,6 +215,26 @@ class TestFileFormats:
         with pytest.raises(FormatError):
             read_lseq(path)
 
+    def test_lseq_declared_size_checked_before_reading(self, tmp_path):
+        path = tmp_path / "x.lseq"
+        path.write_bytes(struct.pack("<4sHIIf", b"CTSQ", 1, 3, 2, 10.0) + bytes(4 * 5))
+        with pytest.raises(FormatError, match="header declares 42 bytes, file has 38"):
+            read_lseq(path)
+
+    @pytest.mark.parametrize(
+        "t, d, shift, frames",
+        [(0, 2, 10.0, []), (2, 1, 10.0, [1.0, float("nan")]), (1, 1, 0.0, [1.0])],
+        ids=["no-frames", "nan-frame", "zero-shift"],
+    )
+    def test_lseq_invalid_contents_raise_format_error(self, tmp_path, t, d, shift, frames):
+        path = tmp_path / "x.lseq"
+        path.write_bytes(
+            struct.pack("<4sHIIf", b"CTSQ", 1, t, d, shift) + np.asarray(frames, "<f4").tobytes()
+        )
+        with pytest.raises(FormatError) as info:
+            read_lseq(path)
+        assert type(info.value.__cause__) is ValueError
+
     def test_lseq_bad_magic(self, tmp_path):
         path = tmp_path / "x.lseq"
         path.write_bytes(b"NOPE" + bytes(20))
@@ -229,6 +251,13 @@ class TestFileFormats:
         back = read_proj(path)
         np.testing.assert_array_equal(back.weights, proj.weights)
         np.testing.assert_array_equal(back.bias, proj.bias)
+
+    def test_proj_without_labels_raises_format_error(self, tmp_path):
+        path = tmp_path / "p.proj"
+        path.write_bytes(struct.pack("<4sHII", b"CTSP", 1, 0, 3))
+        with pytest.raises(FormatError) as info:
+            read_proj(path)
+        assert type(info.value.__cause__) is ValueError
 
     def test_vocab_round_trip(self, tmp_path):
         vocab = Vocabulary(["_", "up", "down"], blank_index=0)
