@@ -7,7 +7,9 @@ solved with one ``np.logaddexp.accumulate``, so the Python loop has S =
 
 The GRU kernels run over a packed minibatch (see ``Packing``): the input
 projection of every row is one matrix product, and each time step
-advances all sequences still running with one more.
+advances all sequences still running with one more. The forward kernel
+takes a leading group axis, so both directions of a bidirectional layer
+advance in one time loop, one batched recurrent product per step.
 
 All kernels expect C-contiguous float64 arrays.
 """
@@ -101,13 +103,13 @@ def _sigmoid(v):
     return 1.0 / (1.0 + np.exp(-v))
 
 
-def gru_forward(x, w, u, b, pk: Packing):
-    """One direction of a 3-gate GRU layer over a packed minibatch.
+def gru_forward(a, ut, pk: Packing):
+    """G independent 3-gate GRU directions stepped through one time loop.
 
-    x : (N, Din) packed inputs, already in processing order
-    w : (3H, Din) input weights, gate blocks stacked [update; reset; cand]
-    u : (3H, H) recurrent weights, same block layout
-    b : (3H,) bias
+    a  : (G, N, 3H) input projections a = w @ x_t + b of each group's
+         packed rows, each group in its own processing order
+    ut : (G, H, 3H) transposed recurrent weights u.T of each group, gate
+         blocks stacked [update; reset; cand]
 
     Cell, with s = sigmoid and blocks a = w @ x_t + b, v = u @ h_prev:
         z = s(a_z + v_z)
@@ -115,22 +117,24 @@ def gru_forward(x, w, u, b, pk: Packing):
         n = tanh(a_n + r * v_n)
         h = (1 - z) * n + z * h_prev
 
+    All groups share the packing ``pk``, so step t advances the same
+    rows of every group with one batched product; a bidirectional layer
+    runs as G = 2, its backward group fed the rows in ``pk.rev`` order.
     Every sequence starts from h_prev = 0. Returns the packed hidden
-    states h, (N, H); ``gru_backward`` recomputes the gates from them.
+    states h, (G, N, H); ``gru_backward`` recomputes the gates from them.
     """
-    H = u.shape[1]
-    a = x @ w.T + b
-    ut = u.T
-    h = np.empty((x.shape[0], H))
-    h_prev = np.zeros((pk.active[0], H))
+    G, N, _ = a.shape
+    H = ut.shape[1]
+    h = np.empty((G, N, H))
+    h_prev = np.zeros((G, pk.active[0], H))
     for lo, k in zip(pk.offsets, pk.active):
-        hp = h_prev[:k]
-        at = a[lo : lo + k]
+        hp = h_prev[:, :k]
+        at = a[:, lo : lo + k]
         v = hp @ ut
-        zr = _sigmoid(at[:, : 2 * H] + v[:, : 2 * H])
-        z = zr[:, :H]
-        n = np.tanh(at[:, 2 * H :] + zr[:, H:] * v[:, 2 * H :])
-        h_prev = h[lo : lo + k]
+        zr = _sigmoid(at[..., : 2 * H] + v[..., : 2 * H])
+        z = zr[..., :H]
+        n = np.tanh(at[..., 2 * H :] + zr[..., H:] * v[..., 2 * H :])
+        h_prev = h[:, lo : lo + k]
         np.add((1.0 - z) * n, z * hp, out=h_prev)
     return h
 
@@ -147,7 +151,11 @@ def _previous_states(h, pk: Packing):
 
 
 def gru_backward(x, h, w, u, b, pk: Packing, dh_out):
-    """Backward pass matching gru_forward; dh_out is dLoss/dh per row.
+    """Backward pass of one direction (one group of gru_forward).
+
+    x, h are that group's packed inputs and hidden states, (N, Din) and
+    (N, H), with w, u, b as in ``a = x @ w.T + b`` and ``ut = u.T``;
+    dh_out is dLoss/dh per row.
 
     The gates of every row are recomputed with one product each for w
     and u; only the carry dLoss/dh_prev runs step by step, in reverse.

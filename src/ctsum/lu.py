@@ -9,10 +9,12 @@ between flavors.
 
 Everything runs in float64. Training computes one loss and gradient per
 minibatch: the batch is packed time-major without padding
-(``_kernels.pack_lengths``) and each GRU direction runs once over it
-(``_kernels.gru_forward`` / ``_kernels.gru_backward``); inference is the
-same path with a batch of one. Gradients are fully hand-derived and
-verified against central finite differences by ``gradient_check``.
+(``_kernels.pack_lengths``). Both directions of a layer advance in one
+time loop (``_kernels.gru_forward`` with one group per direction); the
+backward pass runs each direction once over the batch
+(``_kernels.gru_backward``). Inference is the same path with a batch of
+one. Gradients are fully hand-derived and verified against central
+finite differences by ``gradient_check``.
 
 Parameter order (canonical, used by the optimizer, the gradient check and
 the model file): for each layer, forward direction then backward
@@ -28,6 +30,8 @@ from __future__ import annotations
 
 import copy
 import json
+import math
+import operator
 import os
 import struct
 from dataclasses import asdict, dataclass, field, replace
@@ -57,15 +61,19 @@ class LUConfig:
 
     def __post_init__(self):
         for name in ("input_dim", "num_intents", "hidden", "layers", "epochs", "batch_size"):
-            if int(getattr(self, name)) < 1:
+            value = operator.index(getattr(self, name))  # a float size is an error, not truncated
+            if value < 1:
                 raise ValueError(f"{name} must be >= 1")
+            setattr(self, name, value)
         if self.num_intents < 2:
             raise ValueError("num_intents must be >= 2")
         if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
         self.seed = int(self.seed)
-        if self.vocab_size is not None and int(self.vocab_size) < 1:
-            raise ValueError("vocab_size must be >= 1 when set")
+        if self.vocab_size is not None:
+            self.vocab_size = operator.index(self.vocab_size)
+            if self.vocab_size < 1:
+                raise ValueError("vocab_size must be >= 1 when set")
 
 
 @dataclass
@@ -174,14 +182,16 @@ def _pack(xs):
 
 
 def _bigru_forward(model: LUModel, pk: _kernels.Packing, x):
-    """Run all layers; caches hold per-direction (input, h), the
-    backward direction's in its reversed row order."""
+    """Run all layers, both directions of a layer in one fused
+    recurrence; caches hold per-direction (input, h), the backward
+    direction's in its reversed row order."""
     cur = x
     caches = []
     for fw, bw in model.layers:
-        hf = _kernels.gru_forward(cur, fw.w, fw.u, fw.b, pk)
         xr = cur[pk.rev]
-        hb = _kernels.gru_forward(xr, bw.w, bw.u, bw.b, pk)
+        a = np.stack((cur @ fw.w.T + fw.b, xr @ bw.w.T + bw.b))
+        ut = np.stack((fw.u.T, bw.u.T))
+        hf, hb = _kernels.gru_forward(a, ut, pk)
         caches.append((cur, hf, xr, hb))
         cur = np.concatenate((hf, hb[pk.rev]), axis=1)
     return cur, caches
@@ -415,7 +425,12 @@ def load_model(path) -> LUModel:
         try:
             meta = json.loads(_read_exact(fh, hlen, "JSON header").decode("utf-8"))
             config = LUConfig(**meta["config"])
-        except (ValueError, KeyError, TypeError) as exc:
+            losses = meta.get("train_losses", [])
+            if not isinstance(losses, list) or not all(
+                type(x) in (int, float) and math.isfinite(x) for x in losses
+            ):
+                raise ValueError("train_losses must be a list of finite numbers")
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise FormatError(f"{path}: invalid model header: {exc}") from exc
         blob = fh.read()
     expected = _num_params(config)
@@ -432,5 +447,5 @@ def load_model(path) -> LUModel:
     for p in model.param_arrays():
         p[...] = flat[pos : pos + p.size].reshape(p.shape)
         pos += p.size
-    model.train_losses = [float(x) for x in meta.get("train_losses", [])]
+    model.train_losses = [float(x) for x in losses]
     return model

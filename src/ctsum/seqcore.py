@@ -304,7 +304,7 @@ def read_vocab(path) -> Vocabulary:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise FormatError(f"{path}: invalid JSON: {exc}") from exc
     try:
         return Vocabulary(obj["labels"], obj["blank_index"])

@@ -7,7 +7,9 @@ there, and to exactly -inf where no alignment fits.
 
 The GRU kernels run a packed minibatch and go through matrix products
 over many rows at once, so they are held to a tight allclose against the
-per-sequence reference in ``gru_reference``.
+per-sequence reference in ``gru_reference``. The forward kernel steps G
+groups (the directions of a layer) at once; single-direction tests run
+it with G = 1.
 """
 
 import numpy as np
@@ -139,19 +141,39 @@ class TestPacking:
         np.testing.assert_array_equal(pk.rev[pk.rev], np.arange(pk.rev.size))
 
 
+def forward(x, w, u, b, pk):
+    """One direction through the grouped kernel: a group of one."""
+    return gru_forward((x @ w.T + b)[None], u.T[None], pk)[0]
+
+
 class TestGruKernels:
     def test_forward_close_to_python(self):
         for seed in range(10):
             xs, w, u, b, pk, x = random_gru_instance(seed)
-            h = gru_forward(x, w, u, b, pk)
+            h = forward(x, w, u, b, pk)
             for xi, rows in zip(xs, sequence_rows(pk)):
                 ref = gru_forward_py(xi, w, u, b)[0]
                 np.testing.assert_allclose(h[rows], ref, rtol=1e-12, atol=1e-14)
 
+    def test_two_groups_close_to_python(self):
+        # both directions of a layer: own weights per group, group 1 runs
+        # every sequence reversed through pk.rev
+        for seed in range(10):
+            xs, w, u, b, pk, x = random_gru_instance(seed)
+            _, wb, ub, bb, *_ = random_gru_instance(seed + 50)
+            a = np.stack((x @ w.T + b, x[pk.rev] @ wb.T + bb))
+            h = gru_forward(a, np.stack((u.T, ub.T)), pk)
+            assert h.shape == (2, x.shape[0], u.shape[1])
+            for xi, rows in zip(xs, sequence_rows(pk)):
+                ref_f = gru_forward_py(xi, w, u, b)[0]
+                ref_b = gru_forward_py(xi[::-1], wb, ub, bb)[0]
+                np.testing.assert_allclose(h[0][rows], ref_f, rtol=1e-12, atol=1e-14)
+                np.testing.assert_allclose(h[1][rows], ref_b, rtol=1e-12, atol=1e-14)
+
     def test_backward_close_to_python(self):
         for seed in range(10):
             xs, w, u, b, pk, x = random_gru_instance(seed)
-            h = gru_forward(x, w, u, b, pk)
+            h = forward(x, w, u, b, pk)
             dh = np.random.default_rng(seed + 100).standard_normal(h.shape)
             dw, du, db, dx = gru_backward(x, h, w, u, b, pk, dh)
             sums = [np.zeros_like(w), np.zeros_like(u), np.zeros_like(b)]
@@ -167,9 +189,9 @@ class TestGruKernels:
         _, w, u, b, pk, x = random_gru_instance(3, lengths=(4, 1, 3), din=3, h=2)
 
         def loss(wv, uv):
-            return gru_forward(x, wv, uv, b, pk).sum()
+            return forward(x, wv, uv, b, pk).sum()
 
-        h = gru_forward(x, w, u, b, pk)
+        h = forward(x, w, u, b, pk)
         dw, du, _, _ = gru_backward(x, h, w, u, b, pk, np.ones_like(h))
         step = 1e-6
         for grad, arg in ((dw, 0), (du, 1)):
@@ -182,7 +204,7 @@ class TestGruKernels:
 
     def test_zero_state_start(self):
         _, w, u, b, pk, x = random_gru_instance(5, lengths=(1, 1, 1))
-        h = gru_forward(x, w, u, b, pk)
+        h = forward(x, w, u, b, pk)
         # every row is a first step and sees h_prev = 0: h = (1 - z) * n
         # with z = s(a_z) and n = tanh(a_n), free of u
         hidden = u.shape[1]

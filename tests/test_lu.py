@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -431,4 +434,26 @@ class TestModelFile:
         path = tmp_path / "nan.ctsm"
         save_model(path, model)
         with pytest.raises(FormatError, match="non-finite"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda meta: meta.update(train_losses=5),
+            lambda meta: meta.update(train_losses=["a"]),
+            lambda meta: meta.update(train_losses=[1.0, float("nan")]),
+            lambda meta: meta["config"].update(hidden=2.0),
+        ],
+        ids=["losses-not-a-list", "loss-not-a-number", "loss-not-finite", "float-hidden"],
+    )
+    def test_invalid_header_fields_raise_format_error(self, tmp_path, edit):
+        path = tmp_path / "m.ctsm"
+        save_model(path, lu_init(tiny_config()))
+        raw = path.read_bytes()
+        (hlen,) = struct.unpack("<I", raw[6:10])
+        meta = json.loads(raw[10 : 10 + hlen])
+        edit(meta)
+        header = json.dumps(meta).encode("utf-8")
+        path.write_bytes(raw[:6] + struct.pack("<I", len(header)) + header + raw[10 + hlen :])
+        with pytest.raises(FormatError, match="invalid model header"):
             load_model(path)

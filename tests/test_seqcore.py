@@ -267,6 +267,13 @@ class TestFileFormats:
         assert back.labels == vocab.labels
         assert back.blank_index == 0
 
+    def test_vocab_invalid_utf8_raises_format_error(self, tmp_path):
+        path = tmp_path / "v.json"
+        path.write_bytes(b'{"blank_index": 0, "labels": ["\xff", "a"]}')
+        with pytest.raises(FormatError) as info:
+            read_vocab(path)
+        assert type(info.value.__cause__) is UnicodeDecodeError
+
     def test_vocab_rejects_garbage(self, tmp_path):
         path = tmp_path / "v.json"
         path.write_text("{\"labels\": []}")
