@@ -14,10 +14,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from ._version import __version__
-from .cts import read_sseq, summarize, write_sseq
+from .cts import SSEQ_MAGIC, read_sseq, summarize, write_sseq
 from .ctc import greedy_decode
 from .harness import (
     HarnessConfig,
@@ -26,8 +24,8 @@ from .harness import (
     evaluate,
     run_crossval,
     run_system,
+    training_items,
 )
-from .cts import SSEQ_MAGIC
 from .lu import LUConfig, load_model, lu_train, save_model
 from .seqcore import (
     LSEQ_MAGIC,
@@ -180,22 +178,6 @@ def _cmd_decode(args) -> int:
     return 0
 
 
-_MODE_TO_SYSTEM = {"p1": SystemId.P1, "e1": SystemId.E1, "e2": SystemId.E2}
-
-
-def _corpus_items(mode: str, corpus):
-    if mode == "p1":
-        return [
-            (np.asarray(row["labels"], dtype=np.int64), row["intent"]) for row in corpus.rows
-        ]
-    if mode == "e1":
-        return [(seq.frames, row["intent"]) for row, seq in zip(corpus.rows, corpus.sequences)]
-    return [
-        (summarize(seq, corpus.projection).vectors, row["intent"])
-        for row, seq in zip(corpus.rows, corpus.sequences)
-    ]
-
-
 def _cmd_train(args) -> int:
     corpus = load_corpus(args.corpus)
     spec = corpus.spec
@@ -211,7 +193,8 @@ def _cmd_train(args) -> int:
         vocab_size=spec.vocab_size if args.mode == "p1" else None,
     )
     init_model = load_model(args.init) if args.init else None
-    model = lu_train(config, _corpus_items(args.mode, corpus), init_model=init_model)
+    items = training_items(SystemId[args.mode.upper()], corpus, range(len(corpus)))
+    model = lu_train(config, items, init_model=init_model)
     save_model(args.out, model)
     print(json.dumps({"model": args.out, "epochs": args.epochs, "final_loss": model.train_losses[-1]}))
     return 0
@@ -230,7 +213,7 @@ def _eval_view(args, corpus):
 def _cmd_eval(args) -> int:
     corpus = load_corpus(args.corpus)
     model = load_model(args.model)
-    system = _MODE_TO_SYSTEM[args.system]
+    system = SystemId[args.system.upper()]
     rows, seqs = _eval_view(args, corpus)
     run = run_system(system, model, rows, seqs, corpus.projection, corpus.vocab)
     out = {
@@ -249,7 +232,7 @@ def _cmd_eval(args) -> int:
 def _cmd_bench(args) -> int:
     corpus = load_corpus(args.corpus)
     model = load_model(args.model)
-    system = _MODE_TO_SYSTEM[args.system]
+    system = SystemId[args.system.upper()]
     result = bench_rtf(
         system,
         model,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .seqcore import FramePath, PosteriorGrid, Vocabulary, frame_argmax
+from .seqcore import PosteriorGrid, Vocabulary, frame_argmax
 
 ENUM_MAX_FRAMES = 10
 ENUM_MAX_LABELS = 5
@@ -59,13 +59,6 @@ def greedy_decode(grid: PosteriorGrid, vocab: Vocabulary) -> LabelSequence:
     path = frame_argmax(grid)
     ids = collapse_path(path.arg_labels, vocab.blank_index)
     score = float(grid.log_probs[np.arange(grid.num_frames), path.arg_labels].sum())
-    return LabelSequence(ids, score)
-
-
-def decode_path(path: FramePath, blank_index: int) -> LabelSequence:
-    """Collapse an existing argmax path without rescoring the grid."""
-    ids = collapse_path(path.arg_labels, blank_index)
-    score = float(np.log(np.maximum(path.arg_scores, 1e-30)).sum())
     return LabelSequence(ids, score)
 
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ctc import LabelSequence
 from .seqcore import (
     FORMAT_VERSION,
     FormatError,
@@ -92,13 +91,6 @@ class SummarizedSequence:
         return LatentSequence(self.vectors, self.frame_shift_ms)
 
 
-@dataclass
-class CompressionStats:
-    ratio: float
-    segments_per_label: float
-    empty_decode: bool = False
-
-
 def segment_path(path: FramePath) -> list[Segment]:
     """Run-length encode the argmax path into ordered, tiling segments."""
     labels = path.arg_labels
@@ -168,19 +160,6 @@ def summarize(
             summ.frame_shift_ms,
         )
     return summ
-
-
-def compression_stats(
-    summ: SummarizedSequence, decoded: LabelSequence
-) -> CompressionStats:
-    """T/S and S/L; an empty decode is reported as S per label and flagged."""
-    s = summ.num_segments
-    if s == 0:
-        raise ValueError("summary has no segments")
-    length = len(decoded)
-    if length == 0:
-        return CompressionStats(summ.source_T / s, float(s), empty_decode=True)
-    return CompressionStats(summ.source_T / s, s / length)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,13 @@ The comparison is always three-way and nothing else:
 All three share one classifier architecture and identical layer sizes so
 accuracy and speed differences come from the inputs, not the capacity.
 
+``STAGES`` is the one definition of how an utterance becomes classifier
+input: an ordered (name, fn) tuple per system. ``run_system`` threads
+every utterance through its system's stages and times each one;
+``training_items`` builds training inputs for ``train_fold_models`` and
+``ctsum train-lu`` (E1 on frames, E2 through the summarize stage, P1 on
+gold label ids rather than decodes).
+
 Accuracy comes from k-fold cross-validation; speed from a per-utterance
 wall-clock benchmark, run in the caller's BLAS thread configuration and
 expressed as a real-time factor (RTF): processing
@@ -55,10 +62,24 @@ class SystemId(str, Enum):
     E2 = "E2"
 
 
+# Each system's stages in order: (name, fn). A stage maps (input, model,
+# projection, vocabulary) to the next stage's input, the utterance's
+# LatentSequence going in first and class probabilities coming out of
+# the last. The bodies look project_softmax, greedy_decode,
+# embed_labels, summarize and lu_forward up in this module when called,
+# so a patch of e.g. ``harness.lu_forward`` reaches every stage.
 STAGES = {
-    SystemId.P1: ("project", "decode", "embed", "classify"),
-    SystemId.E1: ("classify",),
-    SystemId.E2: ("summarize", "classify"),
+    SystemId.P1: (
+        ("project", lambda seq, model, proj, vocab: project_softmax(seq, proj)),
+        ("decode", lambda grid, model, proj, vocab: greedy_decode(grid, vocab)),
+        ("embed", lambda decoded, model, proj, vocab: embed_labels(decoded, model)),
+        ("classify", lambda x, model, proj, vocab: lu_forward(model, x)),
+    ),
+    SystemId.E1: (("classify", lambda seq, model, proj, vocab: lu_forward(model, seq.frames)),),
+    SystemId.E2: (
+        ("summarize", lambda seq, model, proj, vocab: summarize(seq, proj).vectors),
+        ("classify", lambda x, model, proj, vocab: lu_forward(model, x)),
+    ),
 }
 
 
@@ -128,44 +149,22 @@ def run_system(
     if not rows:
         raise ValueError("empty corpus")
     _check_model(system, model, proj.dim, vocab.size)
-    stage_ms = {name: 0.0 for name in STAGES[system]}
+    stages = STAGES[system]
+    stage_ms = {name: 0.0 for name, _ in stages}
     predictions: dict[str, int] = {}
     ratios = []
     loop_start = time.perf_counter()
-    if system is SystemId.P1:
-        for row, seq in zip(rows, seqs):
-            t0 = time.perf_counter()
-            grid = project_softmax(seq, proj)
+    for row, seq in zip(rows, seqs):
+        x = seq
+        t0 = time.perf_counter()
+        for name, fn in stages:
+            x = fn(x, model, proj, vocab)
             t1 = time.perf_counter()
-            decoded = greedy_decode(grid, vocab)
-            t2 = time.perf_counter()
-            x = embed_labels(decoded, model)
-            t3 = time.perf_counter()
-            probs = lu_forward(model, x)
-            t4 = time.perf_counter()
-            stage_ms["project"] += (t1 - t0) * 1e3
-            stage_ms["decode"] += (t2 - t1) * 1e3
-            stage_ms["embed"] += (t3 - t2) * 1e3
-            stage_ms["classify"] += (t4 - t3) * 1e3
-            predictions[row["id"]] = int(np.argmax(probs))
-    elif system is SystemId.E1:
-        for row, seq in zip(rows, seqs):
-            t0 = time.perf_counter()
-            probs = lu_forward(model, seq.frames)
-            t1 = time.perf_counter()
-            stage_ms["classify"] += (t1 - t0) * 1e3
-            predictions[row["id"]] = int(np.argmax(probs))
-    else:
-        for row, seq in zip(rows, seqs):
-            t0 = time.perf_counter()
-            summ = summarize(seq, proj)
-            t1 = time.perf_counter()
-            probs = lu_forward(model, summ.vectors)
-            t2 = time.perf_counter()
-            stage_ms["summarize"] += (t1 - t0) * 1e3
-            stage_ms["classify"] += (t2 - t1) * 1e3
-            predictions[row["id"]] = int(np.argmax(probs))
-            ratios.append(seq.num_frames / summ.num_segments)
+            stage_ms[name] += (t1 - t0) * 1e3
+            t0 = t1
+            if name == "summarize":
+                ratios.append(seq.num_frames / len(x))
+        predictions[row["id"]] = int(np.argmax(x))
     total_ms = (time.perf_counter() - loop_start) * 1e3
     compression = float(np.mean(ratios)) if ratios else None
     return SystemRun(system, predictions, stage_ms, total_ms, compression)
@@ -222,6 +221,21 @@ def _train_seed(seed: int, fold: int, sys_index: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
+def training_items(system: SystemId, corpus: Corpus, idx) -> list[tuple]:
+    """(classifier input, intent) of each row in idx: E1 trains on raw
+    frames, E2 on the output of its summarize stage, and P1 on the gold
+    label ids, which ``lu_train`` embeds."""
+    rows = [corpus.rows[i] for i in idx]
+    if system is SystemId.P1:
+        inputs = [np.asarray(row["labels"], dtype=np.int64) for row in rows]
+    elif system is SystemId.E1:
+        inputs = [corpus.sequences[i].frames for i in idx]
+    else:
+        stage = dict(STAGES[SystemId.E2])["summarize"]
+        inputs = [stage(corpus.sequences[i], None, corpus.projection, corpus.vocab) for i in idx]
+    return [(x, row["intent"]) for x, row in zip(inputs, rows)]
+
+
 def train_fold_models(
     corpus: Corpus, train_idx: list[int], cfg: HarnessConfig, fold: int
 ) -> dict[SystemId, LUModel]:
@@ -235,23 +249,16 @@ def train_fold_models(
         learning_rate=cfg.learning_rate,
         batch_size=cfg.batch_size,
     )
-    latent = [(corpus.sequences[i].frames, corpus.rows[i]["intent"]) for i in train_idx]
     e1 = lu_train(
-        LUConfig(d, k, epochs=cfg.epochs, seed=_train_seed(spec.seed, fold, 0), **base), latent
+        LUConfig(d, k, epochs=cfg.epochs, seed=_train_seed(spec.seed, fold, 0), **base),
+        training_items(SystemId.E1, corpus, train_idx),
     )
-
-    summarized = [
-        (summarize(corpus.sequences[i], corpus.projection).vectors, corpus.rows[i]["intent"])
-        for i in train_idx
-    ]
     ft = dict(base, learning_rate=cfg.fine_tune_lr)
     e2 = lu_train(
         LUConfig(d, k, epochs=cfg.fine_tune_epochs, seed=_train_seed(spec.seed, fold, 1), **ft),
-        summarized,
+        training_items(SystemId.E2, corpus, train_idx),
         init_model=e1,
     )
-
-    text = [(np.asarray(corpus.rows[i]["labels"], dtype=np.int64), corpus.rows[i]["intent"]) for i in train_idx]
     p1 = lu_train(
         LUConfig(
             d,
@@ -261,7 +268,7 @@ def train_fold_models(
             vocab_size=v,
             **base,
         ),
-        text,
+        training_items(SystemId.P1, corpus, train_idx),
     )
     return {SystemId.P1: p1, SystemId.E1: e1, SystemId.E2: e2}
 

@@ -31,7 +31,6 @@ from __future__ import annotations
 import copy
 import json
 import math
-import operator
 import os
 import struct
 from dataclasses import asdict, dataclass, field, replace
@@ -40,7 +39,7 @@ import numpy as np
 
 from . import _kernels
 from .ctc import LabelSequence
-from .seqcore import FORMAT_VERSION, FormatError, _read_exact
+from .seqcore import FORMAT_VERSION, FormatError, _as_int, _read_exact
 
 MODEL_MAGIC = b"CTSM"
 ADAM_BETAS = (0.9, 0.999)
@@ -61,7 +60,7 @@ class LUConfig:
 
     def __post_init__(self):
         for name in ("input_dim", "num_intents", "hidden", "layers", "epochs", "batch_size"):
-            value = operator.index(getattr(self, name))  # a float size is an error, not truncated
+            value = _as_int(name, getattr(self, name))
             if value < 1:
                 raise ValueError(f"{name} must be >= 1")
             setattr(self, name, value)
@@ -69,9 +68,9 @@ class LUConfig:
             raise ValueError("num_intents must be >= 2")
         if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
-        self.seed = int(self.seed)
+        self.seed = _as_int("seed", self.seed)
         if self.vocab_size is not None:
-            self.vocab_size = operator.index(self.vocab_size)
+            self.vocab_size = _as_int("vocab_size", self.vocab_size)
             if self.vocab_size < 1:
                 raise ValueError("vocab_size must be >= 1 when set")
 
@@ -224,11 +223,6 @@ def lu_forward(model: LUModel, seq) -> np.ndarray:
     return _probs(model, [_as_float_seq(model, seq)])[0]
 
 
-def lu_classify(model: LUModel, seq) -> int:
-    """Argmax intent; ties break to the lowest class id."""
-    return int(np.argmax(lu_forward(model, seq)))
-
-
 def _sample_input(model: LUModel, data):
     """Resolve a corpus item: either a (T, D) float sequence or label ids
     routed through the embedding table. Returns (x, ids-or-None)."""
@@ -282,11 +276,6 @@ def _batch_loss_and_grads(model: LUModel, items):
         np.add.at(demb, ids[real], dh[real])
         grads.append(demb)
     return loss, grads
-
-
-def _loss_and_grads(model: LUModel, data, label: int):
-    """Cross-entropy loss and gradients of one sample (a batch of one)."""
-    return _batch_loss_and_grads(model, [(data, label)])
 
 
 class _Adam:
@@ -378,7 +367,7 @@ def gradient_check(config: LUConfig, sample) -> float:
     def loss_only():
         return float(_nll(_probs(model, [_sample_input(model, data)[0]]), labels)[0])
 
-    _, grads = _loss_and_grads(model, data, int(label))
+    _, grads = _batch_loss_and_grads(model, [sample])
     step = 1e-5
     max_rel = 0.0
     for p, g in zip(model.param_arrays(), grads):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import operator
 import os
 import struct
 from dataclasses import dataclass, field
@@ -19,6 +20,17 @@ _HEADER = struct.Struct("<4sHII")
 
 class FormatError(ValueError):
     """A binary or JSON artifact on disk is malformed."""
+
+
+def _as_int(name: str, value) -> int:
+    """An integer field, e.g. from JSON: a float or bool is an error, not
+    truncated."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 def _require_finite(name, arr):
@@ -59,6 +71,8 @@ class Vocabulary:
     blank_index: int = 0
 
     def __post_init__(self):
+        if isinstance(self.labels, str):
+            raise ValueError("labels must be a list of strings, not one string")
         self.labels = list(self.labels)
         if not self.labels:
             raise ValueError("labels must be non-empty")
@@ -66,7 +80,7 @@ class Vocabulary:
             raise ValueError("labels must be non-empty strings")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("labels must be unique")
-        self.blank_index = int(self.blank_index)
+        self.blank_index = _as_int("blank_index", self.blank_index)
         if not 0 <= self.blank_index < len(self.labels):
             raise ValueError(f"blank_index {self.blank_index} out of range")
 

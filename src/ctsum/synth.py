@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +33,7 @@ from .seqcore import (
     LatentSequence,
     ProjectionMatrix,
     Vocabulary,
+    _as_int,
     read_lseq,
     read_proj,
     read_vocab,
@@ -69,6 +70,15 @@ class SynthSpec:
     seed: int = 42
 
     def __post_init__(self):
+        for name in (
+            "num_intents",
+            "vocab_size",
+            "latent_dim",
+            "templates_per_intent",
+            "utterances_per_intent",
+            "seed",
+        ):
+            setattr(self, name, _as_int(name, getattr(self, name)))
         if self.num_intents < 2:
             raise ValueError("num_intents must be >= 2")
         if self.vocab_size < self.num_intents:
@@ -82,13 +92,12 @@ class SynthSpec:
             ("run_len_range", 1),
             ("gap_len_range", 0),
         ):
-            rng = tuple(int(v) for v in getattr(self, name))
+            rng = tuple(_as_int(name, v) for v in getattr(self, name))
             if len(rng) != 2 or rng[0] > rng[1] or rng[0] < lo_min:
                 raise ValueError(f"{name} must be (lo, hi) with {lo_min} <= lo <= hi")
             setattr(self, name, rng)
         if self.logit_scale < 0 or self.noise_sigma < 0:
             raise ValueError("logit_scale and noise_sigma must be non-negative")
-        self.seed = int(self.seed)
 
     @property
     def num_utterances(self):
@@ -115,7 +124,7 @@ class Corpus:
     rows: list[dict]
     projection: ProjectionMatrix
     vocab: Vocabulary
-    sequences: list[LatentSequence] = field(default_factory=list)
+    sequences: list[LatentSequence]
 
     def __len__(self):
         return len(self.rows)
@@ -283,7 +292,7 @@ def generate_corpus(spec: SynthSpec, out_dir) -> Corpus:
     return corpus
 
 
-def load_corpus(corpus_dir, *, load_frames: bool = True) -> Corpus:
+def load_corpus(corpus_dir) -> Corpus:
     root = Path(corpus_dir)
     spec = load_spec(root / SPEC_NAME)
     rows = []
@@ -296,8 +305,8 @@ def load_corpus(corpus_dir, *, load_frames: bool = True) -> Corpus:
                 rows.append(
                     {
                         "id": str(row["id"]),
-                        "intent": int(row["intent"]),
-                        "labels": [int(v) for v in row["labels"]],
+                        "intent": _as_int("intent", row["intent"]),
+                        "labels": [_as_int("label", v) for v in row["labels"]],
                         "lseq": str(row["lseq"]),
                     }
                 )
@@ -305,9 +314,7 @@ def load_corpus(corpus_dir, *, load_frames: bool = True) -> Corpus:
                 raise FormatError(f"manifest line {lineno}: {exc}") from exc
     proj = read_proj(root / PROJECTION_NAME)
     vocab = read_vocab(root / VOCAB_NAME)
-    seqs = []
-    if load_frames:
-        seqs = [read_lseq(root / row["lseq"]) for row in rows]
+    seqs = [read_lseq(root / row["lseq"]) for row in rows]
     return Corpus(spec, rows, proj, vocab, seqs)
 
 

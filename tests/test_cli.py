@@ -1,6 +1,7 @@
 import json
 import pathlib
 import shutil
+import struct
 import subprocess
 import sys
 
@@ -244,3 +245,107 @@ class TestCrossval:
         bad.write_text("{\"vocab_size\": 1}")
         assert main(["crossval", "--spec", str(bad), "--seed", "1"]) == 2
         capsys.readouterr()
+
+
+def _hostile_spec(tmp_path, blob):
+    path = tmp_path / "hostile-spec.json"
+    path.write_text(json.dumps(dict(SMALL_SPEC, **blob)))
+    return str(path)
+
+
+def _edit_json(path, edit):
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))) + "\n")
+
+
+def _edit_manifest(path, field, value):
+    lines = path.read_text().splitlines()
+    lines[0] = json.dumps(dict(json.loads(lines[0]), **{field: value}))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _edit_model_config(path, field, value):
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack("<I", raw[6:10])
+    meta = json.loads(raw[10 : 10 + hlen])
+    meta["config"][field] = value
+    header = json.dumps(meta).encode("utf-8")
+    path.write_bytes(raw[:6] + struct.pack("<I", len(header)) + header + raw[10 + hlen :])
+
+
+HOSTILE_SPECS = {
+    "float-intents": {"num_intents": 3.0},
+    "float-seed": {"seed": 1.5},
+    "float-range": {"run_len_range": [1.5, 4]},
+    "bool-dim": {"latent_dim": True},
+}
+
+HOSTILE_CORPORA = {
+    "manifest-float-intent": lambda c: _edit_manifest(c / "manifest.jsonl", "intent", 1.9),
+    "manifest-float-labels": lambda c: _edit_manifest(c / "manifest.jsonl", "labels", [1.5, 2]),
+    "vocab-string-labels": lambda c: _edit_json(
+        c / "vocab.json", lambda v: dict(v, labels="_abcdefgh")
+    ),
+    "vocab-float-blank": lambda c: _edit_json(c / "vocab.json", lambda v: dict(v, blank_index=1.5)),
+    "vocab-bool-blank": lambda c: _edit_json(c / "vocab.json", lambda v: dict(v, blank_index=True)),
+    "spec-float-intents": lambda c: _edit_json(c / "spec.json", lambda s: dict(s, num_intents=3.0)),
+}
+
+
+class TestHostileJson:
+    """Hostile JSON in a spec, corpus or model header is a data error:
+    exit code 2 with a one-line message, never a traceback."""
+
+    @staticmethod
+    def assert_data_error(capsys, argv):
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert err.startswith("ctsum: error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("blob", HOSTILE_SPECS.values(), ids=HOSTILE_SPECS)
+    def test_spec_commands(self, tmp_path, capsys, blob):
+        spec = _hostile_spec(tmp_path, blob)
+        self.assert_data_error(
+            capsys, ["synth", "--spec", spec, "--out", str(tmp_path / "c"), "--seed", "1"]
+        )
+        self.assert_data_error(capsys, ["crossval", "--spec", spec, "--seed", "1", "--k", "3"])
+
+    @pytest.mark.parametrize("corrupt", HOSTILE_CORPORA.values(), ids=HOSTILE_CORPORA)
+    def test_corpus_commands(self, tmp_path, capsys, corpus_dir, e1_model, corrupt):
+        bad = tmp_path / "c"
+        shutil.copytree(corpus_dir, bad)
+        corrupt(bad)
+        model = str(tmp_path / "m.ctsm")
+        self.assert_data_error(
+            capsys,
+            ["train-lu", "--corpus", str(bad), "--mode", "p1", "--out", model, "--seed", "1"],
+        )
+        for cmd in ("eval", "bench"):
+            self.assert_data_error(
+                capsys, [cmd, "--corpus", str(bad), "--model", e1_model, "--system", "e1"]
+            )
+
+    @pytest.mark.parametrize("value", [1.7, True], ids=["float-seed", "bool-seed"])
+    def test_model_header(self, tmp_path, capsys, corpus_dir, e1_model, value):
+        bad = tmp_path / "bad.ctsm"
+        shutil.copyfile(e1_model, bad)
+        _edit_model_config(bad, "seed", value)
+        self.assert_data_error(
+            capsys, ["eval", "--corpus", corpus_dir, "--model", str(bad), "--system", "e1"]
+        )
+        self.assert_data_error(
+            capsys,
+            ["train-lu", "--corpus", corpus_dir, "--mode", "e2", "--out",
+             str(tmp_path / "e2.ctsm"), "--seed", "1", "--init", str(bad)],
+        )
+
+    def test_console_exit_code_and_stderr(self, tmp_path):
+        spec = _hostile_spec(tmp_path, HOSTILE_SPECS["float-intents"])
+        proc = subprocess.run(
+            [sys.executable, "-m", "ctsum.cli", "synth", "--spec", spec,
+             "--out", str(tmp_path / "c"), "--seed", "1"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert "num_intents must be an integer" in proc.stderr
+        assert "Traceback" not in proc.stderr

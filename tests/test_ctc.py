@@ -7,11 +7,10 @@ from ctsum.ctc import (
     LabelSequence,
     collapse_path,
     ctc_forward_logprob,
-    decode_path,
     enumerate_alignments_logprob,
     greedy_decode,
 )
-from ctsum.seqcore import FramePath, PosteriorGrid, Vocabulary
+from ctsum.seqcore import PosteriorGrid, Vocabulary
 
 
 def make_grid(rows):
@@ -90,17 +89,6 @@ class TestGreedyDecode:
         b = greedy_decode(grid, vocab_of(4))
         assert a.ids.tolist() == b.ids.tolist()
         assert a.score == b.score
-
-    def test_decode_path_matches_grid_decode(self):
-        rng = np.random.default_rng(8)
-        grid = random_grid(rng, 25, 4)
-        from ctsum.seqcore import frame_argmax
-
-        path = frame_argmax(grid)
-        a = greedy_decode(grid, vocab_of(4))
-        b = decode_path(path, 0)
-        assert a.ids.tolist() == b.ids.tolist()
-        assert a.score == pytest.approx(b.score)
 
 
 class TestForwardScoring:
@@ -243,10 +231,3 @@ class TestLabelSequence:
 
     def test_len(self):
         assert len(LabelSequence([3, 4])) == 2
-
-
-class TestFramePathHelpers:
-    def test_path_scores_floored_in_decode_path(self):
-        path = FramePath(np.array([0]), np.array([0.0]))
-        out = decode_path(path, blank_index=0)
-        assert np.isfinite(out.score)

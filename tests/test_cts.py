@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from ctsum.cts import (
     Segment,
     SummarizedSequence,
-    compression_stats,
     read_sseq,
     segment_path,
     select_representatives,
@@ -205,25 +204,6 @@ class TestSummarize:
         assert summ.source_T == t
         labels = [s.label for s in summ.segments]
         assert all(a != b for a, b in zip(labels, labels[1:]))
-
-
-class TestCompressionStats:
-    def test_arithmetic(self):
-        segs = [Segment(i * 2, i * 2 + 2, i, rep_frame=i * 2, rep_score=0.5) for i in range(5)]
-        summ = SummarizedSequence(np.zeros((5, 3), dtype=np.float32), segs, 10)
-        stats = compression_stats(summ, LabelSequence([1, 2]))
-        assert stats.ratio == pytest.approx(2.0)
-        assert stats.segments_per_label == pytest.approx(2.5)
-        assert not stats.empty_decode
-
-    def test_empty_decode_flagged(self):
-        summ = SummarizedSequence(
-            np.zeros((1, 3), dtype=np.float32), [Segment(0, 8, 0, 0, 0.9)], 8
-        )
-        stats = compression_stats(summ, LabelSequence([]))
-        assert stats.ratio == pytest.approx(8.0)
-        assert stats.segments_per_label == pytest.approx(1.0)
-        assert stats.empty_decode
 
 
 class TestSegmentValidation:

@@ -10,17 +10,16 @@ from ctsum.lu import (
     LUConfig,
     _Adam,
     _batch_loss_and_grads,
-    _loss_and_grads,
     embed_labels,
     gradient_check,
     load_model,
-    lu_classify,
     lu_forward,
     lu_init,
     lu_train,
     save_model,
 )
-from ctsum.seqcore import FormatError
+from ctsum.harness import SystemId, run_system
+from ctsum.seqcore import FormatError, LatentSequence, ProjectionMatrix, Vocabulary
 from gru_reference import loss_and_grads_py
 
 
@@ -75,6 +74,16 @@ class TestInit:
             LUConfig(input_dim=2, num_intents=1)
         with pytest.raises(ValueError):
             LUConfig(input_dim=2, num_intents=2, learning_rate=0.0)
+
+    @pytest.mark.parametrize("field", ["seed", "hidden", "vocab_size"])
+    @pytest.mark.parametrize("value", [1.7, 2.0, True])
+    def test_integer_fields_reject_float_and_bool(self, field, value):
+        with pytest.raises(TypeError, match=f"{field} must be an integer"):
+            LUConfig(input_dim=2, num_intents=2, **{field: value})
+
+    def test_numpy_integer_seed_accepted(self):
+        cfg = LUConfig(input_dim=2, num_intents=2, seed=np.uint32(7))
+        assert cfg.seed == 7 and type(cfg.seed) is int
 
 
 class TestForward:
@@ -149,16 +158,26 @@ class TestForward:
 
 
 class TestClassify:
+    """An E1 prediction is the argmax of lu_forward, ties to the lowest
+    class id."""
+
+    @staticmethod
+    def predict(model, frames):
+        seq = LatentSequence(frames)
+        proj, vocab = ProjectionMatrix(np.eye(3)), Vocabulary(["_", "a", "b"])
+        run = run_system(SystemId.E1, model, [{"id": "u"}], [seq], proj, vocab)
+        return run.predictions["u"]
+
     def test_argmax(self):
         cfg = tiny_config(seed=33)
         model = lu_init(cfg)
-        x = np.random.default_rng(2).standard_normal((6, 3))
+        x = np.random.default_rng(2).standard_normal((6, 3)).astype(np.float32)
         probs = lu_forward(model, x)
-        assert lu_classify(model, x) == int(np.argmax(probs))
+        assert self.predict(model, x) == int(np.argmax(probs))
 
     def test_tie_takes_lowest_class(self):
         model = zero_model(tiny_config())
-        assert lu_classify(model, np.ones((3, 3))) == 0
+        assert self.predict(model, np.ones((3, 3))) == 0
 
 
 class TestEmbedLabels:
@@ -204,8 +223,8 @@ class TestGradients:
         model = zero_model(cfg)
         x = np.ones((3, 3))
         # balanced label pair: gradients cancel everywhere
-        loss0, g0 = _loss_and_grads(model, x, 0)
-        loss1, g1 = _loss_and_grads(model, x, 1)
+        loss0, g0 = _batch_loss_and_grads(model, [(x, 0)])
+        loss1, g1 = _batch_loss_and_grads(model, [(x, 1)])
         assert loss0 == pytest.approx(np.log(2.0))
         for a, b in zip(g0, g1):
             assert np.abs(a + b).max() < 1e-12
@@ -226,13 +245,13 @@ class TestGradients:
         cfg = tiny_config(seed=12)
         model = lu_init(cfg)
         x = np.random.default_rng(3).standard_normal((4, 3))
-        loss, grads = _loss_and_grads(model, x, 1)
+        loss, grads = _batch_loss_and_grads(model, [(x, 1)])
         w = model.layers[0][0].w
         g = grads[0]
         i = np.unravel_index(np.argmax(np.abs(g)), g.shape)
         h = 1e-3
         w[i] += h
-        new_loss, _ = _loss_and_grads(model, x, 1)
+        new_loss, _ = _batch_loss_and_grads(model, [(x, 1)])
         w[i] -= h
         assert new_loss - loss == pytest.approx(g[i] * h, rel=5e-2, abs=1e-8)
 
@@ -247,7 +266,7 @@ class TestTraining:
             corpus.append((mean + 0.1 * rng.standard_normal((5, 3)), label))
         cfg = tiny_config(seed=5, hidden=4, epochs=50, batch_size=4)
         model = lu_train(cfg, corpus)
-        assert all(lu_classify(model, x) == y for x, y in corpus)
+        assert all(int(np.argmax(lu_forward(model, x))) == y for x, y in corpus)
 
     def test_loss_drops_after_first_epoch(self):
         from ctsum.synth import SynthSpec, build_corpus
@@ -443,8 +462,17 @@ class TestModelFile:
             lambda meta: meta.update(train_losses=["a"]),
             lambda meta: meta.update(train_losses=[1.0, float("nan")]),
             lambda meta: meta["config"].update(hidden=2.0),
+            lambda meta: meta["config"].update(seed=1.7),
+            lambda meta: meta["config"].update(seed=True),
         ],
-        ids=["losses-not-a-list", "loss-not-a-number", "loss-not-finite", "float-hidden"],
+        ids=[
+            "losses-not-a-list",
+            "loss-not-a-number",
+            "loss-not-finite",
+            "float-hidden",
+            "float-seed",
+            "bool-seed",
+        ],
     )
     def test_invalid_header_fields_raise_format_error(self, tmp_path, edit):
         path = tmp_path / "m.ctsm"

@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -55,6 +56,20 @@ class TestVocabulary:
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError):
             Vocabulary(["a", "a"])
+
+    def test_rejects_one_string_for_labels(self):
+        # a string is iterable, but its characters are not a label list
+        with pytest.raises(ValueError, match="not one string"):
+            Vocabulary("abc", 1)
+
+    @pytest.mark.parametrize("blank", [1.5, True, "1"])
+    def test_blank_index_must_be_an_integer(self, blank):
+        with pytest.raises(TypeError, match="blank_index must be an integer"):
+            Vocabulary(["_", "a", "b"], blank)
+
+    def test_numpy_integer_blank_index_accepted(self):
+        vocab = Vocabulary(["_", "a", "b"], np.int64(2))
+        assert vocab.blank_index == 2 and type(vocab.blank_index) is int
 
 
 class TestProjectSoftmax:
@@ -273,6 +288,21 @@ class TestFileFormats:
         with pytest.raises(FormatError) as info:
             read_vocab(path)
         assert type(info.value.__cause__) is UnicodeDecodeError
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"labels": "abc", "blank_index": 1},
+            {"labels": ["_", "a", "b"], "blank_index": 1.5},
+            {"labels": ["_", "a", "b"], "blank_index": True},
+        ],
+        ids=["labels-string", "float-blank", "bool-blank"],
+    )
+    def test_vocab_rejects_string_labels_and_non_integer_blank(self, tmp_path, obj):
+        path = tmp_path / "v.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(FormatError, match="invalid vocabulary"):
+            read_vocab(path)
 
     def test_vocab_rejects_garbage(self, tmp_path):
         path = tmp_path / "v.json"

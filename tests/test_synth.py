@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctsum.ctc import greedy_decode
-from ctsum.cts import compression_stats, summarize
+from ctsum.cts import summarize
 from ctsum.seqcore import FormatError, LatentSequence, frame_argmax, project_softmax
 from ctsum.synth import (
     SynthSpec,
@@ -63,6 +63,32 @@ class TestSpec:
         path = tmp_path / "spec.json"
         save_spec(path, spec)
         assert load_spec(path) == spec
+
+    @pytest.mark.parametrize(
+        "field",
+        ["num_intents", "vocab_size", "latent_dim", "templates_per_intent",
+         "utterances_per_intent", "seed"],
+    )
+    def test_integer_fields_reject_float_and_bool(self, field):
+        value = getattr(SynthSpec(), field)
+        for bad in (float(value), value + 0.5, True):
+            with pytest.raises(TypeError, match=f"{field} must be an integer"):
+                SynthSpec(**{field: bad})
+
+    def test_range_bounds_reject_floats(self):
+        with pytest.raises(TypeError, match="run_len_range must be an integer"):
+            SynthSpec(run_len_range=(1.5, 4))
+
+    @pytest.mark.parametrize(
+        "blob",
+        [{"num_intents": 6.0}, {"seed": 1.5}, {"gap_len_range": [0, 2.0]}, {"latent_dim": True}],
+        ids=["float-intents", "float-seed", "float-range", "bool-dim"],
+    )
+    def test_load_spec_rejects_non_integer_fields(self, tmp_path, blob):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(blob))
+        with pytest.raises(FormatError, match="must be an integer"):
+            load_spec(path)
 
     def test_unknown_field_rejected(self, tmp_path):
         path = tmp_path / "spec.json"
@@ -220,6 +246,25 @@ class TestCorpus:
         with pytest.raises(FormatError):
             load_corpus(tmp_path / "c")
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {"intent": 1.9},
+            {"intent": True},
+            {"labels": [1.5, 2]},
+            {"labels": "12"},
+        ],
+        ids=["float-intent", "bool-intent", "float-label", "string-labels"],
+    )
+    def test_manifest_rejects_non_integer_intent_and_labels(self, tmp_path, edit):
+        generate_corpus(small_spec(), tmp_path / "c")
+        manifest = tmp_path / "c" / "manifest.jsonl"
+        lines = manifest.read_text().splitlines()
+        lines[1] = json.dumps(dict(json.loads(lines[1]), **edit))
+        manifest.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match="manifest line 2: .* must be an integer"):
+            load_corpus(tmp_path / "c")
+
     def test_vocab_matches_size(self):
         vocab = default_vocab(5)
         assert vocab.labels == ["_", "w1", "w2", "w3", "w4"]
@@ -230,9 +275,7 @@ class TestCorpus:
         ratios = []
         for seq in corpus.sequences:
             summary = summarize(seq, corpus.projection)
-            grid = project_softmax(seq, corpus.projection)
-            decoded = greedy_decode(grid, corpus.vocab)
-            ratios.append(compression_stats(summary, decoded).ratio)
+            ratios.append(summary.source_T / summary.num_segments)
         assert float(np.mean(ratios)) >= 3.0
 
 
