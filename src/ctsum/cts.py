@@ -24,6 +24,7 @@ from .seqcore import (
     ProjectionMatrix,
     _argmax_path,
     _read_exact,
+    _read_header,
     _require_finite,
     _require_size,
     _softmax_probs,
@@ -194,12 +195,7 @@ def write_sseq(path, summ: SummarizedSequence):
 
 def read_sseq(path) -> SummarizedSequence:
     with open(path, "rb") as fh:
-        head = _read_exact(fh, 18, "header")
-        magic, version, s, d, shift = struct.unpack("<4sHIIf", head)
-        if magic != SSEQ_MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r}, expected {SSEQ_MAGIC!r}")
-        if version != FORMAT_VERSION:
-            raise FormatError(f"{path}: unsupported version {version}")
+        s, d, shift = _read_header(fh, SSEQ_MAGIC, path)
         if s == 0:
             raise FormatError(f"{path}: summary has no segments")
         _require_size(fh, path, 18 + 4 * s * d + _SEG_RECORD.size * s)

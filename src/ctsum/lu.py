@@ -16,10 +16,13 @@ backward pass runs each direction once over the batch
 one. Gradients are fully hand-derived and verified against central
 finite differences by ``gradient_check``.
 
-Parameter order (canonical, used by the optimizer, the gradient check and
-the model file): for each layer, forward direction then backward
+Parameters: every array lives in one flat float64 buffer,
+``LUModel.params``, which the optimizer, the gradient, the gradient check
+and the model file each treat as one vector. ``_layout`` is the one table
+of its canonical order: for each layer, forward direction then backward
 direction, each as (w, u, b); then output projection (w_out, b_out); then
-the embedding table when present.
+the embedding table when present. The named fields of ``LUModel`` are
+views into the buffer.
 
 Model file (.ctsm): magic "CTSM" | u16 version | u32 header length |
 UTF-8 JSON header (config + training losses) | float32 little-endian
@@ -28,18 +31,26 @@ parameters flattened in canonical order.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 import os
 import struct
 from dataclasses import asdict, dataclass, field, replace
+from itertools import islice
 
 import numpy as np
 
 from . import _kernels
 from .ctc import LabelSequence
-from .seqcore import FORMAT_VERSION, FormatError, _as_int, _read_exact
+from .seqcore import (
+    FORMAT_VERSION,
+    FormatError,
+    _as_float,
+    _as_int,
+    _read_exact,
+    _read_header,
+    _require_size,
+)
 
 MODEL_MAGIC = b"CTSM"
 ADAM_BETAS = (0.9, 0.999)
@@ -66,6 +77,7 @@ class LUConfig:
             setattr(self, name, value)
         if self.num_intents < 2:
             raise ValueError("num_intents must be >= 2")
+        self.learning_rate = _as_float("learning_rate", self.learning_rate)
         if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
         self.seed = _as_int("seed", self.seed)
@@ -82,67 +94,67 @@ class GRUParams:
     b: np.ndarray  # (3H,)
 
 
-@dataclass
-class LUModel:
-    config: LUConfig
-    layers: list[tuple[GRUParams, GRUParams]]  # (forward, backward) per layer
-    w_out: np.ndarray  # (K, 2H)
-    b_out: np.ndarray  # (K,)
-    embedding: np.ndarray | None = None  # (vocab_size, input_dim)
-    train_losses: list[float] = field(default_factory=list)
-
-    def param_arrays(self) -> list[np.ndarray]:
-        """All parameters in canonical order (live references)."""
-        out = []
-        for fw, bw in self.layers:
-            out += [fw.w, fw.u, fw.b, bw.w, bw.u, bw.b]
-        out += [self.w_out, self.b_out]
-        if self.embedding is not None:
-            out.append(self.embedding)
-        return out
-
-    def num_params(self) -> int:
-        return sum(p.size for p in self.param_arrays())
-
-
-def _layer_input_dims(config: LUConfig) -> list[int]:
-    return [config.input_dim] + [2 * config.hidden] * (config.layers - 1)
-
-
-def _num_params(config: LUConfig) -> int:
-    """Parameter count of the architecture ``lu_init`` builds for config."""
-    h3 = 3 * config.hidden
-    total = sum(2 * (h3 * din + h3 * config.hidden + h3) for din in _layer_input_dims(config))
-    total += config.num_intents * (2 * config.hidden + 1)
-    if config.vocab_size is not None:
-        total += config.vocab_size * config.input_dim
-    return total
-
-
-def lu_init(config: LUConfig) -> LUModel:
-    """Seeded uniform init in [-1/sqrt(fan_in), +1/sqrt(fan_in)] per array.
+def _layout(config: LUConfig) -> list[tuple[tuple[int, ...], int]]:
+    """(shape, fan_in) of every parameter array, in canonical order.
 
     fan_in is the input width of each map: Din for w, H for u and b, 2H
     for the output head, input_dim for embedding rows.
     """
-    rng = np.random.default_rng(config.seed)
-    h = config.hidden
-
-    def draw(shape, fan_in):
-        bound = 1.0 / np.sqrt(fan_in)
-        return rng.uniform(-bound, bound, size=shape)
-
-    layers = []
-    for din in _layer_input_dims(config):
-        fw = GRUParams(draw((3 * h, din), din), draw((3 * h, h), h), draw(3 * h, h))
-        bw = GRUParams(draw((3 * h, din), din), draw((3 * h, h), h), draw(3 * h, h))
-        layers.append((fw, bw))
-    w_out = draw((config.num_intents, 2 * h), 2 * h)
-    b_out = draw(config.num_intents, 2 * h)
-    embedding = None
+    h, h3 = config.hidden, 3 * config.hidden
+    out = []
+    for din in [config.input_dim] + [2 * h] * (config.layers - 1):
+        out += [((h3, din), din), ((h3, h), h), ((h3,), h)] * 2  # forward, backward
+    out += [((config.num_intents, 2 * h), 2 * h), ((config.num_intents,), 2 * h)]
     if config.vocab_size is not None:
-        embedding = draw((config.vocab_size, config.input_dim), config.input_dim)
-    return LUModel(config, layers, w_out, b_out, embedding)
+        out.append(((config.vocab_size, config.input_dim), config.input_dim))
+    return out
+
+
+def _num_params(config: LUConfig) -> int:
+    """Parameter count of the architecture ``lu_init`` builds for config."""
+    return sum(math.prod(shape) for shape, _ in _layout(config))
+
+
+@dataclass
+class LUModel:
+    config: LUConfig
+    params: np.ndarray  # (_num_params(config),) float64, canonical order
+    train_losses: list[float] = field(default_factory=list)
+    # views into params
+    layers: list[tuple[GRUParams, GRUParams]] = field(init=False, repr=False)  # (fw, bw) per layer
+    w_out: np.ndarray = field(init=False, repr=False)  # (K, 2H)
+    b_out: np.ndarray = field(init=False, repr=False)  # (K,)
+    embedding: np.ndarray | None = field(init=False, repr=False)  # (vocab_size, input_dim)
+
+    def __post_init__(self):
+        if self.params.shape != (_num_params(self.config),):
+            raise ValueError(f"params must have shape ({_num_params(self.config)},)")
+        views = iter(self.param_arrays())
+        self.layers = [
+            (GRUParams(*islice(views, 3)), GRUParams(*islice(views, 3)))
+            for _ in range(self.config.layers)
+        ]
+        self.w_out, self.b_out = next(views), next(views)
+        self.embedding = next(views, None)
+
+    def param_arrays(self) -> list[np.ndarray]:
+        """All parameters in canonical order, as views into ``params``."""
+        out, pos = [], 0
+        for shape, _ in _layout(self.config):
+            size = math.prod(shape)
+            out.append(self.params[pos : pos + size].reshape(shape))
+            pos += size
+        return out
+
+
+def lu_init(config: LUConfig) -> LUModel:
+    """Seeded uniform init in [-1/sqrt(fan_in), +1/sqrt(fan_in)] per array."""
+    rng = np.random.default_rng(config.seed)
+    model = LUModel(config, np.empty(_num_params(config)))
+    for view, (shape, fan_in) in zip(model.param_arrays(), _layout(config)):
+        bound = 1.0 / np.sqrt(fan_in)
+        view[...] = rng.uniform(-bound, bound, size=shape)
+    return model
 
 
 def _as_float_seq(model: LUModel, seq) -> np.ndarray:
@@ -236,8 +248,9 @@ def _sample_input(model: LUModel, data):
 
 
 def _batch_loss_and_grads(model: LUModel, items):
-    """Cross-entropy loss and gradients in canonical parameter order,
-    each summed over the (input, label) items of one minibatch."""
+    """Cross-entropy loss and its flat gradient, laid out like
+    ``model.params``, each summed over the (input, label) items of one
+    minibatch."""
     resolved = [_sample_input(model, data) for data, _ in items]
     pk, x = _pack([xi for xi, _ in resolved])
     labels = np.array([int(items[i][1]) for i in pk.order])
@@ -246,25 +259,26 @@ def _batch_loss_and_grads(model: LUModel, items):
     pool, probs = _head_forward(model, pk, top)
     loss = float(_nll(probs, labels).sum())
 
+    grad = LUModel(model.config, np.zeros_like(model.params))
     dlogits = probs.copy()
     dlogits[np.arange(labels.size), labels] -= 1.0
-    dw_out = dlogits.T @ pool
-    db_out = dlogits.sum(axis=0)
+    grad.w_out[...] = dlogits.T @ pool
+    grad.b_out[...] = dlogits.sum(axis=0)
     dpool = (dlogits @ model.w_out) / pk.lengths[:, None]
     dh = np.empty_like(top)
     dh[pk.rows] = np.repeat(dpool, pk.lengths, axis=0)
 
-    layer_grads = []
-    for (fw, bw), (xin, hf, xr, hb) in zip(reversed(model.layers), reversed(caches)):
-        dwf, duf, dbf, dxf = _kernels.gru_backward(xin, hf, fw.w, fw.u, fw.b, pk, dh[:, :h])
-        dwb, dub, dbb, dxb = _kernels.gru_backward(xr, hb, bw.w, bw.u, bw.b, pk, dh[pk.rev, h:])
-        layer_grads.append([dwf, duf, dbf, dwb, dub, dbb])
+    for (fw, bw), (gf, gb), (xin, hf, xr, hb) in zip(
+        reversed(model.layers), reversed(grad.layers), reversed(caches)
+    ):
+        gf.w[...], gf.u[...], gf.b[...], dxf = _kernels.gru_backward(
+            xin, hf, fw.w, fw.u, fw.b, pk, dh[:, :h]
+        )
+        gb.w[...], gb.u[...], gb.b[...], dxb = _kernels.gru_backward(
+            xr, hb, bw.w, bw.u, bw.b, pk, dh[pk.rev, h:]
+        )
         dh = dxf + dxb[pk.rev]
 
-    grads = []
-    for g in reversed(layer_grads):
-        grads += g
-    grads += [dw_out, db_out]
     if model.embedding is not None:
         ids = np.empty(pk.rows.size, dtype=np.int64)
         ranked = (resolved[k] for k in pk.order)
@@ -272,14 +286,13 @@ def _batch_loss_and_grads(model: LUModel, items):
             [np.full(len(xi), -1) if xi_ids is None else xi_ids for xi, xi_ids in ranked]
         )
         real = ids >= 0  # an empty decode's zero row has no table row
-        demb = np.zeros_like(model.embedding)
-        np.add.at(demb, ids[real], dh[real])
-        grads.append(demb)
-    return loss, grads
+        np.add.at(grad.embedding, ids[real], dh[real])
+    return loss, grad.params
 
 
 class _Adam:
-    """Adaptive-moment estimation with bias correction."""
+    """Adaptive-moment estimation with bias correction, in place on one
+    flat parameter vector."""
 
     def __init__(self, params, lr, betas=ADAM_BETAS, eps=ADAM_EPS):
         self.params = params
@@ -287,36 +300,24 @@ class _Adam:
         self.b1, self.b2 = betas
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
 
-    def step(self, grads):
+    def step(self, grad):
         self.t += 1
         bc1 = 1.0 - self.b1**self.t
         bc2 = 1.0 - self.b2**self.t
-        for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            m *= self.b1
-            m += (1.0 - self.b1) * g
-            v *= self.b2
-            v += (1.0 - self.b2) * g * g
-            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        self.m *= self.b1
+        self.m += (1.0 - self.b1) * grad
+        self.v *= self.b2
+        self.v += (1.0 - self.b2) * grad * grad
+        self.params -= self.lr * (self.m / bc1) / (np.sqrt(self.v / bc2) + self.eps)
 
 
 def _clone_for_training(init_model: LUModel, config: LUConfig) -> LUModel:
-    base = init_model.config
-    same = (
-        base.input_dim == config.input_dim
-        and base.hidden == config.hidden
-        and base.layers == config.layers
-        and base.num_intents == config.num_intents
-        and base.vocab_size == config.vocab_size
-    )
-    if not same:
+    if _layout(init_model.config) != _layout(config):
         raise ValueError("init_model architecture does not match config")
-    model = copy.deepcopy(init_model)
-    model.config = replace(config)
-    model.train_losses = []
-    return model
+    return LUModel(replace(config), init_model.params.copy())
 
 
 def lu_train(config: LUConfig, corpus, init_model: LUModel | None = None) -> LUModel:
@@ -333,8 +334,7 @@ def lu_train(config: LUConfig, corpus, init_model: LUModel | None = None) -> LUM
         if not 0 <= int(label) < config.num_intents:
             raise ValueError(f"intent label {label} out of range")
     model = lu_init(config) if init_model is None else _clone_for_training(init_model, config)
-    params = model.param_arrays()
-    opt = _Adam(params, config.learning_rate)
+    opt = _Adam(model.params, config.learning_rate)
     rng = np.random.default_rng(config.seed)
     n = len(corpus)
     for _ in range(config.epochs):
@@ -342,11 +342,9 @@ def lu_train(config: LUConfig, corpus, init_model: LUModel | None = None) -> LUM
         epoch_loss = 0.0
         for lo in range(0, n, config.batch_size):
             batch = perm[lo : lo + config.batch_size]
-            batch_loss, grads = _batch_loss_and_grads(model, [corpus[i] for i in batch])
-            scale = 1.0 / len(batch)
-            for g in grads:
-                g *= scale
-            opt.step(grads)
+            batch_loss, grad = _batch_loss_and_grads(model, [corpus[i] for i in batch])
+            grad *= 1.0 / len(batch)
+            opt.step(grad)
             epoch_loss += batch_loss
         model.train_losses.append(epoch_loss / n)
     return model
@@ -367,22 +365,20 @@ def gradient_check(config: LUConfig, sample) -> float:
     def loss_only():
         return float(_nll(_probs(model, [_sample_input(model, data)[0]]), labels)[0])
 
-    _, grads = _batch_loss_and_grads(model, [sample])
+    _, grad = _batch_loss_and_grads(model, [sample])
     step = 1e-5
     max_rel = 0.0
-    for p, g in zip(model.param_arrays(), grads):
-        flat = p.ravel()
-        gflat = g.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            up = loss_only()
-            flat[i] = orig - step
-            down = loss_only()
-            flat[i] = orig
-            numeric = (up - down) / (2.0 * step)
-            rel = abs(numeric - gflat[i]) / max(abs(numeric), abs(gflat[i]), 1e-6)
-            max_rel = max(max_rel, rel)
+    flat = model.params
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + step
+        up = loss_only()
+        flat[i] = orig - step
+        down = loss_only()
+        flat[i] = orig
+        numeric = (up - down) / (2.0 * step)
+        rel = abs(numeric - grad[i]) / max(abs(numeric), abs(grad[i]), 1e-6)
+        max_rel = max(max_rel, rel)
     return max_rel
 
 
@@ -393,48 +389,30 @@ def save_model(path, model: LUModel):
         {"config": cfg, "train_losses": [float(x) for x in model.train_losses]},
         sort_keys=True,
     ).encode("utf-8")
-    flat = np.concatenate([p.ravel() for p in model.param_arrays()])
     with open(path, "wb") as fh:
         fh.write(MODEL_MAGIC)
         fh.write(struct.pack("<HI", FORMAT_VERSION, len(header)))
         fh.write(header)
-        fh.write(flat.astype("<f4").tobytes())
+        fh.write(model.params.astype("<f4").tobytes())
 
 
 def load_model(path) -> LUModel:
     with open(path, "rb") as fh:
-        head = _read_exact(fh, 10, "header")
-        magic, version, hlen = struct.unpack("<4sHI", head)
-        if magic != MODEL_MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r}, expected {MODEL_MAGIC!r}")
-        if version != FORMAT_VERSION:
-            raise FormatError(f"{path}: unsupported version {version}")
+        (hlen,) = _read_header(fh, MODEL_MAGIC, path, "I")
         if 10 + hlen > os.fstat(fh.fileno()).st_size:
             raise FormatError(f"{path}: truncated file: header declares a {hlen}-byte JSON header")
         try:
             meta = json.loads(_read_exact(fh, hlen, "JSON header").decode("utf-8"))
             config = LUConfig(**meta["config"])
             losses = meta.get("train_losses", [])
-            if not isinstance(losses, list) or not all(
-                type(x) in (int, float) and math.isfinite(x) for x in losses
-            ):
+            if not isinstance(losses, list):
                 raise ValueError("train_losses must be a list of finite numbers")
+            losses = [_as_float("train_losses", x) for x in losses]
         except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise FormatError(f"{path}: invalid model header: {exc}") from exc
-        blob = fh.read()
-    expected = _num_params(config)
-    if len(blob) != 4 * expected:
-        raise FormatError(
-            f"{path}: {len(blob)} parameter bytes do not match config "
-            f"({expected} float32 parameters, {4 * expected} bytes)"
-        )
-    flat = np.frombuffer(blob, dtype="<f4").astype(np.float64)
-    if not np.isfinite(flat).all():
+        size = 4 * _num_params(config)
+        _require_size(fh, path, 10 + hlen + size)
+        params = np.frombuffer(_read_exact(fh, size, "parameters"), dtype="<f4").astype(np.float64)
+    if not np.isfinite(params).all():
         raise FormatError(f"{path}: non-finite parameter values")
-    model = lu_init(config)
-    pos = 0
-    for p in model.param_arrays():
-        p[...] = flat[pos : pos + p.size].reshape(p.shape)
-        pos += p.size
-    model.train_losses = [float(x) for x in losses]
-    return model
+    return LUModel(config, params, losses)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import operator
 import os
 import struct
@@ -31,6 +33,14 @@ def _as_int(name: str, value) -> int:
         except TypeError:
             pass
     raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
+def _as_float(name: str, value) -> float:
+    """A real field, e.g. from JSON: a bool, a string or a non-finite
+    value is an error."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value):
+        return float(value)
+    raise TypeError(f"{name} must be a finite number, got {value!r}")
 
 
 def _require_finite(name, arr):
@@ -252,15 +262,16 @@ def _require_size(fh, path, declared):
         raise FormatError(f"{path}: trailing bytes: header declares {declared} bytes, file has {actual}")
 
 
-def _read_header(fh, magic, path):
-    raw = _read_exact(fh, _HEADER.size + 4, "header")
-    got_magic, version, a, b = _HEADER.unpack(raw[: _HEADER.size])
+def _read_header(fh, magic, path, fields="IIf"):
+    """Read a "magic | u16 version | fields" header (struct codes), check
+    its magic and version, and return the fields' values."""
+    header = struct.Struct("<4sH" + fields)
+    got_magic, version, *values = header.unpack(_read_exact(fh, header.size, "header"))
     if got_magic != magic:
         raise FormatError(f"{path}: bad magic {got_magic!r}, expected {magic!r}")
     if version != FORMAT_VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
-    (extra,) = struct.unpack("<f", raw[_HEADER.size :])
-    return a, b, extra
+    return values
 
 
 def write_lseq(path, seq: LatentSequence):
@@ -293,12 +304,7 @@ def write_proj(path, proj: ProjectionMatrix):
 
 def read_proj(path) -> ProjectionMatrix:
     with open(path, "rb") as fh:
-        raw = _read_exact(fh, _HEADER.size, "header")
-        magic, version, v, d = _HEADER.unpack(raw)
-        if magic != PROJ_MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r}, expected {PROJ_MAGIC!r}")
-        if version != FORMAT_VERSION:
-            raise FormatError(f"{path}: unsupported version {version}")
+        v, d = _read_header(fh, PROJ_MAGIC, path, "II")
         _require_size(fh, path, _HEADER.size + 4 * v * d + 4 * v)
         weights = np.frombuffer(_read_exact(fh, 4 * v * d, "weights"), dtype="<f4")
         bias = np.frombuffer(_read_exact(fh, 4 * v, "bias"), dtype="<f4")

@@ -33,6 +33,7 @@ from .seqcore import (
     LatentSequence,
     ProjectionMatrix,
     Vocabulary,
+    _as_float,
     _as_int,
     read_lseq,
     read_proj,
@@ -96,6 +97,8 @@ class SynthSpec:
             if len(rng) != 2 or rng[0] > rng[1] or rng[0] < lo_min:
                 raise ValueError(f"{name} must be (lo, hi) with {lo_min} <= lo <= hi")
             setattr(self, name, rng)
+        self.logit_scale = _as_float("logit_scale", self.logit_scale)
+        self.noise_sigma = _as_float("noise_sigma", self.noise_sigma)
         if self.logit_scale < 0 or self.noise_sigma < 0:
             raise ValueError("logit_scale and noise_sigma must be non-negative")
 
@@ -295,19 +298,25 @@ def generate_corpus(spec: SynthSpec, out_dir) -> Corpus:
 def load_corpus(corpus_dir) -> Corpus:
     root = Path(corpus_dir)
     spec = load_spec(root / SPEC_NAME)
-    rows = []
+    rows, ids = [], set()
     with open(root / MANIFEST_NAME, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
             try:
                 row = json.loads(line)
+                for key in ("id", "lseq"):
+                    if not isinstance(row[key], str) or not row[key]:
+                        raise ValueError(f"{key} must be a non-empty string, got {row[key]!r}")
+                if row["id"] in ids:
+                    raise ValueError(f"duplicate id {row['id']!r}")
+                ids.add(row["id"])
                 rows.append(
                     {
-                        "id": str(row["id"]),
+                        "id": row["id"],
                         "intent": _as_int("intent", row["intent"]),
                         "labels": [_as_int("label", v) for v in row["labels"]],
-                        "lseq": str(row["lseq"]),
+                        "lseq": row["lseq"],
                     }
                 )
             except (ValueError, KeyError, TypeError) as exc:

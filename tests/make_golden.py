@@ -1,9 +1,13 @@
 """Regenerate the committed numeric golden of the three systems.
 
-Inputs: the corpus of ``test_harness.small_spec()`` and one seeded,
-untrained ``lu_init`` model per system. Stored: ``run_system``
-predictions, the E2 compression ratio, and the class probabilities of
-every ``lu_forward`` call each system makes, in row order.
+Inputs: the corpus of ``test_harness.small_spec()``, one seeded,
+untrained ``lu_init`` model per system, and the fold-0 models that
+``train_fold_models`` trains for two epochs on every row. Stored, for
+the untrained models: ``run_system`` predictions, the E2 compression
+ratio, the class probabilities of every ``lu_forward`` call each system
+makes, in row order, and the sha256 of each model's ``.ctsm`` bytes;
+for the trained models (under ``trained``): each system's
+``train_losses`` and ``lu_forward`` probabilities.
 
     PYTHONPATH=src python tests/make_golden.py            # rewrite tests/golden/systems.json
     PYTHONPATH=src python tests/make_golden.py --out FILE # write elsewhere
@@ -13,12 +17,14 @@ BLAS thread count; ``test_golden.py`` runs this script at 1 and 2.
 """
 
 import argparse
+import hashlib
 import json
+import tempfile
 from pathlib import Path
 
 from ctsum import harness
-from ctsum.harness import HarnessConfig, SystemId, run_system
-from ctsum.lu import LUConfig, lu_init
+from ctsum.harness import HarnessConfig, SystemId, run_system, train_fold_models
+from ctsum.lu import LUConfig, lu_init, save_model
 from ctsum.synth import build_corpus
 
 from test_harness import small_spec
@@ -26,11 +32,12 @@ from test_harness import small_spec
 GOLDEN = Path(__file__).parent / "golden" / "systems.json"
 # seeds whose untrained models predict more than one intent here
 MODEL_SEEDS = {SystemId.P1: 39, SystemId.E1: 23, SystemId.E2: 15}
+TRAINED = HarnessConfig(epochs=2, fine_tune_epochs=2, text_epochs=2)
 
 
-def compute() -> dict:
-    corpus = build_corpus(small_spec())
-    spec, cfg = corpus.spec, HarnessConfig()
+def _run(system, model, corpus):
+    """``run_system`` over the whole corpus, with the probabilities of
+    every ``lu_forward`` call it makes, in call order."""
     calls = []
     forward = harness.lu_forward
 
@@ -39,9 +46,27 @@ def compute() -> dict:
         calls.append([float(p) for p in probs])
         return probs
 
-    out = {}
     harness.lu_forward = recording
     try:
+        run = run_system(
+            system, model, corpus.rows, corpus.sequences, corpus.projection, corpus.vocab
+        )
+    finally:
+        harness.lu_forward = forward
+    return run, calls
+
+
+def _ctsm_sha256(model, tmp):
+    path = Path(tmp) / "model.ctsm"
+    save_model(path, model)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def compute() -> dict:
+    corpus = build_corpus(small_spec())
+    spec, cfg = corpus.spec, HarnessConfig()
+    out = {"ctsm_sha256": {}, "trained": {}}
+    with tempfile.TemporaryDirectory() as tmp:
         for system in SystemId:
             model = lu_init(
                 LUConfig(
@@ -53,15 +78,17 @@ def compute() -> dict:
                     vocab_size=spec.vocab_size if system is SystemId.P1 else None,
                 )
             )
-            del calls[:]
-            run = run_system(
-                system, model, corpus.rows, corpus.sequences, corpus.projection, corpus.vocab
-            )
-            out[system.value] = {"predictions": run.predictions, "probs": list(calls)}
+            run, probs = _run(system, model, corpus)
+            out[system.value] = {"predictions": run.predictions, "probs": probs}
+            out["ctsm_sha256"][system.value] = _ctsm_sha256(model, tmp)
             if run.compression is not None:
                 out["compression_ratio_e2"] = run.compression
-    finally:
-        harness.lu_forward = forward
+    models = train_fold_models(corpus, list(range(len(corpus.rows))), TRAINED, 0)
+    for system, model in models.items():
+        out["trained"][system.value] = {
+            "train_losses": list(model.train_losses),
+            "probs": _run(system, model, corpus)[1],
+        }
     return out
 
 

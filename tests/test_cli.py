@@ -277,11 +277,15 @@ HOSTILE_SPECS = {
     "float-seed": {"seed": 1.5},
     "float-range": {"run_len_range": [1.5, 4]},
     "bool-dim": {"latent_dim": True},
+    "bool-sigma": {"noise_sigma": True},
+    "infinite-scale": {"logit_scale": float("inf")},
 }
 
 HOSTILE_CORPORA = {
     "manifest-float-intent": lambda c: _edit_manifest(c / "manifest.jsonl", "intent", 1.9),
     "manifest-float-labels": lambda c: _edit_manifest(c / "manifest.jsonl", "labels", [1.5, 2]),
+    "manifest-null-id": lambda c: _edit_manifest(c / "manifest.jsonl", "id", None),
+    "manifest-duplicate-id": lambda c: _edit_manifest(c / "manifest.jsonl", "id", "u00001"),
     "vocab-string-labels": lambda c: _edit_json(
         c / "vocab.json", lambda v: dict(v, labels="_abcdefgh")
     ),

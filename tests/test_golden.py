@@ -1,7 +1,8 @@
 """The three systems against the committed golden (``make_golden.py``).
 
-Predictions must match exactly and every classifier probability to
-1e-12 relative, at BLAS threads 1 and 2. Each thread count runs the
+Predictions and ``.ctsm`` digests must match exactly, and every
+classifier probability and trained loss to 1e-12 relative, at BLAS
+threads 1 and 2. Each thread count runs the
 generator in a fresh interpreter, since BLAS reads its thread count
 when numpy loads.
 """
@@ -39,4 +40,12 @@ def test_systems_match_golden(tmp_path, threads):
         assert got[system]["predictions"] == GOLDEN[system]["predictions"], system
         np.testing.assert_allclose(
             got[system]["probs"], GOLDEN[system]["probs"], rtol=1e-12, atol=0, err_msg=system
+        )
+        assert got["ctsm_sha256"][system] == GOLDEN["ctsm_sha256"][system], system
+        trained, want = got["trained"][system], GOLDEN["trained"][system]
+        np.testing.assert_allclose(
+            trained["train_losses"], want["train_losses"], rtol=1e-12, atol=0, err_msg=system
+        )
+        np.testing.assert_allclose(
+            trained["probs"], want["probs"], rtol=1e-12, atol=0, err_msg=system
         )

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from ctsum.lu import (
     LUConfig,
+    LUModel,
     _Adam,
     _batch_loss_and_grads,
     embed_labels,
@@ -81,9 +82,55 @@ class TestInit:
         with pytest.raises(TypeError, match=f"{field} must be an integer"):
             LUConfig(input_dim=2, num_intents=2, **{field: value})
 
+    @pytest.mark.parametrize(
+        "value", [True, float("inf"), float("nan"), "0.1"], ids=["bool", "inf", "nan", "string"]
+    )
+    def test_learning_rate_rejects_bool_string_and_non_finite(self, value):
+        with pytest.raises(TypeError, match="learning_rate must be a finite number"):
+            LUConfig(input_dim=2, num_intents=2, learning_rate=value)
+
     def test_numpy_integer_seed_accepted(self):
         cfg = LUConfig(input_dim=2, num_intents=2, seed=np.uint32(7))
         assert cfg.seed == 7 and type(cfg.seed) is int
+
+
+class TestParamBuffer:
+    """Every parameter array is a view into the one flat ``params``."""
+
+    @staticmethod
+    def assert_views(model):
+        arrays = model.param_arrays()
+        assert all(np.shares_memory(p, model.params) for p in arrays)
+        np.testing.assert_array_equal(np.concatenate([p.ravel() for p in arrays]), model.params)
+        named = [model.w_out, model.b_out] + [
+            arr for fw, bw in model.layers for arr in (fw.w, fw.u, fw.b, bw.w, bw.u, bw.b)
+        ]
+        if model.embedding is not None:
+            named.append(model.embedding)
+        assert all(np.shares_memory(p, model.params) for p in named)
+
+    def test_init_fields_are_views(self):
+        model = lu_init(tiny_config(vocab_size=5))
+        self.assert_views(model)
+        model.b_out[1] = 7.0
+        assert model.params[model.params.size - 5 * 3 - 1] == 7.0  # b_out precedes the 5x3 table
+
+    def test_loaded_and_fine_tuned_models_keep_views(self, tmp_path):
+        rng = np.random.default_rng(4)
+        corpus = [(rng.standard_normal((3, 3)), i % 2) for i in range(4)]
+        base = lu_train(tiny_config(epochs=1), corpus)
+        tuned = lu_train(tiny_config(seed=3, epochs=1), corpus, init_model=base)
+        save_model(tmp_path / "m.ctsm", tuned)
+        for model in (tuned, load_model(tmp_path / "m.ctsm")):
+            self.assert_views(model)
+        assert not np.shares_memory(base.params, tuned.params)
+
+    def test_wrong_size_rejected(self):
+        cfg = tiny_config()
+        size = lu_init(cfg).params.size
+        for bad in (np.zeros(size - 1), np.zeros(size + 1), np.zeros((1, size))):
+            with pytest.raises(ValueError, match="params must have shape"):
+                LUModel(cfg, bad)
 
 
 class TestForward:
@@ -226,28 +273,27 @@ class TestGradients:
         loss0, g0 = _batch_loss_and_grads(model, [(x, 0)])
         loss1, g1 = _batch_loss_and_grads(model, [(x, 1)])
         assert loss0 == pytest.approx(np.log(2.0))
-        for a, b in zip(g0, g1):
-            assert np.abs(a + b).max() < 1e-12
+        assert g0.shape == model.params.shape
+        assert np.abs(g0 + g1).max() < 1e-12
         # single sample: analytic matches finite differences to 1e-6 absolute
         step = 1e-5
-        for p, g in zip(model.param_arrays(), g0):
-            flat, gflat = p.ravel(), g.ravel()
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + step
-                up = -np.log(lu_forward(model, x)[0])
-                flat[i] = orig - step
-                down = -np.log(lu_forward(model, x)[0])
-                flat[i] = orig
-                assert (up - down) / (2 * step) == pytest.approx(gflat[i], abs=1e-6)
+        flat = model.params
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + step
+            up = -np.log(lu_forward(model, x)[0])
+            flat[i] = orig - step
+            down = -np.log(lu_forward(model, x)[0])
+            flat[i] = orig
+            assert (up - down) / (2 * step) == pytest.approx(g0[i], abs=1e-6)
 
     def test_first_order_taylor(self):
         cfg = tiny_config(seed=12)
         model = lu_init(cfg)
         x = np.random.default_rng(3).standard_normal((4, 3))
-        loss, grads = _batch_loss_and_grads(model, [(x, 1)])
+        loss, grad = _batch_loss_and_grads(model, [(x, 1)])
         w = model.layers[0][0].w
-        g = grads[0]
+        g = LUModel(cfg, grad).layers[0][0].w  # the same view into the gradient
         i = np.unravel_index(np.argmax(np.abs(g)), g.shape)
         h = 1e-3
         w[i] += h
@@ -332,13 +378,13 @@ def ragged_frames(seed, lengths, dim=3):
 
 
 def summed_reference(model, items):
-    loss, grads = 0.0, [np.zeros_like(p) for p in model.param_arrays()]
+    """Summed loss and flat gradient, laid out like ``model.params``."""
+    loss, grad = 0.0, np.zeros_like(model.params)
     for data, label in items:
         one_loss, one_grads = loss_and_grads_py(model, data, label)
         loss += one_loss
-        for acc, g in zip(grads, one_grads):
-            acc += g
-    return loss, grads
+        grad += np.concatenate([g.ravel() for g in one_grads])
+    return loss, grad
 
 
 BATCHES = {
@@ -366,15 +412,14 @@ class TestBatchedTraining:
         model = lu_init(
             LUConfig(input_dim=3, num_intents=3, hidden=4, layers=2, seed=7, vocab_size=vocab_size)
         )
-        loss, grads = _batch_loss_and_grads(model, items)
-        ref_loss, ref_grads = summed_reference(model, items)
+        loss, grad = _batch_loss_and_grads(model, items)
+        ref_loss, ref_grad = summed_reference(model, items)
         assert abs(loss - ref_loss) <= 1e-12
-        for got, want in zip(grads, ref_grads):
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(grad, ref_grad, rtol=0, atol=1e-12)
         if vocab_size is not None:
             # the empty decode's zero row has no table row to update; row 5
             # appears only in the length-1 decode
-            assert np.abs(grads[-1][5]).max() > 0
+            assert np.abs(LUModel(model.config, grad).embedding[5]).max() > 0
 
     @pytest.mark.parametrize("name", ["ragged-with-length-1", "p1-with-empty-decode"])
     def test_lu_train_matches_per_sample_loop(self, name):
@@ -386,7 +431,7 @@ class TestBatchedTraining:
         trained = lu_train(cfg, items)
 
         model = lu_init(cfg)
-        opt = _Adam(model.param_arrays(), cfg.learning_rate)
+        opt = _Adam(model.params, cfg.learning_rate)
         rng = np.random.default_rng(cfg.seed)
         losses = []
         for _ in range(cfg.epochs):
@@ -394,13 +439,12 @@ class TestBatchedTraining:
             total = 0.0
             for lo in range(0, len(items), cfg.batch_size):
                 batch = [items[i] for i in perm[lo : lo + cfg.batch_size]]
-                loss, grads = summed_reference(model, batch)
-                opt.step([g / len(batch) for g in grads])
+                loss, grad = summed_reference(model, batch)
+                opt.step(grad / len(batch))
                 total += loss
             losses.append(total / len(items))
         np.testing.assert_allclose(trained.train_losses, losses, rtol=0, atol=1e-12)
-        for got, want in zip(trained.param_arrays(), model.param_arrays()):
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(trained.params, model.params, rtol=0, atol=1e-12)
 
 
 class TestModelFile:
@@ -438,6 +482,14 @@ class TestModelFile:
         with pytest.raises(FormatError):
             load_model(tmp_path / "odd.ctsm")
 
+    def test_trailing_bytes_rejected_before_reading(self, tmp_path):
+        path = tmp_path / "m.ctsm"
+        save_model(path, lu_init(tiny_config()))
+        with open(path, "ab") as fh:
+            fh.write(bytes(1 << 20))
+        with pytest.raises(FormatError, match="trailing bytes: header declares"):
+            load_model(path)
+
     def test_json_header_length_checked_before_reading(self, tmp_path):
         path = tmp_path / "m.ctsm"
         save_model(path, lu_init(tiny_config()))
@@ -464,6 +516,8 @@ class TestModelFile:
             lambda meta: meta["config"].update(hidden=2.0),
             lambda meta: meta["config"].update(seed=1.7),
             lambda meta: meta["config"].update(seed=True),
+            lambda meta: meta["config"].update(learning_rate=float("inf")),
+            lambda meta: meta["config"].update(learning_rate=True),
         ],
         ids=[
             "losses-not-a-list",
@@ -472,6 +526,8 @@ class TestModelFile:
             "float-hidden",
             "float-seed",
             "bool-seed",
+            "infinite-learning-rate",
+            "bool-learning-rate",
         ],
     )
     def test_invalid_header_fields_raise_format_error(self, tmp_path, edit):

@@ -75,6 +75,19 @@ class TestSpec:
             with pytest.raises(TypeError, match=f"{field} must be an integer"):
                 SynthSpec(**{field: bad})
 
+    @pytest.mark.parametrize("field", ["logit_scale", "noise_sigma"])
+    @pytest.mark.parametrize(
+        "bad", [True, float("inf"), float("nan"), "0.5"], ids=["bool", "inf", "nan", "string"]
+    )
+    def test_float_fields_reject_bool_string_and_non_finite(self, field, bad):
+        with pytest.raises(TypeError, match=f"{field} must be a finite number"):
+            SynthSpec(**{field: bad})
+
+    def test_float_fields_accept_integers(self):
+        spec = SynthSpec(logit_scale=4, noise_sigma=0)
+        assert (spec.logit_scale, spec.noise_sigma) == (4.0, 0.0)
+        assert type(spec.logit_scale) is float and type(spec.noise_sigma) is float
+
     def test_range_bounds_reject_floats(self):
         with pytest.raises(TypeError, match="run_len_range must be an integer"):
             SynthSpec(run_len_range=(1.5, 4))
@@ -88,6 +101,17 @@ class TestSpec:
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(blob))
         with pytest.raises(FormatError, match="must be an integer"):
+            load_spec(path)
+
+    @pytest.mark.parametrize(
+        "blob",
+        [{"noise_sigma": True}, {"logit_scale": float("inf")}],
+        ids=["bool-sigma", "infinite-scale"],
+    )
+    def test_load_spec_rejects_bool_and_non_finite_floats(self, tmp_path, blob):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(blob))  # inf is written as the JSON token Infinity
+        with pytest.raises(FormatError, match="must be a finite number"):
             load_spec(path)
 
     def test_unknown_field_rejected(self, tmp_path):
@@ -263,6 +287,23 @@ class TestCorpus:
         lines[1] = json.dumps(dict(json.loads(lines[1]), **edit))
         manifest.write_text("\n".join(lines) + "\n")
         with pytest.raises(FormatError, match="manifest line 2: .* must be an integer"):
+            load_corpus(tmp_path / "c")
+
+    @pytest.mark.parametrize(
+        "edit",
+        [{"id": None}, {"id": ""}, {"id": 7}, {"id": "u00000"}, {"lseq": None}, {"lseq": ""}],
+        ids=["null-id", "empty-id", "int-id", "duplicate-id", "null-lseq", "empty-lseq"],
+    )
+    def test_manifest_rejects_bad_and_duplicate_ids(self, tmp_path, edit):
+        generate_corpus(small_spec(), tmp_path / "c")
+        manifest = tmp_path / "c" / "manifest.jsonl"
+        lines = manifest.read_text().splitlines()
+        assert json.loads(lines[0])["id"] == "u00000"
+        lines[1] = json.dumps(dict(json.loads(lines[1]), **edit))
+        manifest.write_text("\n".join(lines) + "\n")
+        (key,) = edit
+        match = "duplicate id" if edit == {"id": "u00000"} else f"{key} must be a non-empty string"
+        with pytest.raises(FormatError, match=f"manifest line 2: {match}"):
             load_corpus(tmp_path / "c")
 
     def test_vocab_matches_size(self):
