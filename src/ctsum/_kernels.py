@@ -11,7 +11,11 @@ advances all sequences still running with one more. The forward kernel
 takes a leading group axis, so both directions of a bidirectional layer
 advance in one time loop, one batched recurrent product per step.
 
-All kernels expect C-contiguous float64 arrays.
+All kernels take float64 arrays, C-contiguous except ``gru_forward``'s
+``ut``: the classifier passes the transposed view ``u.transpose(0, 2,
+1)`` of its direction-stacked weights, and that view must stay a view.
+A C-contiguous copy sends the per-step product down a different BLAS
+path, whose results differ in the last bits.
 """
 
 from typing import NamedTuple
@@ -86,6 +90,11 @@ def pack_lengths(lengths) -> Packing:
     how the backward direction of a bidirectional layer is run.
     """
     lengths = np.asarray(lengths, dtype=np.int64)
+    if lengths.size == 1:  # one sequence: one row per step, in time order
+        rows = np.arange(lengths[0])
+        return Packing(
+            np.zeros(1, dtype=np.int64), lengths, rows.tolist(), [1] * rows.size, rows, rows[::-1]
+        )
     order = np.argsort(-lengths, kind="stable")
     ranked = lengths[order]
     steps = np.arange(ranked[0])
@@ -109,7 +118,7 @@ def gru_forward(a, ut, pk: Packing):
     a  : (G, N, 3H) input projections a = w @ x_t + b of each group's
          packed rows, each group in its own processing order
     ut : (G, H, 3H) transposed recurrent weights u.T of each group, gate
-         blocks stacked [update; reset; cand]
+         blocks stacked [update; reset; cand]; any strides (see above)
 
     Cell, with s = sigmoid and blocks a = w @ x_t + b, v = u @ h_prev:
         z = s(a_z + v_z)

@@ -22,7 +22,9 @@ and the model file each treat as one vector. ``_layout`` is the one table
 of its canonical order: for each layer, forward direction then backward
 direction, each as (w, u, b); then output projection (w_out, b_out); then
 the embedding table when present. The named fields of ``LUModel`` are
-views into the buffer.
+views into the buffer. So are the direction-stacked weights of each layer
+(``LUModel.stacked``: w (2, 3H, Din), u (2, 3H, H), b (2, 3H)), which the
+forward pass hands to the fused kernel with no per-call copy.
 
 Model file (.ctsm): magic "CTSM" | u16 version | u32 header length |
 UTF-8 JSON header (config + training losses) | float32 little-endian
@@ -89,6 +91,9 @@ class LUConfig:
 
 @dataclass
 class GRUParams:
+    """One direction's (w, u, b); in ``LUModel.stacked`` each array
+    carries a leading direction axis of 2 (forward, backward)."""
+
     w: np.ndarray  # (3H, Din)
     u: np.ndarray  # (3H, H)
     b: np.ndarray  # (3H,)
@@ -122,6 +127,7 @@ class LUModel:
     train_losses: list[float] = field(default_factory=list)
     # views into params
     layers: list[tuple[GRUParams, GRUParams]] = field(init=False, repr=False)  # (fw, bw) per layer
+    stacked: list[GRUParams] = field(init=False, repr=False)  # per layer, both directions
     w_out: np.ndarray = field(init=False, repr=False)  # (K, 2H)
     b_out: np.ndarray = field(init=False, repr=False)  # (K,)
     embedding: np.ndarray | None = field(init=False, repr=False)  # (vocab_size, input_dim)
@@ -136,6 +142,20 @@ class LUModel:
         ]
         self.w_out, self.b_out = next(views), next(views)
         self.embedding = next(views, None)
+        # A layer's backward (w, u, b) block follows its forward block of the
+        # same size, so the two blocks are the rows of one (2, block) view.
+        self.stacked, pos = [], 0
+        for fw, _ in self.layers:
+            nw, nu = fw.w.size, fw.u.size
+            pair = self.params[pos : pos + 2 * (nw + nu + fw.b.size)].reshape(2, -1)
+            self.stacked.append(
+                GRUParams(
+                    pair[:, :nw].reshape(2, *fw.w.shape),
+                    pair[:, nw : nw + nu].reshape(2, *fw.u.shape),
+                    pair[:, nw + nu :],
+                )
+            )
+            pos += pair.size
 
     def param_arrays(self) -> list[np.ndarray]:
         """All parameters in canonical order, as views into ``params``."""
@@ -187,6 +207,8 @@ def embed_labels(ids, model: LUModel) -> np.ndarray:
 def _pack(xs):
     """Packing of (T_i, D) inputs and the packed (N, D) input rows."""
     pk = _kernels.pack_lengths([x.shape[0] for x in xs])
+    if len(xs) == 1:  # one sequence is already in packed order
+        return pk, xs[0]
     packed = np.empty((pk.rows.size, xs[0].shape[1]))
     packed[pk.rows] = np.concatenate([xs[i] for i in pk.order])
     return pk, packed
@@ -195,14 +217,17 @@ def _pack(xs):
 def _bigru_forward(model: LUModel, pk: _kernels.Packing, x):
     """Run all layers, both directions of a layer in one fused
     recurrence; caches hold per-direction (input, h), the backward
-    direction's in its reversed row order."""
+    direction's in its reversed row order. The weights are the
+    direction-stacked views of ``model.stacked``, never copied."""
     cur = x
     caches = []
-    for fw, bw in model.layers:
+    for st in model.stacked:
         xr = cur[pk.rev]
-        a = np.stack((cur @ fw.w.T + fw.b, xr @ bw.w.T + bw.b))
-        ut = np.stack((fw.u.T, bw.u.T))
-        hf, hb = _kernels.gru_forward(a, ut, pk)
+        a = np.empty((2, cur.shape[0], st.b.shape[1]))
+        np.matmul(cur, st.w[0].T, out=a[0])
+        np.matmul(xr, st.w[1].T, out=a[1])
+        a += st.b[:, None]
+        hf, hb = _kernels.gru_forward(a, st.u.transpose(0, 2, 1), pk)
         caches.append((cur, hf, xr, hb))
         cur = np.concatenate((hf, hb[pk.rev]), axis=1)
     return cur, caches
@@ -399,7 +424,8 @@ def save_model(path, model: LUModel):
 def load_model(path) -> LUModel:
     with open(path, "rb") as fh:
         (hlen,) = _read_header(fh, MODEL_MAGIC, path, "I")
-        if 10 + hlen > os.fstat(fh.fileno()).st_size:
+        left = os.fstat(fh.fileno()).st_size - 10 - hlen  # bytes after the JSON header
+        if left < 0:
             raise FormatError(f"{path}: truncated file: header declares a {hlen}-byte JSON header")
         try:
             meta = json.loads(_read_exact(fh, hlen, "JSON header").decode("utf-8"))
@@ -410,6 +436,13 @@ def load_model(path) -> LUModel:
             losses = [_as_float("train_losses", x) for x in losses]
         except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise FormatError(f"{path}: invalid model header: {exc}") from exc
+        # Each layer holds at least 6 * 3H parameters (w, u, b of two
+        # directions); bound the layer count before _layout walks it.
+        if 4 * 6 * 3 * config.hidden * config.layers > left:
+            raise FormatError(
+                f"{path}: truncated file: header declares layers={config.layers} of "
+                f"hidden={config.hidden}, more parameters than the file's {left} bytes hold"
+            )
         size = 4 * _num_params(config)
         _require_size(fh, path, 10 + hlen + size)
         params = np.frombuffer(_read_exact(fh, size, "parameters"), dtype="<f4").astype(np.float64)

@@ -11,6 +11,7 @@ import pytest
 from ctsum.cli import main
 from ctsum.harness import validate_report
 from ctsum.synth import SynthSpec, save_spec
+from test_lu import no_layer_walk  # noqa: F401  (fixture)
 
 SMALL_SPEC = dict(
     num_intents=3,
@@ -337,6 +338,21 @@ class TestHostileJson:
         self.assert_data_error(
             capsys, ["eval", "--corpus", corpus_dir, "--model", str(bad), "--system", "e1"]
         )
+        self.assert_data_error(
+            capsys,
+            ["train-lu", "--corpus", corpus_dir, "--mode", "e2", "--out",
+             str(tmp_path / "e2.ctsm"), "--seed", "1", "--init", str(bad)],
+        )
+
+    def test_model_header_huge_layer_count(self, tmp_path, capsys, corpus_dir, e1_model,
+                                           no_layer_walk):
+        bad = tmp_path / "bad.ctsm"
+        shutil.copyfile(e1_model, bad)
+        _edit_model_config(bad, "layers", 10**9)
+        for cmd in ("eval", "bench"):
+            self.assert_data_error(
+                capsys, [cmd, "--corpus", corpus_dir, "--model", str(bad), "--system", "e1"]
+            )
         self.assert_data_error(
             capsys,
             ["train-lu", "--corpus", corpus_dir, "--mode", "e2", "--out",

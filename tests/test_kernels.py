@@ -140,6 +140,27 @@ class TestPacking:
             np.testing.assert_array_equal(xr[rows], xi[::-1])
         np.testing.assert_array_equal(pk.rev[pk.rev], np.arange(pk.rev.size))
 
+    @pytest.mark.parametrize("t", [1, 2, 7, 54])
+    def test_single_sequence_layout(self, t):
+        # the general construction for B = 1: rank 0 owns the one row of
+        # every step, so row t is step t and rev runs the steps backwards
+        expected = {
+            "order": np.zeros(1, dtype=np.int64),
+            "lengths": np.array([t], dtype=np.int64),
+            "offsets": list(range(t)),
+            "active": [1] * t,
+            "rows": np.arange(t, dtype=np.int64),
+            "rev": np.arange(t - 1, -1, -1, dtype=np.int64),
+        }
+        pk = pack_lengths([t])
+        for name, want in expected.items():
+            got = getattr(pk, name)
+            if isinstance(want, list):
+                assert got == want and all(type(v) is int for v in got), name
+            else:
+                assert got.dtype == want.dtype, name
+                np.testing.assert_array_equal(got, want, err_msg=name)
+
 
 def forward(x, w, u, b, pk):
     """One direction through the grouped kernel: a group of one."""

@@ -6,11 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ctsum import lu
 from ctsum.lu import (
     LUConfig,
     LUModel,
     _Adam,
     _batch_loss_and_grads,
+    _clone_for_training,
+    _pack,
     embed_labels,
     gradient_check,
     load_model,
@@ -43,6 +46,29 @@ def mean_ce(model, corpus):
         probs = lu_forward(model, x)
         losses.append(-np.log(max(probs[y], 1e-30)))
     return float(np.mean(losses))
+
+
+@pytest.fixture
+def no_layer_walk(monkeypatch):
+    """Fail at once, instead of walking the layers of a hostile header for
+    hours, if a layer count that large reaches ``lu._layout``."""
+    layout = lu._layout
+
+    def guarded(config):
+        assert config.layers < 10**4, f"_layout walked {config.layers} layers"
+        return layout(config)
+
+    monkeypatch.setattr(lu, "_layout", guarded)
+
+
+def write_model_header(path, edit):
+    """Rewrite the JSON header of the .ctsm at ``path`` with ``edit``."""
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack("<I", raw[6:10])
+    meta = json.loads(raw[10 : 10 + hlen])
+    edit(meta)
+    header = json.dumps(meta).encode("utf-8")
+    path.write_bytes(raw[:6] + struct.pack("<I", len(header)) + header + raw[10 + hlen :])
 
 
 class TestInit:
@@ -124,6 +150,45 @@ class TestParamBuffer:
         for model in (tuned, load_model(tmp_path / "m.ctsm")):
             self.assert_views(model)
         assert not np.shares_memory(base.params, tuned.params)
+
+    def test_stacked_views_read_params(self):
+        cfg = tiny_config(layers=3, vocab_size=5)
+        model = lu_init(cfg)
+        model.params[:] = np.arange(model.params.size)  # every position distinct
+        h3 = 3 * cfg.hidden
+        for i, (stack, pair) in enumerate(zip(model.stacked, model.layers)):
+            din = cfg.input_dim if i == 0 else 2 * cfg.hidden
+            shapes = {"w": (2, h3, din), "u": (2, h3, cfg.hidden), "b": (2, h3)}
+            for name, shape in shapes.items():
+                stacked = getattr(stack, name)
+                assert stacked.shape == shape
+                assert not stacked.flags.owndata and np.shares_memory(stacked, model.params)
+                for d, direction in enumerate(pair):
+                    np.testing.assert_array_equal(stacked[d], getattr(direction, name))
+
+    def test_stacked_views_stay_live(self, tmp_path):
+        rng = np.random.default_rng(5)
+        corpus = [(rng.standard_normal((4, 3)), i % 2) for i in range(4)]
+        x = rng.standard_normal((5, 3))
+        stepped = lu_init(tiny_config())
+        _Adam(stepped.params, 0.1).step(_batch_loss_and_grads(stepped, corpus)[1])
+        save_model(tmp_path / "m.ctsm", stepped)
+        models = {
+            "adam-step": stepped,
+            "loaded": load_model(tmp_path / "m.ctsm"),
+            "cloned": _clone_for_training(stepped, tiny_config(seed=3)),
+        }
+        for name, model in models.items():
+
+            def rebuilt():  # a model whose views are made from params as they are now
+                return lu_forward(LUModel(model.config, model.params.copy()), x)
+
+            before = lu_forward(model, x)
+            np.testing.assert_allclose(before, rebuilt(), rtol=1e-12, err_msg=name)
+            model.params *= 1.5
+            after = lu_forward(model, x)
+            assert np.abs(after - before).max() > 1e-6, name
+            np.testing.assert_allclose(after, rebuilt(), rtol=1e-12, err_msg=name)
 
     def test_wrong_size_rejected(self):
         cfg = tiny_config()
@@ -428,6 +493,19 @@ class TestBatchedTraining:
             input_dim=3, num_intents=3, hidden=4, layers=2, seed=11,
             epochs=2, batch_size=3, vocab_size=vocab_size,
         )
+        self.assert_matches_per_sample_loop(cfg, items)
+
+    def test_one_row_minibatch_matches_per_sample_loop(self):
+        # 17 rows at batch size 16: each epoch ends on a one-row
+        # minibatch, which is packed without a copy
+        items = ragged_frames(5, [1 + (7 * i) % 11 for i in range(17)])
+        assert _pack([items[0][0]])[1] is items[0][0]
+        cfg = LUConfig(input_dim=3, num_intents=3, hidden=4, layers=2, seed=12, epochs=2)
+        assert cfg.batch_size == 16
+        self.assert_matches_per_sample_loop(cfg, items)
+
+    @staticmethod
+    def assert_matches_per_sample_loop(cfg, items):
         trained = lu_train(cfg, items)
 
         model = lu_init(cfg)
@@ -533,11 +611,23 @@ class TestModelFile:
     def test_invalid_header_fields_raise_format_error(self, tmp_path, edit):
         path = tmp_path / "m.ctsm"
         save_model(path, lu_init(tiny_config()))
-        raw = path.read_bytes()
-        (hlen,) = struct.unpack("<I", raw[6:10])
-        meta = json.loads(raw[10 : 10 + hlen])
-        edit(meta)
-        header = json.dumps(meta).encode("utf-8")
-        path.write_bytes(raw[:6] + struct.pack("<I", len(header)) + header + raw[10 + hlen :])
+        write_model_header(path, edit)
         with pytest.raises(FormatError, match="invalid model header"):
             load_model(path)
+
+    @pytest.mark.parametrize("layers", [10**9, 10**6])
+    def test_huge_layer_count_rejected_before_layout(self, tmp_path, no_layer_walk, layers):
+        path = tmp_path / "m.ctsm"
+        save_model(path, lu_init(tiny_config(hidden=1, layers=1)))
+        write_model_header(path, lambda meta: meta["config"].update(layers=layers))
+        assert path.stat().st_size < 1024
+        with pytest.raises(FormatError, match=f"header declares layers={layers} "):
+            load_model(path)
+
+    def test_layer_bound_accepts_the_smallest_layers(self, tmp_path):
+        # input_dim = hidden = 1 gives exactly 6 * 3 * hidden parameters a layer
+        cfg = LUConfig(input_dim=1, num_intents=2, hidden=1, layers=1, seed=0)
+        model = lu_init(cfg)
+        path = tmp_path / "m.ctsm"
+        save_model(path, model)
+        assert load_model(path).params.size == 6 * 3 + 2 * 2 + 2
