@@ -17,17 +17,18 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .seqcore import (
-    FORMAT_VERSION,
     FormatError,
     FramePath,
     LatentSequence,
     ProjectionMatrix,
     _argmax_path,
     _read_exact,
+    _read_f32,
     _read_header,
     _require_finite,
     _require_size,
     _softmax_probs,
+    _write_container,
     frame_argmax,  # noqa: F401  perfbench traces these two on this module
     project_softmax,  # noqa: F401
 )
@@ -164,9 +165,9 @@ def summarize(
 
 
 # ---------------------------------------------------------------------------
-# .sseq: "CTSS" | u16 version | u32 S | u32 D | f32 frame_shift_ms |
-#        f32[S*D] vectors | S records of (u32 start, u32 end, u32 label,
-#        u32 rep_frame, f32 rep_score)
+# .sseq payload (the container is described in ``seqcore``): f32[S*D]
+# vectors, then S records of (u32 start, u32 end, u32 label, u32 rep_frame,
+# f32 rep_score).
 #
 # source_T is recovered as the maximal segment end, which is exact whenever
 # no segments were dropped.
@@ -178,19 +179,14 @@ _SEG_RECORD = struct.Struct("<IIIIf")
 def write_sseq(path, summ: SummarizedSequence):
     if summ.num_segments == 0:
         raise ValueError("refusing to write an empty summary")
-    with open(path, "wb") as fh:
-        s, d = summ.vectors.shape
-        fh.write(SSEQ_MAGIC)
-        fh.write(struct.pack("<HIIf", FORMAT_VERSION, s, d, summ.frame_shift_ms))
-        fh.write(summ.vectors.astype("<f4").tobytes())
-        for seg in summ.segments:
-            if seg.rep_frame < 0:
-                raise ValueError("segments must have representatives selected")
-            fh.write(
-                _SEG_RECORD.pack(
-                    seg.start, seg.end, seg.label, seg.rep_frame, seg.rep_score
-                )
-            )
+    if any(seg.rep_frame < 0 for seg in summ.segments):
+        raise ValueError("segments must have representatives selected")
+    table = b"".join(
+        _SEG_RECORD.pack(seg.start, seg.end, seg.label, seg.rep_frame, seg.rep_score)
+        for seg in summ.segments
+    )
+    s, d = summ.vectors.shape
+    _write_container(path, SSEQ_MAGIC, "IIf", (s, d, summ.frame_shift_ms), summ.vectors, table)
 
 
 def read_sseq(path) -> SummarizedSequence:
@@ -198,8 +194,8 @@ def read_sseq(path) -> SummarizedSequence:
         s, d, shift = _read_header(fh, SSEQ_MAGIC, path)
         if s == 0:
             raise FormatError(f"{path}: summary has no segments")
-        _require_size(fh, path, 18 + 4 * s * d + _SEG_RECORD.size * s)
-        vectors = np.frombuffer(_read_exact(fh, 4 * s * d, "vectors"), dtype="<f4")
+        _require_size(fh, path, 4 * s * d + _SEG_RECORD.size * s)
+        vectors = _read_f32(fh, s * d, "vectors")
         table = _read_exact(fh, _SEG_RECORD.size * s, "segment table")
     try:
         segments = [Segment(*record) for record in _SEG_RECORD.iter_unpack(table)]

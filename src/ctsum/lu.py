@@ -26,9 +26,9 @@ views into the buffer. So are the direction-stacked weights of each layer
 (``LUModel.stacked``: w (2, 3H, Din), u (2, 3H, H), b (2, 3H)), which the
 forward pass hands to the fused kernel with no per-call copy.
 
-Model file (.ctsm): magic "CTSM" | u16 version | u32 header length |
-UTF-8 JSON header (config + training losses) | float32 little-endian
-parameters flattened in canonical order.
+Model file (.ctsm, container layout in ``seqcore``): a UTF-8 JSON header
+(config + training losses), then the float32 parameters in canonical
+order.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import struct
 from dataclasses import asdict, dataclass, field, replace
 from itertools import islice
 
@@ -45,13 +44,15 @@ import numpy as np
 from . import _kernels
 from .ctc import LabelSequence
 from .seqcore import (
-    FORMAT_VERSION,
     FormatError,
     _as_float,
     _as_int,
+    _decode_json,
     _read_exact,
+    _read_f32,
     _read_header,
     _require_size,
+    _write_container,
 )
 
 MODEL_MAGIC = b"CTSM"
@@ -189,14 +190,22 @@ def _as_float_seq(model: LUModel, seq) -> np.ndarray:
     return x
 
 
+def _label_ids(ids) -> np.ndarray:
+    """Label ids as a 1-d int64 array; float ids are an error, not truncated."""
+    if isinstance(ids, LabelSequence):
+        return ids.ids
+    arr = np.asarray(ids)
+    if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
+        raise ValueError(f"label ids must be a 1-d integer sequence, got {arr.dtype} {arr.shape}")
+    return arr.astype(np.int64)
+
+
 def embed_labels(ids, model: LUModel) -> np.ndarray:
     """Row-lookup of decoded label ids; an empty decode maps to one
     all-zero vector so the classifier always sees T >= 1."""
     if model.embedding is None:
         raise ValueError("model has no embedding table")
-    if isinstance(ids, LabelSequence):
-        ids = ids.ids
-    ids = np.asarray(ids, dtype=np.int64)
+    ids = _label_ids(ids)
     if ids.size == 0:
         return np.zeros((1, model.config.input_dim))
     if ids.min() < 0 or ids.max() >= model.embedding.shape[0]:
@@ -260,24 +269,17 @@ def lu_forward(model: LUModel, seq) -> np.ndarray:
     return _probs(model, [_as_float_seq(model, seq)])[0]
 
 
-def _sample_input(model: LUModel, data):
-    """Resolve a corpus item: either a (T, D) float sequence or label ids
-    routed through the embedding table. Returns (x, ids-or-None)."""
-    if isinstance(data, LabelSequence) or (
-        isinstance(data, np.ndarray) and data.dtype.kind in "iu"
-    ) or (isinstance(data, (list, tuple)) and all(isinstance(v, (int, np.integer)) for v in data)):
-        ids = data.ids if isinstance(data, LabelSequence) else np.asarray(data, dtype=np.int64)
-        x = np.ascontiguousarray(embed_labels(ids, model))
-        return x, (ids if ids.size else None)
-    return _as_float_seq(model, data), None
+def _sample_input(model: LUModel, data) -> np.ndarray:
+    """The classifier input of a corpus item: label ids through the
+    embedding table for a model that has one, else a (T, D) sequence."""
+    return _as_float_seq(model, data) if model.embedding is None else embed_labels(data, model)
 
 
 def _batch_loss_and_grads(model: LUModel, items):
     """Cross-entropy loss and its flat gradient, laid out like
     ``model.params``, each summed over the (input, label) items of one
     minibatch."""
-    resolved = [_sample_input(model, data) for data, _ in items]
-    pk, x = _pack([xi for xi, _ in resolved])
+    pk, x = _pack([_sample_input(model, data) for data, _ in items])
     labels = np.array([int(items[i][1]) for i in pk.order])
     h = model.config.hidden
     top, caches = _bigru_forward(model, pk, x)
@@ -306,10 +308,8 @@ def _batch_loss_and_grads(model: LUModel, items):
 
     if model.embedding is not None:
         ids = np.empty(pk.rows.size, dtype=np.int64)
-        ranked = (resolved[k] for k in pk.order)
-        ids[pk.rows] = np.concatenate(
-            [np.full(len(xi), -1) if xi_ids is None else xi_ids for xi, xi_ids in ranked]
-        )
+        ranked = (_label_ids(items[k][0]) for k in pk.order)
+        ids[pk.rows] = np.concatenate([i if i.size else [-1] for i in ranked])
         real = ids >= 0  # an empty decode's zero row has no table row
         np.add.at(grad.embedding, ids[real], dh[real])
     return loss, grad.params
@@ -348,10 +348,10 @@ def _clone_for_training(init_model: LUModel, config: LUConfig) -> LUModel:
 def lu_train(config: LUConfig, corpus, init_model: LUModel | None = None) -> LUModel:
     """Mini-batch Adam on cross-entropy; deterministic given config.seed.
 
-    corpus items are (input, intent) pairs where input is a (T, D) float
-    sequence or, in embedding mode, a sequence of label ids. Pass
-    init_model to fine-tune existing parameters instead of initializing
-    fresh ones.
+    corpus items are (input, intent) pairs where input is a sequence of
+    integer label ids when config.vocab_size is set, else a (T, D)
+    sequence. Pass init_model to fine-tune existing parameters instead of
+    initializing fresh ones.
     """
     if not corpus:
         raise ValueError("corpus must be non-empty")
@@ -388,7 +388,7 @@ def gradient_check(config: LUConfig, sample) -> float:
     labels = np.array([int(label)])
 
     def loss_only():
-        return float(_nll(_probs(model, [_sample_input(model, data)[0]]), labels)[0])
+        return float(_nll(_probs(model, [_sample_input(model, data)]), labels)[0])
 
     _, grad = _batch_loss_and_grads(model, [sample])
     step = 1e-5
@@ -414,21 +414,17 @@ def save_model(path, model: LUModel):
         {"config": cfg, "train_losses": [float(x) for x in model.train_losses]},
         sort_keys=True,
     ).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MODEL_MAGIC)
-        fh.write(struct.pack("<HI", FORMAT_VERSION, len(header)))
-        fh.write(header)
-        fh.write(model.params.astype("<f4").tobytes())
+    _write_container(path, MODEL_MAGIC, "I", (len(header),), header, model.params)
 
 
 def load_model(path) -> LUModel:
     with open(path, "rb") as fh:
         (hlen,) = _read_header(fh, MODEL_MAGIC, path, "I")
-        left = os.fstat(fh.fileno()).st_size - 10 - hlen  # bytes after the JSON header
+        left = os.fstat(fh.fileno()).st_size - fh.tell() - hlen  # bytes after the JSON header
         if left < 0:
             raise FormatError(f"{path}: truncated file: header declares a {hlen}-byte JSON header")
+        meta = _decode_json(_read_exact(fh, hlen, "JSON header"), path, "model header")
         try:
-            meta = json.loads(_read_exact(fh, hlen, "JSON header").decode("utf-8"))
             config = LUConfig(**meta["config"])
             losses = meta.get("train_losses", [])
             if not isinstance(losses, list):
@@ -443,9 +439,9 @@ def load_model(path) -> LUModel:
                 f"{path}: truncated file: header declares layers={config.layers} of "
                 f"hidden={config.hidden}, more parameters than the file's {left} bytes hold"
             )
-        size = 4 * _num_params(config)
-        _require_size(fh, path, 10 + hlen + size)
-        params = np.frombuffer(_read_exact(fh, size, "parameters"), dtype="<f4").astype(np.float64)
+        n = _num_params(config)
+        _require_size(fh, path, 4 * n)
+        params = _read_f32(fh, n, "parameters").astype(np.float64)
     if not np.isfinite(params).all():
         raise FormatError(f"{path}: non-finite parameter values")
     return LUModel(config, params, losses)

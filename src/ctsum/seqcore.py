@@ -17,8 +17,6 @@ FORMAT_VERSION = 1
 LSEQ_MAGIC = b"CTSQ"
 PROJ_MAGIC = b"CTSP"
 
-_HEADER = struct.Struct("<4sHII")
-
 
 class FormatError(ValueError):
     """A binary or JSON artifact on disk is malformed."""
@@ -142,7 +140,7 @@ class PosteriorGrid:
     """
 
     probs: np.ndarray
-    log_probs: np.ndarray = field(default=None)  # type: ignore[assignment]
+    log_probs: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.probs = np.ascontiguousarray(self.probs, dtype=np.float64)
@@ -154,15 +152,7 @@ class PosteriorGrid:
         row_sums = self.probs.sum(axis=1)
         if np.abs(row_sums - 1.0).max() > 1e-6:
             raise ValueError("each probs row must sum to 1 within 1e-6")
-        expected_logs = np.log(np.maximum(self.probs, PROB_FLOOR))
-        if self.log_probs is None:
-            self.log_probs = expected_logs
-        else:
-            self.log_probs = np.ascontiguousarray(self.log_probs, dtype=np.float64)
-            if self.log_probs.shape != self.probs.shape:
-                raise ValueError("log_probs shape must match probs")
-            if np.abs(self.log_probs - expected_logs).max() > 1e-6:
-                raise ValueError("log_probs must equal ln(floored probs) within 1e-6")
+        self.log_probs = np.log(np.maximum(self.probs, PROB_FLOOR))
 
     @property
     def num_frames(self):
@@ -239,9 +229,18 @@ def frame_argmax(grid: PosteriorGrid) -> FramePath:
 # ---------------------------------------------------------------------------
 # file formats (all little-endian)
 #
+# A binary container is "magic | u16 version | header fields", then its
+# payloads, f32 arrays row-major. ``_write_container`` and ``_read_header``
+# are the only code that frames one.
+#
 # .lseq : "CTSQ" | u16 version | u32 T | u32 D | f32 frame_shift_ms | f32[T*D]
 # .proj : "CTSP" | u16 version | u32 V | u32 D | f32[V*D] weights | f32[V] bias
-# vocab : JSON {"blank_index": int, "labels": [str, ...]}
+# .sseq : "CTSS" | u16 version | u32 S | u32 D | f32 frame_shift_ms |
+#         f32[S*D] vectors | S segment records (``cts``)
+# .ctsm : "CTSM" | u16 version | u32 n | n bytes UTF-8 JSON header |
+#         f32 parameters (``lu``)
+# vocab : JSON {"blank_index": int, "labels": [str, ...]}; spec and
+#         manifest lines are JSON too, all read through ``_decode_json``
 # ---------------------------------------------------------------------------
 
 
@@ -252,10 +251,15 @@ def _read_exact(fh, count, what):
     return data
 
 
-def _require_size(fh, path, declared):
-    """Reject a file whose size differs from the ``declared`` total its
-    header implies, before any payload is read (or allocated)."""
+def _read_f32(fh, count, what) -> np.ndarray:
+    return np.frombuffer(_read_exact(fh, 4 * count, what), dtype="<f4")
+
+
+def _require_size(fh, path, payload):
+    """Reject a file whose bytes after the header differ from its declared
+    ``payload`` count, before any payload is read (or allocated)."""
     actual = os.fstat(fh.fileno()).st_size
+    declared = fh.tell() + payload
     if actual < declared:
         raise FormatError(f"{path}: truncated file: header declares {declared} bytes, file has {actual}")
     if actual > declared:
@@ -274,40 +278,48 @@ def _read_header(fh, magic, path, fields="IIf"):
     return values
 
 
-def write_lseq(path, seq: LatentSequence):
+def _write_container(path, magic, fields, values, *payloads):
+    """Write a "magic | u16 version | fields" header (struct codes), then
+    each payload: bytes as they are, arrays as f32."""
     with open(path, "wb") as fh:
-        t, d = seq.frames.shape
-        fh.write(_HEADER.pack(LSEQ_MAGIC, FORMAT_VERSION, t, d))
-        fh.write(struct.pack("<f", seq.frame_shift_ms))
-        fh.write(seq.frames.astype("<f4").tobytes())
+        fh.write(struct.pack("<4sH" + fields, magic, FORMAT_VERSION, *values))
+        for data in payloads:
+            fh.write(data if isinstance(data, bytes) else data.astype("<f4").tobytes())
+
+
+def _decode_json(data: bytes, where, what="JSON"):
+    """The UTF-8 JSON document in ``data``; ``where`` names its file."""
+    try:
+        return json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
+        raise FormatError(f"{where}: invalid {what}: {exc}") from exc
+
+
+def write_lseq(path, seq: LatentSequence):
+    _write_container(path, LSEQ_MAGIC, "IIf", (*seq.frames.shape, seq.frame_shift_ms), seq.frames)
 
 
 def read_lseq(path) -> LatentSequence:
     with open(path, "rb") as fh:
         t, d, shift = _read_header(fh, LSEQ_MAGIC, path)
-        _require_size(fh, path, _HEADER.size + 4 + 4 * t * d)
-        data = _read_exact(fh, 4 * t * d, "frame data")
+        _require_size(fh, path, 4 * t * d)
+        frames = _read_f32(fh, t * d, "frame data")
     try:
-        return LatentSequence(np.frombuffer(data, dtype="<f4").reshape(t, d), shift)
+        return LatentSequence(frames.reshape(t, d), shift)
     except ValueError as exc:
         raise FormatError(f"{path}: invalid latent sequence: {exc}") from exc
 
 
 def write_proj(path, proj: ProjectionMatrix):
-    with open(path, "wb") as fh:
-        v, d = proj.weights.shape
-        fh.write(PROJ_MAGIC)
-        fh.write(struct.pack("<HII", FORMAT_VERSION, v, d))
-        fh.write(proj.weights.astype("<f4").tobytes())
-        fh.write(proj.bias.astype("<f4").tobytes())
+    _write_container(path, PROJ_MAGIC, "II", proj.weights.shape, proj.weights, proj.bias)
 
 
 def read_proj(path) -> ProjectionMatrix:
     with open(path, "rb") as fh:
         v, d = _read_header(fh, PROJ_MAGIC, path, "II")
-        _require_size(fh, path, _HEADER.size + 4 * v * d + 4 * v)
-        weights = np.frombuffer(_read_exact(fh, 4 * v * d, "weights"), dtype="<f4")
-        bias = np.frombuffer(_read_exact(fh, 4 * v, "bias"), dtype="<f4")
+        _require_size(fh, path, 4 * v * d + 4 * v)
+        weights = _read_f32(fh, v * d, "weights")
+        bias = _read_f32(fh, v, "bias")
     try:
         return ProjectionMatrix(weights.reshape(v, d), bias)
     except ValueError as exc:
@@ -321,11 +333,8 @@ def write_vocab(path, vocab: Vocabulary):
 
 
 def read_vocab(path) -> Vocabulary:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise FormatError(f"{path}: invalid JSON: {exc}") from exc
+    with open(path, "rb") as fh:
+        obj = _decode_json(fh.read(), path)
     try:
         return Vocabulary(obj["labels"], obj["blank_index"])
     except (KeyError, TypeError, ValueError) as exc:

@@ -35,6 +35,7 @@ from .seqcore import (
     Vocabulary,
     _as_float,
     _as_int,
+    _decode_json,
     read_lseq,
     read_proj,
     read_vocab,
@@ -299,28 +300,29 @@ def load_corpus(corpus_dir) -> Corpus:
     root = Path(corpus_dir)
     spec = load_spec(root / SPEC_NAME)
     rows, ids = [], set()
-    with open(root / MANIFEST_NAME, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-                for key in ("id", "lseq"):
-                    if not isinstance(row[key], str) or not row[key]:
-                        raise ValueError(f"{key} must be a non-empty string, got {row[key]!r}")
-                if row["id"] in ids:
-                    raise ValueError(f"duplicate id {row['id']!r}")
-                ids.add(row["id"])
-                rows.append(
-                    {
-                        "id": row["id"],
-                        "intent": _as_int("intent", row["intent"]),
-                        "labels": [_as_int("label", v) for v in row["labels"]],
-                        "lseq": row["lseq"],
-                    }
-                )
-            except (ValueError, KeyError, TypeError) as exc:
-                raise FormatError(f"manifest line {lineno}: {exc}") from exc
+    manifest = root / MANIFEST_NAME
+    for lineno, line in enumerate(manifest.read_bytes().splitlines(), 1):
+        if not line.strip():
+            continue
+        where = f"{manifest}: manifest line {lineno}"
+        row = _decode_json(line, where)
+        try:
+            for key in ("id", "lseq"):
+                if not isinstance(row[key], str) or not row[key]:
+                    raise ValueError(f"{key} must be a non-empty string, got {row[key]!r}")
+            if row["id"] in ids:
+                raise ValueError(f"duplicate id {row['id']!r}")
+            ids.add(row["id"])
+            rows.append(
+                {
+                    "id": row["id"],
+                    "intent": _as_int("intent", row["intent"]),
+                    "labels": [_as_int("label", v) for v in row["labels"]],
+                    "lseq": row["lseq"],
+                }
+            )
+        except (ValueError, KeyError, TypeError) as exc:
+            raise FormatError(f"{where}: {exc}") from exc
     proj = read_proj(root / PROJECTION_NAME)
     vocab = read_vocab(root / VOCAB_NAME)
     seqs = [read_lseq(root / row["lseq"]) for row in rows]
@@ -367,11 +369,7 @@ def save_spec(path, spec: SynthSpec):
 
 
 def load_spec(path) -> SynthSpec:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except ValueError as exc:
-            raise FormatError(f"{path}: invalid JSON: {exc}") from exc
+    data = _decode_json(Path(path).read_bytes(), path)
     if not isinstance(data, dict):
         raise FormatError(f"{path}: spec must be a JSON object")
     known = {f for f in SynthSpec.__dataclass_fields__}

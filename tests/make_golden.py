@@ -7,7 +7,11 @@ the untrained models: ``run_system`` predictions, the E2 compression
 ratio, the class probabilities of every ``lu_forward`` call each system
 makes, in row order, and the sha256 of each model's ``.ctsm`` bytes;
 for the trained models (under ``trained``): each system's
-``train_losses`` and ``lu_forward`` probabilities.
+``train_losses`` and ``lu_forward`` probabilities. Under ``formats``:
+the sha256 of the corpus's ``.proj`` bytes and, per utterance, of its
+``.lseq`` bytes and of its ``.sseq`` bytes with and without dropped
+blanks, each summary's (start, end, label, rep_frame, rep_score) table,
+and ``ctc_forward_logprob`` of the gold labels.
 
     PYTHONPATH=src python tests/make_golden.py            # rewrite tests/golden/systems.json
     PYTHONPATH=src python tests/make_golden.py --out FILE # write elsewhere
@@ -23,8 +27,11 @@ import tempfile
 from pathlib import Path
 
 from ctsum import harness
+from ctsum.ctc import LabelSequence, ctc_forward_logprob
+from ctsum.cts import summarize, write_sseq
 from ctsum.harness import HarnessConfig, SystemId, run_system, train_fold_models
 from ctsum.lu import LUConfig, lu_init, save_model
+from ctsum.seqcore import project_softmax, write_lseq, write_proj
 from ctsum.synth import build_corpus
 
 from test_harness import small_spec
@@ -56,10 +63,28 @@ def _run(system, model, corpus):
     return run, calls
 
 
-def _ctsm_sha256(model, tmp):
-    path = Path(tmp) / "model.ctsm"
-    save_model(path, model)
+def _sha256(write, obj, tmp):
+    """sha256 of the bytes ``write(path, obj)`` puts in a file."""
+    path = Path(tmp) / "artifact"
+    write(path, obj)
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _formats(corpus, tmp) -> dict:
+    proj, vocab = corpus.projection, corpus.vocab
+    utterances = []
+    for row, seq in zip(corpus.rows, corpus.sequences):
+        one = {"id": row["id"], "lseq_sha256": _sha256(write_lseq, seq, tmp)}
+        for key, drop in (("sseq", False), ("sseq_drop_blank", True)):
+            summ = summarize(seq, proj, drop_blank_segments=drop, blank_index=vocab.blank_index)
+            one[f"{key}_sha256"] = _sha256(write_sseq, summ, tmp)
+            one[f"{key}_segments"] = [
+                [s.start, s.end, s.label, s.rep_frame, s.rep_score] for s in summ.segments
+            ]
+        grid = project_softmax(seq, proj)
+        one["ctc_logprob"] = ctc_forward_logprob(grid, LabelSequence(row["labels"]), vocab)
+        utterances.append(one)
+    return {"proj_sha256": _sha256(write_proj, proj, tmp), "utterances": utterances}
 
 
 def compute() -> dict:
@@ -80,9 +105,10 @@ def compute() -> dict:
             )
             run, probs = _run(system, model, corpus)
             out[system.value] = {"predictions": run.predictions, "probs": probs}
-            out["ctsm_sha256"][system.value] = _ctsm_sha256(model, tmp)
+            out["ctsm_sha256"][system.value] = _sha256(save_model, model, tmp)
             if run.compression is not None:
                 out["compression_ratio_e2"] = run.compression
+        out["formats"] = _formats(corpus, tmp)
     models = train_fold_models(corpus, list(range(len(corpus.rows))), TRAINED, 0)
     for system, model in models.items():
         out["trained"][system.value] = {

@@ -292,6 +292,7 @@ HOSTILE_CORPORA = {
     ),
     "vocab-float-blank": lambda c: _edit_json(c / "vocab.json", lambda v: dict(v, blank_index=1.5)),
     "vocab-bool-blank": lambda c: _edit_json(c / "vocab.json", lambda v: dict(v, blank_index=True)),
+    "vocab-deep-nesting": lambda c: (c / "vocab.json").write_text("[" * 100_000),
     "spec-float-intents": lambda c: _edit_json(c / "spec.json", lambda s: dict(s, num_intents=3.0)),
 }
 
@@ -306,6 +307,7 @@ class TestHostileJson:
         err = capsys.readouterr().err
         assert rc == 2, err
         assert err.startswith("ctsum: error:") and "Traceback" not in err
+        return err
 
     @pytest.mark.parametrize("blob", HOSTILE_SPECS.values(), ids=HOSTILE_SPECS)
     def test_spec_commands(self, tmp_path, capsys, blob):
@@ -329,6 +331,20 @@ class TestHostileJson:
             self.assert_data_error(
                 capsys, [cmd, "--corpus", str(bad), "--model", e1_model, "--system", "e1"]
             )
+
+    def test_manifest_invalid_utf8_names_file_and_line(self, tmp_path, capsys, corpus_dir,
+                                                       e1_model):
+        bad = tmp_path / "c"
+        shutil.copytree(corpus_dir, bad)
+        manifest = bad / "manifest.jsonl"
+        manifest.write_bytes(manifest.read_bytes().replace(b'"u00000"', b'"u\xff"'))
+        argvs = [["train-lu", "--corpus", str(bad), "--mode", "p1", "--out",
+                  str(tmp_path / "m.ctsm"), "--seed", "1"]]
+        argvs += [[cmd, "--corpus", str(bad), "--model", e1_model, "--system", "e1"]
+                  for cmd in ("eval", "bench")]
+        for argv in argvs:
+            err = self.assert_data_error(capsys, argv)
+            assert f"{manifest}: manifest line 1: invalid JSON" in err, err
 
     @pytest.mark.parametrize("value", [1.7, True], ids=["float-seed", "bool-seed"])
     def test_model_header(self, tmp_path, capsys, corpus_dir, e1_model, value):
@@ -369,3 +385,60 @@ class TestHostileJson:
         assert proc.returncode == 2
         assert "num_intents must be an integer" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+U32_MAX = 2**32 - 1
+
+# (file kind, magic, header field codes, field values): each header
+# declares a payload of at least 4 GiB; the file holds 32 bytes after it
+HOSTILE_HEADERS = {
+    "lseq-huge-T": ("lseq", b"CTSQ", "IIf", (U32_MAX, 8, 10.0)),
+    "lseq-huge-D": ("lseq", b"CTSQ", "IIf", (2, U32_MAX, 10.0)),
+    "sseq-huge-S": ("sseq", b"CTSS", "IIf", (U32_MAX, 8, 10.0)),
+    "sseq-huge-D": ("sseq", b"CTSS", "IIf", (2, U32_MAX, 10.0)),
+    "proj-huge-V": ("proj", b"CTSP", "II", (U32_MAX, 8)),
+    "proj-huge-D": ("proj", b"CTSP", "II", (9, U32_MAX)),
+    "ctsm-huge-json": ("ctsm", b"CTSM", "I", (U32_MAX,)),
+}
+
+
+class TestHostileSizes:
+    """A tiny file whose header declares a huge T, D, S, V or JSON length
+    is a data error for every command that reads it: exit code 2, no
+    traceback, and a "header declares" message, which only the size
+    checks made before any payload is read (or allocated) produce."""
+
+    @staticmethod
+    def commands(kind, bad, corpus_dir, e1_model, tmp_path):
+        root = pathlib.Path(corpus_dir)
+        lseq, proj = str(root / "u00000.lseq"), str(root / "projection.proj")
+        out = str(tmp_path / "out")
+        if kind == "ctsm":
+            return [
+                ["eval", "--corpus", corpus_dir, "--model", bad, "--system", "e1"],
+                ["bench", "--corpus", corpus_dir, "--model", bad, "--system", "e1"],
+                ["train-lu", "--corpus", corpus_dir, "--mode", "e2", "--out", out,
+                 "--seed", "1", "--init", bad],
+            ]
+        if kind == "sseq":
+            return [["decode", "--in", bad, "--proj", proj]]
+        corpus = tmp_path / "c"  # a corpus holding the hostile file
+        shutil.copytree(corpus_dir, corpus)
+        shutil.copyfile(bad, corpus / ("u00000.lseq" if kind == "lseq" else "projection.proj"))
+        inp, pr = (bad, proj) if kind == "lseq" else (lseq, bad)
+        return [
+            ["summarize", "--in", inp, "--proj", pr, "--out", out],
+            ["decode", "--in", inp, "--proj", pr],
+            ["eval", "--corpus", str(corpus), "--model", e1_model, "--system", "e1"],
+            ["bench", "--corpus", str(corpus), "--model", e1_model, "--system", "e1"],
+            ["train-lu", "--corpus", str(corpus), "--mode", "e1", "--out", out, "--seed", "1"],
+        ]
+
+    @pytest.mark.parametrize("name", sorted(HOSTILE_HEADERS))
+    def test_exit_2_before_reading(self, tmp_path, capsys, corpus_dir, e1_model, name):
+        kind, magic, fields, values = HOSTILE_HEADERS[name]
+        bad = tmp_path / f"bad.{kind}"
+        bad.write_bytes(magic + struct.pack("<H" + fields, 1, *values) + bytes(32))
+        for argv in self.commands(kind, str(bad), corpus_dir, e1_model, tmp_path):
+            err = TestHostileJson.assert_data_error(capsys, argv)
+            assert "header declares" in err, (argv[0], err)

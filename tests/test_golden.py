@@ -1,10 +1,10 @@
 """The three systems against the committed golden (``make_golden.py``).
 
-Predictions and ``.ctsm`` digests must match exactly, and every
-classifier probability and trained loss to 1e-12 relative, at BLAS
-threads 1 and 2. Each thread count runs the
-generator in a fresh interpreter, since BLAS reads its thread count
-when numpy loads.
+Predictions, file digests and ``.sseq`` segment tables must match
+exactly, and every classifier probability, trained loss and CTC
+log-probability to 1e-12 relative, at BLAS threads 1 and 2. Each
+thread count runs the generator in a fresh interpreter, since BLAS
+reads its thread count when numpy loads.
 """
 
 import json
@@ -49,3 +49,11 @@ def test_systems_match_golden(tmp_path, threads):
         np.testing.assert_allclose(
             trained["probs"], want["probs"], rtol=1e-12, atol=0, err_msg=system
         )
+    formats, want = got["formats"], GOLDEN["formats"]
+    assert formats["proj_sha256"] == want["proj_sha256"]
+    assert [u["id"] for u in formats["utterances"]] == [u["id"] for u in want["utterances"]]
+    for one, ref in zip(formats["utterances"], want["utterances"]):
+        for key in ("lseq_sha256", "sseq_sha256", "sseq_segments",
+                    "sseq_drop_blank_sha256", "sseq_drop_blank_segments"):
+            assert one[key] == ref[key], (one["id"], key)
+        assert one["ctc_logprob"] == pytest.approx(ref["ctc_logprob"], rel=1e-12, abs=0), one["id"]

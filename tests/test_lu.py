@@ -319,6 +319,36 @@ class TestEmbedLabels:
         with pytest.raises(ValueError):
             embed_labels([0], model)
 
+    @pytest.mark.parametrize("ids", [[1.0, 2.0], np.array([1.5]), [[1, 2]]],
+                             ids=["float-list", "float-array", "2-d"])
+    def test_non_integer_ids_rejected(self, ids):
+        model = lu_init(tiny_config(vocab_size=6))
+        with pytest.raises(ValueError, match="label ids must be a 1-d integer sequence"):
+            embed_labels(ids, model)
+
+
+class TestInputDispatch:
+    """The model decides how a training item becomes classifier input:
+    label ids through the table of a model that has one, frames otherwise,
+    whatever the item's dtype."""
+
+    def test_integer_frames_train_a_model_without_table(self):
+        cfg = tiny_config(epochs=2)
+        frames = np.random.default_rng(4).integers(-2, 3, size=(5, 3))
+        as_int = lu_train(cfg, [(frames, 0), (frames[::-1], 1)])
+        as_float = lu_train(cfg, [(frames.astype(float), 0), (frames[::-1].astype(float), 1)])
+        np.testing.assert_array_equal(as_int.params, as_float.params)
+        assert gradient_check(cfg, (frames, 1)) < 1e-4
+
+    @pytest.mark.parametrize("data", [np.ones((4, 3)), [1.0, 2.0], np.array([2.5, 1.0])],
+                             ids=["float-frames", "float-id-list", "float-id-array"])
+    def test_table_model_rejects_non_integer_items(self, data):
+        cfg = tiny_config(vocab_size=6)
+        with pytest.raises(ValueError, match="label ids must be a 1-d integer sequence"):
+            lu_train(cfg, [(data, 0)])
+        with pytest.raises(ValueError, match="label ids must be a 1-d integer sequence"):
+            gradient_check(cfg, (data, 0))
+
 
 class TestGradients:
     def test_random_tiny_instance(self):

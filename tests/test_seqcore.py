@@ -25,8 +25,7 @@ from ctsum.seqcore import (
 
 
 def grid_from_rows(rows):
-    probs = np.asarray(rows, dtype=np.float64)
-    return PosteriorGrid(probs, np.log(np.maximum(probs, 1e-30)))
+    return PosteriorGrid(np.asarray(rows, dtype=np.float64))
 
 
 class TestLatentSequence:
@@ -183,14 +182,8 @@ class TestFrameArgmax:
 
 class TestPosteriorGridValidation:
     def test_rejects_non_stochastic_rows(self):
-        bad = np.array([[0.9, 0.3]])
         with pytest.raises(ValueError):
-            PosteriorGrid(bad, np.log(bad))
-
-    def test_rejects_mismatched_logs(self):
-        probs = np.array([[0.5, 0.5]])
-        with pytest.raises(ValueError):
-            PosteriorGrid(probs, np.log(probs) + 0.1)
+            PosteriorGrid(np.array([[0.9, 0.3]]))
 
 
 class TestFileFormats:

@@ -306,6 +306,16 @@ class TestCorpus:
         with pytest.raises(FormatError, match=f"manifest line 2: {match}"):
             load_corpus(tmp_path / "c")
 
+    def test_manifest_invalid_utf8_names_file_and_line(self, tmp_path):
+        generate_corpus(small_spec(), tmp_path / "c")
+        manifest = tmp_path / "c" / "manifest.jsonl"
+        lines = manifest.read_bytes().splitlines()
+        lines[1] = lines[1].replace(b'"u00001"', b'"u\xff"')
+        manifest.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(FormatError, match="manifest line 2: invalid JSON") as exc:
+            load_corpus(tmp_path / "c")
+        assert str(manifest) in str(exc.value)
+
     def test_vocab_matches_size(self):
         vocab = default_vocab(5)
         assert vocab.labels == ["_", "w1", "w2", "w3", "w4"]
