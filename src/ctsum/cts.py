@@ -6,22 +6,35 @@ labels become segments, and each segment is represented by its
 highest-scoring frame, copied bit-for-bit from the source sequence. No
 vector is ever synthesized, which is what makes the shortening behave like
 an argmax-selection analogue of max-pooling over time.
+
+A summary's segment table is five parallel length-S arrays (``starts``,
+``ends``, ``labels``, ``rep_frames``, ``rep_scores``), the columns of the
+``.sseq`` record layout, and ``summarize`` is one vectorised pass over the
+frames: softmax, argmax, run boundaries from one ``nonzero``, then
+each run's representative from one stable sort of the frames by
+(segment, -score), whose first entry per segment is the earliest frame of
+maximal score, then one gather of the representative vectors. No
+per-segment object is built on that path or by the ``.sseq`` reader and
+writer.
+
+``Segment`` is the per-record form at the edge: ``SummarizedSequence``
+also accepts a list of them, and ``.segments`` derives one per row on
+demand. The benchmark under ``perfbench/`` builds and reads summaries in
+that form, which is why it stays; so do the ``project_softmax`` and
+``frame_argmax`` re-imports, which it patches on this module.
 """
 
 from __future__ import annotations
 
 import math
-import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .seqcore import (
     FormatError,
-    FramePath,
     LatentSequence,
     ProjectionMatrix,
-    _argmax_path,
     _read_exact,
     _read_f32,
     _read_header,
@@ -63,75 +76,98 @@ class Segment:
         return self.end - self.start
 
 
-@dataclass
 class SummarizedSequence:
-    """S x D representative vectors plus the segments they were taken from."""
+    """S x D representative vectors plus the segment table they came from.
 
-    vectors: np.ndarray
-    segments: list[Segment]
-    source_T: int
-    frame_shift_ms: float = 10.0
+    ``table`` is five length-S arrays ``(starts, ends, labels,
+    rep_frames, rep_scores)``, or a list of ``Segment`` records. A
+    ``rep_frames`` entry of -1 marks a segment whose representative is
+    not selected yet.
+    """
 
-    def __post_init__(self):
-        self.vectors = np.ascontiguousarray(self.vectors, dtype=np.float32)
+    def __init__(self, vectors, table, source_T: int, frame_shift_ms: float = 10.0):
+        if not isinstance(table, tuple):
+            rows = [(g.start, g.end, g.label, g.rep_frame, g.rep_score) for g in table]
+            table = tuple(zip(*rows)) if rows else ((),) * 5
+        starts, ends, labels, reps, scores = table
+        self.vectors = np.ascontiguousarray(vectors, dtype=np.float32)
+        self.starts = starts = np.asarray(starts, dtype=np.int64)
+        self.ends = ends = np.asarray(ends, dtype=np.int64)
+        self.labels = labels = np.asarray(labels, dtype=np.int64)
+        self.rep_frames = reps = np.asarray(reps, dtype=np.int64)
+        self.rep_scores = scores = np.asarray(scores, dtype=np.float64)
+        self.source_T = int(source_T)
+        self.frame_shift_ms = float(frame_shift_ms)
+
         if self.vectors.ndim != 2:
             raise ValueError("vectors must be 2-d")
-        if self.vectors.shape[0] != len(self.segments):
+        s = self.vectors.shape[0]
+        if not starts.shape == ends.shape == labels.shape == reps.shape == scores.shape == (s,):
             raise ValueError("vectors and segments must have equal length")
-        if len(self.segments) > self.source_T:
+        if s > self.source_T:
             raise ValueError("cannot have more segments than source frames")
-        self.frame_shift_ms = float(self.frame_shift_ms)
         if not (math.isfinite(self.frame_shift_ms) and self.frame_shift_ms > 0):
             raise ValueError(f"frame_shift_ms must be positive, got {self.frame_shift_ms}")
+        # count_nonzero is the cheapest "any" on the few-row tables summarize
+        # makes; (starts | labels) is negative where either one is
+        if np.count_nonzero(((starts | labels) < 0) | (starts >= ends)):
+            raise ValueError("bad segment: every segment needs 0 <= start < end and label >= 0")
+        if np.count_nonzero((reps != -1) & ((reps < starts) | (reps >= ends))):
+            raise ValueError("rep_frame must lie inside the segment span")
+
+    @property
+    def table(self) -> tuple[np.ndarray, ...]:
+        """``(starts, ends, labels, rep_frames, rep_scores)``, in ``.sseq``
+        record order."""
+        return self.starts, self.ends, self.labels, self.rep_frames, self.rep_scores
 
     @property
     def num_segments(self):
-        return len(self.segments)
+        return self.starts.shape[0]
+
+    @property
+    def segments(self) -> list[Segment]:
+        """The table as ``Segment`` records, built afresh on each access."""
+        return [Segment(*row) for row in zip(*(col.tolist() for col in self.table))]
 
     def to_latent(self) -> LatentSequence:
         """View the representatives as a frame sequence, e.g. for re-decoding."""
         return LatentSequence(self.vectors, self.frame_shift_ms)
 
 
-def segment_path(path: FramePath) -> list[Segment]:
-    """Run-length encode the argmax path into ordered, tiling segments."""
-    labels = path.arg_labels
-    if labels.size == 0:
+def segment_path(labels: np.ndarray) -> np.ndarray:
+    """Run-length encode a per-frame label path into the S + 1 bounds of
+    its maximal runs of equal labels: run i covers frames
+    [bounds[i], bounds[i + 1]), from 0 to T."""
+    labels = np.asarray(labels)
+    if labels.ndim != 1 or labels.size == 0:
         raise ValueError("cannot segment an empty path")
-    change = np.flatnonzero(labels[1:] != labels[:-1]) + 1
-    starts = np.concatenate(([0], change))
-    ends = np.concatenate((change, [labels.size]))
-    return [
-        Segment(int(s), int(e), int(labels[s])) for s, e in zip(starts, ends)
-    ]
+    edge = np.empty(labels.size + 1, dtype=bool)
+    edge[0] = edge[-1] = True
+    np.not_equal(labels[1:], labels[:-1], out=edge[1:-1])
+    return edge.nonzero()[0]
 
 
-def select_representatives(
-    segments: list[Segment], path: FramePath, seq: LatentSequence
-) -> SummarizedSequence:
-    """Pick each segment's maximal-score frame (earliest on ties) and copy
-    its vector unchanged."""
-    t = seq.num_frames
-    if path.num_frames != t:
-        raise ValueError(
-            f"path length {path.num_frames} does not match sequence T={t}"
-        )
-    if not segments:
-        raise ValueError("no segments given")
-    pos = 0
-    for seg in segments:
-        if seg.start != pos or seg.end > t:
-            raise ValueError("segments must tile [0, T) in order without gaps")
-        pos = seg.end
-    if pos != t:
-        raise ValueError("segments must cover all frames")
-    scores = path.arg_scores
-    chosen = []
-    for seg in segments:
-        rep = seg.start + int(np.argmax(scores[seg.start : seg.end]))
-        chosen.append(replace(seg, rep_frame=rep, rep_score=float(scores[rep])))
-    vectors = seq.frames[[seg.rep_frame for seg in chosen]].copy()
-    return SummarizedSequence(vectors, chosen, t, seq.frame_shift_ms)
+def select_representatives(bounds: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """Each segment's maximal-score frame, the earliest on ties.
+
+    ``bounds`` must rise strictly from 0 to len(scores), as from
+    ``segment_path``. A stable sort of the frames by (segment, -score)
+    puts each segment's representative first among its frames, at the
+    position of the segment's start.
+    """
+    bounds = np.asarray(bounds)
+    scores = np.asarray(scores, dtype=np.float64)
+    lengths = bounds[1:] - bounds[:-1]
+    if (
+        bounds.size < 2
+        or bounds[0] != 0
+        or bounds[-1] != scores.size
+        or np.count_nonzero(lengths <= 0)
+    ):
+        raise ValueError("segment bounds must rise strictly from 0 to T")
+    segment_of = np.arange(lengths.size).repeat(lengths)
+    return np.lexsort((-scores, segment_of))[bounds[:-1]]
 
 
 def summarize(
@@ -143,25 +179,27 @@ def summarize(
 ) -> SummarizedSequence:
     """Full shortening: project, argmax, segment, select.
 
-    Equal to select_representatives(segment_path(path), path, seq) with
-    path = frame_argmax(project_softmax(seq, proj)); the probabilities
-    go straight to the argmax without building a ``PosteriorGrid``.
+    The argmax takes the lowest label on ties, as ``frame_argmax`` does;
+    the probabilities go straight to it without building a
+    ``PosteriorGrid`` or ``FramePath``.
 
     drop_blank_segments removes blank-labeled segments afterwards (ablation
     only; the summary then no longer tiles the source and greedy decodes
     are no longer guaranteed to be preserved).
     """
-    path = _argmax_path(_softmax_probs(seq, proj))
-    summ = select_representatives(segment_path(path), path, seq)
+    probs = _softmax_probs(seq, proj)
+    path = probs.argmax(axis=1)
+    scores = probs[np.arange(path.size), path]
+    bounds = segment_path(path)
+    reps = select_representatives(bounds, scores)
+    starts, ends = bounds[:-1], bounds[1:]
+    labels = path[starts]
     if drop_blank_segments:
-        keep = [i for i, seg in enumerate(summ.segments) if seg.label != blank_index]
-        summ = SummarizedSequence(
-            summ.vectors[keep],
-            [summ.segments[i] for i in keep],
-            summ.source_T,
-            summ.frame_shift_ms,
-        )
-    return summ
+        keep = labels != blank_index
+        starts, ends, labels, reps = starts[keep], ends[keep], labels[keep], reps[keep]
+    table = (starts, ends, labels, reps, scores[reps])
+    vectors = seq.frames.take(reps, axis=0)
+    return SummarizedSequence(vectors, table, seq.num_frames, seq.frame_shift_ms)
 
 
 # ---------------------------------------------------------------------------
@@ -173,20 +211,31 @@ def summarize(
 # no segments were dropped.
 # ---------------------------------------------------------------------------
 
-_SEG_RECORD = struct.Struct("<IIIIf")
+_SEG_RECORD = np.dtype(
+    [
+        ("start", "<u4"),
+        ("end", "<u4"),
+        ("label", "<u4"),
+        ("rep_frame", "<u4"),
+        ("rep_score", "<f4"),
+    ]
+)
+_U32_MAX = np.iinfo(np.uint32).max
 
 
 def write_sseq(path, summ: SummarizedSequence):
-    if summ.num_segments == 0:
-        raise ValueError("refusing to write an empty summary")
-    if any(seg.rep_frame < 0 for seg in summ.segments):
-        raise ValueError("segments must have representatives selected")
-    table = b"".join(
-        _SEG_RECORD.pack(seg.start, seg.end, seg.label, seg.rep_frame, seg.rep_score)
-        for seg in summ.segments
-    )
     s, d = summ.vectors.shape
-    _write_container(path, SSEQ_MAGIC, "IIf", (s, d, summ.frame_shift_ms), summ.vectors, table)
+    if s == 0:
+        raise ValueError("refusing to write an empty summary")
+    if np.count_nonzero(summ.rep_frames < 0):
+        raise ValueError("segments must have representatives selected")
+    if summ.ends.max() > _U32_MAX or summ.labels.max() > _U32_MAX:
+        raise ValueError("segment ends and labels must fit in 32 bits")
+    table = np.empty(s, dtype=_SEG_RECORD)
+    for name, col in zip(_SEG_RECORD.names, summ.table):
+        table[name] = col
+    header = (s, d, summ.frame_shift_ms)
+    _write_container(path, SSEQ_MAGIC, "IIf", header, summ.vectors, table.tobytes())
 
 
 def read_sseq(path) -> SummarizedSequence:
@@ -194,15 +243,16 @@ def read_sseq(path) -> SummarizedSequence:
         s, d, shift = _read_header(fh, SSEQ_MAGIC, path)
         if s == 0:
             raise FormatError(f"{path}: summary has no segments")
-        _require_size(fh, path, 4 * s * d + _SEG_RECORD.size * s)
+        _require_size(fh, path, 4 * s * d + _SEG_RECORD.itemsize * s)
         vectors = _read_f32(fh, s * d, "vectors")
-        table = _read_exact(fh, _SEG_RECORD.size * s, "segment table")
+        raw = _read_exact(fh, _SEG_RECORD.itemsize * s, "segment table")
+    table = np.frombuffer(raw, dtype=_SEG_RECORD)
     try:
-        segments = [Segment(*record) for record in _SEG_RECORD.iter_unpack(table)]
-        source_t = max(seg.end for seg in segments)
         _require_finite("vectors", vectors)
-        if not all(0.0 <= seg.rep_score <= 1.0 for seg in segments):
+        scores = table["rep_score"]
+        if np.count_nonzero((scores >= 0.0) & (scores <= 1.0)) != s:
             raise ValueError("rep_score must lie in [0, 1]")
-        return SummarizedSequence(vectors.reshape(s, d), segments, source_t, shift)
+        columns = tuple(table[name] for name in _SEG_RECORD.names)
+        return SummarizedSequence(vectors.reshape(s, d), columns, table["end"].max(), shift)
     except ValueError as exc:
         raise FormatError(f"{path}: invalid summary: {exc}") from exc

@@ -56,6 +56,13 @@ _KEY_UTTERANCE_BASE = 2
 
 _MAX_DRAW_ATTEMPTS = 1000
 
+# Upper bound on the numbers a spec may ask for: the projection, the
+# longest possible utterance, the whole corpus's frames and the template
+# table. 2**28 floats is 1 GiB as float32, far past desk scale; a spec
+# beyond it is rejected up front instead of failing in an allocation or
+# looping for hours.
+MAX_SPEC_ELEMENTS = 2**28
+
 
 @dataclass
 class SynthSpec:
@@ -102,6 +109,22 @@ class SynthSpec:
         self.noise_sigma = _as_float("noise_sigma", self.noise_sigma)
         if self.logit_scale < 0 or self.noise_sigma < 0:
             raise ValueError("logit_scale and noise_sigma must be non-negative")
+        len_hi = self.template_len_range[1]
+        frames = len_hi * self.run_len_range[1] + (len_hi - 1) * self.gap_len_range[1]
+        utterance = frames * self.latent_dim  # the longest possible one
+        templates = self.num_intents * self.templates_per_intent * len_hi
+        for fields, size in (
+            ("vocab_size x latent_dim", self.vocab_size * self.latent_dim),
+            ("longest utterance (template_len_range, run_len_range, gap_len_range)"
+             " x latent_dim", utterance),
+            ("num_intents x utterances_per_intent x longest utterance",
+             self.num_utterances * utterance),
+            ("num_intents x templates_per_intent x template_len_range", templates),
+        ):
+            if size > MAX_SPEC_ELEMENTS:
+                raise ValueError(
+                    f"spec too large: {fields} is {size} elements, above {MAX_SPEC_ELEMENTS}"
+                )
 
     @property
     def num_utterances(self):

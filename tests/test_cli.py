@@ -6,11 +6,15 @@ import subprocess
 import sys
 
 import jsonschema
+import numpy as np
 import pytest
 
+from ctsum import synth
 from ctsum.cli import main
 from ctsum.harness import validate_report
+from ctsum.seqcore import ProjectionMatrix, write_proj
 from ctsum.synth import SynthSpec, save_spec
+from test_corruption import FORMATS, variants
 from test_lu import no_layer_walk  # noqa: F401  (fixture)
 
 SMALL_SPEC = dict(
@@ -248,6 +252,17 @@ class TestCrossval:
         capsys.readouterr()
 
 
+@pytest.fixture
+def no_generation(monkeypatch):
+    """Corpus generation fails at once if reached: a spec rejected up
+    front allocates nothing."""
+
+    def refuse(spec):
+        raise AssertionError("the spec reached corpus generation")
+
+    monkeypatch.setattr(synth, "plant_projection", refuse)
+
+
 def _hostile_spec(tmp_path, blob):
     path = tmp_path / "hostile-spec.json"
     path.write_text(json.dumps(dict(SMALL_SPEC, **blob)))
@@ -280,6 +295,12 @@ HOSTILE_SPECS = {
     "bool-dim": {"latent_dim": True},
     "bool-sigma": {"noise_sigma": True},
     "infinite-scale": {"logit_scale": float("inf")},
+    # sizes no corpus could hold; SynthSpec bounds them from above
+    "huge-dim": {"latent_dim": 2**40},
+    "huge-vocab": {"vocab_size": 2**40},
+    "huge-run": {"run_len_range": [2, 2**40]},
+    "huge-corpus": {"utterances_per_intent": 10**12},
+    "huge-templates": {"templates_per_intent": 10**12},
 }
 
 HOSTILE_CORPORA = {
@@ -310,7 +331,7 @@ class TestHostileJson:
         return err
 
     @pytest.mark.parametrize("blob", HOSTILE_SPECS.values(), ids=HOSTILE_SPECS)
-    def test_spec_commands(self, tmp_path, capsys, blob):
+    def test_spec_commands(self, tmp_path, capsys, no_generation, blob):
         spec = _hostile_spec(tmp_path, blob)
         self.assert_data_error(
             capsys, ["synth", "--spec", spec, "--out", str(tmp_path / "c"), "--seed", "1"]
@@ -442,3 +463,40 @@ class TestHostileSizes:
         for argv in self.commands(kind, str(bad), corpus_dir, e1_model, tmp_path):
             err = TestHostileJson.assert_data_error(capsys, argv)
             assert "header declares" in err, (argv[0], err)
+
+
+class TestCorruptedFiles:
+    """``test_corruption``'s truncated and byte-flipped ``.lseq`` and
+    ``.sseq`` files through the commands that read them: each exits 0 or
+    2, never with an escaped exception or a traceback."""
+
+    @pytest.mark.parametrize(
+        "fmt, commands",
+        [("lseq", ("decode", "summarize")), ("sseq", ("decode",))],
+        ids=["lseq", "sseq"],
+    )
+    def test_exit_0_or_2(self, tmp_path, capsys, fmt, commands):
+        write, _ = FORMATS[fmt]
+        valid = tmp_path / f"valid.{fmt}"
+        write(valid)
+        proj = tmp_path / "p.proj"  # D = 2, as in both tiny files
+        write_proj(proj, ProjectionMatrix(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])))
+        bad = tmp_path / f"variant.{fmt}"
+        argvs = {
+            "decode": ["decode", "--in", str(bad), "--proj", str(proj)],
+            "summarize": ["summarize", "--in", str(bad), "--proj", str(proj),
+                          "--out", str(tmp_path / "out.sseq")],
+        }
+        escaped = []
+        for what, data in variants(valid.read_bytes()):
+            bad.write_bytes(data)
+            for cmd in commands:
+                try:
+                    rc = main(argvs[cmd])
+                except Exception as exc:  # any escape is the finding
+                    escaped.append(f"{cmd}, {what}: {type(exc).__name__}: {exc}")
+                    continue
+                err = capsys.readouterr().err
+                if rc not in (0, 2) or "Traceback" in err:
+                    escaped.append(f"{cmd}, {what}: exit {rc}: {err}")
+        assert not escaped, "\n".join(escaped[:20])

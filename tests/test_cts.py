@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cts_reference as ref
+from ctsum import cts
 from ctsum.cts import (
     Segment,
     SummarizedSequence,
@@ -14,7 +16,7 @@ from ctsum.cts import (
     summarize,
     write_sseq,
 )
-from ctsum.ctc import LabelSequence, greedy_decode
+from ctsum.ctc import greedy_decode
 from ctsum.seqcore import (
     FormatError,
     FramePath,
@@ -33,6 +35,13 @@ def path_of(labels, scores=None):
     return FramePath(labels, scores)
 
 
+def spans(labels):
+    """(start, end, label) of each run ``segment_path`` finds."""
+    labels = np.asarray(labels)
+    bounds = segment_path(labels).tolist()
+    return [(s, e, int(labels[s])) for s, e in zip(bounds[:-1], bounds[1:])]
+
+
 def random_case(seed, t=None, d=4, v=5):
     rng = np.random.default_rng(seed)
     t = t or int(rng.integers(1, 60))
@@ -41,22 +50,30 @@ def random_case(seed, t=None, d=4, v=5):
     return seq, proj, Vocabulary([f"s{i}" for i in range(v)], blank_index=0)
 
 
+def assert_same_summary(got, want):
+    assert got.vectors.dtype == want.vectors.dtype
+    assert got.vectors.shape == want.vectors.shape
+    assert got.vectors.tobytes() == want.vectors.tobytes()
+    assert got.segments == want.segments
+    for col, ref_col in zip(got.table, want.table):
+        assert col.tobytes() == ref_col.tobytes()
+    assert (got.source_T, got.frame_shift_ms) == (want.source_T, want.frame_shift_ms)
+
+
 class TestSegmentPath:
     def test_single_run(self):
-        segs = segment_path(path_of([4, 4, 4]))
-        assert len(segs) == 1
-        assert (segs[0].start, segs[0].end, segs[0].label) == (0, 3, 4)
+        assert segment_path(np.array([4, 4, 4])).tolist() == [0, 3]
+
+    def test_single_frame(self):
+        assert segment_path(np.array([2])).tolist() == [0, 1]
 
     def test_forced_rle(self):
         # blank=0, a=1, b=2: [_,a,a,_,b]
-        segs = segment_path(path_of([0, 1, 1, 0, 2]))
-        spans = [(s.start, s.end, s.label) for s in segs]
-        assert spans == [(0, 1, 0), (1, 3, 1), (3, 4, 0), (4, 5, 2)]
+        assert spans([0, 1, 1, 0, 2]) == [(0, 1, 0), (1, 3, 1), (3, 4, 0), (4, 5, 2)]
 
     def test_against_rle_oracle(self):
         rng = np.random.default_rng(11)
         labels = rng.integers(0, 5, size=200)
-        segs = segment_path(path_of(labels))
         oracle = []
         start = 0
         for i in range(1, 200):
@@ -64,63 +81,58 @@ class TestSegmentPath:
                 oracle.append((start, i, int(labels[start])))
                 start = i
         oracle.append((start, 200, int(labels[start])))
-        assert [(s.start, s.end, s.label) for s in segs] == oracle
+        assert spans(labels) == oracle
 
     def test_tiling_invariant(self):
         rng = np.random.default_rng(77)
         for _ in range(50):
             labels = rng.integers(0, 4, size=int(rng.integers(1, 80)))
-            segs = segment_path(path_of(labels))
             pos = 0
-            for seg in segs:
-                assert seg.start == pos
-                pos = seg.end
-                assert (labels[seg.start : seg.end] == seg.label).all()
+            for start, end, label in spans(labels):
+                assert start == pos
+                pos = end
+                assert (labels[start:end] == label).all()
             assert pos == labels.size
+
+    @pytest.mark.parametrize("labels", [[], [[1, 2]]], ids=["empty", "2-d"])
+    def test_rejects_empty_or_2d(self, labels):
+        with pytest.raises(ValueError):
+            segment_path(np.array(labels))
 
 
 class TestSelectRepresentatives:
     def test_unique_maximum(self):
-        seq = LatentSequence(np.arange(6, dtype=np.float32).reshape(3, 2))
         path = path_of([1, 1, 1], [0.5, 0.9, 0.7])
-        summ = select_representatives(segment_path(path), path, seq)
-        assert summ.segments[0].rep_frame == 1
-        np.testing.assert_array_equal(summ.vectors[0], seq.frames[1])
+        reps = select_representatives(segment_path(path.arg_labels), path.arg_scores)
+        assert reps.tolist() == [1]
 
     def test_tie_takes_earliest(self):
-        seq = LatentSequence(np.ones((2, 3), dtype=np.float32))
-        path = path_of([2, 2], [0.6, 0.6])
-        summ = select_representatives(segment_path(path), path, seq)
-        assert summ.segments[0].rep_frame == 0
+        path = path_of([2, 2, 3, 3, 3], [0.6, 0.6, 0.4, 0.7, 0.7])
+        reps = select_representatives(segment_path(path.arg_labels), path.arg_scores)
+        assert reps.tolist() == [0, 3]
 
     def test_against_scan_oracle(self):
         rng = np.random.default_rng(5)
         labels = rng.integers(0, 3, size=50)
         scores = rng.uniform(0.1, 1.0, size=50)
-        seq = LatentSequence(rng.normal(size=(50, 4)).astype(np.float32))
-        path = path_of(labels, scores)
-        summ = select_representatives(segment_path(path), path, seq)
-        for seg in summ.segments:
-            best, best_score = seg.start, scores[seg.start]
-            for t in range(seg.start, seg.end):
+        bounds = segment_path(labels)
+        reps = select_representatives(bounds, scores)
+        for start, end, rep in zip(bounds[:-1], bounds[1:], reps):
+            best, best_score = start, scores[start]
+            for t in range(start, end):
                 if scores[t] > best_score:
                     best, best_score = t, scores[t]
-            assert seg.rep_frame == best
-            assert seg.rep_score == pytest.approx(best_score)
+            assert rep == best
 
     def test_mismatched_lengths_rejected(self):
-        seq = LatentSequence(np.ones((3, 2), dtype=np.float32))
-        path = path_of([0, 0])
         with pytest.raises(ValueError):
-            select_representatives(segment_path(path), path, seq)
+            select_representatives(segment_path(np.array([0, 0])), np.full(3, 0.5))
 
     def test_non_tiling_segments_rejected(self):
-        seq = LatentSequence(np.ones((4, 2), dtype=np.float32))
-        path = path_of([0, 0, 0, 0])
-        with pytest.raises(ValueError):
-            select_representatives([Segment(1, 4, 0)], path, seq)
-        with pytest.raises(ValueError):
-            select_representatives([Segment(0, 2, 0)], path, seq)
+        # late start, short, an empty segment, backwards, no segment, no bounds
+        for bounds in ([1, 4], [0, 2], [0, 2, 2, 4], [0, 3, 2, 4], [0], []):
+            with pytest.raises(ValueError):
+                select_representatives(np.array(bounds, dtype=np.int64), np.full(4, 0.5))
 
 
 class TestSummarize:
@@ -167,11 +179,16 @@ class TestSummarize:
         for seed in range(200):
             seq, proj, _ = random_case(seed + 7000)
             path = frame_argmax(project_softmax(seq, proj))
-            steps = select_representatives(segment_path(path), path, seq)
+            bounds = segment_path(path.arg_labels)
+            reps = select_representatives(bounds, path.arg_scores)
             summ = summarize(seq, proj)
-            assert summ.vectors.tobytes() == steps.vectors.tobytes()
-            assert summ.segments == steps.segments
-            assert (summ.source_T, summ.frame_shift_ms) == (steps.source_T, steps.frame_shift_ms)
+            assert summ.vectors.tobytes() == seq.frames[reps].tobytes()
+            assert summ.starts.tolist() == bounds[:-1].tolist()
+            assert summ.ends.tolist() == bounds[1:].tolist()
+            assert summ.labels.tolist() == path.arg_labels[bounds[:-1]].tolist()
+            assert summ.rep_frames.tolist() == reps.tolist()
+            assert summ.rep_scores.tobytes() == path.arg_scores[reps].tobytes()
+            assert (summ.source_T, summ.frame_shift_ms) == (seq.num_frames, seq.frame_shift_ms)
 
     def test_length_theorem(self):
         for seed in range(200):
@@ -186,7 +203,7 @@ class TestSummarize:
             once = summarize(seq, proj)
             twice = summarize(once.to_latent(), proj)
             assert twice.num_segments == once.num_segments
-            assert [s.label for s in twice.segments] == [s.label for s in once.segments]
+            assert twice.labels.tolist() == once.labels.tolist()
 
     def test_drop_blank_segments(self):
         seq, proj, _ = random_case(123, t=40)
@@ -195,6 +212,13 @@ class TestSummarize:
         assert all(s.label != 0 for s in dropped.segments)
         assert dropped.num_segments == sum(1 for s in kept.segments if s.label != 0)
 
+    def test_drop_blank_segments_can_leave_nothing(self):
+        seq = LatentSequence(np.ones((3, 2), dtype=np.float32))
+        proj = ProjectionMatrix(np.array([[1.0, 1.0], [-1.0, -1.0]]))  # every frame blank
+        summ = summarize(seq, proj, drop_blank_segments=True)
+        assert summ.num_segments == 0 and summ.vectors.shape == (0, 2)
+        assert summ.source_T == 3 and summ.segments == []
+
     @settings(deadline=None, max_examples=60)
     @given(seed=st.integers(0, 2**31), t=st.integers(1, 40))
     def test_summary_never_longer_than_source(self, seed, t):
@@ -202,8 +226,112 @@ class TestSummarize:
         summ = summarize(seq, proj)
         assert 1 <= summ.num_segments <= t
         assert summ.source_T == t
-        labels = [s.label for s in summ.segments]
+        labels = summ.labels.tolist()
         assert all(a != b for a, b in zip(labels, labels[1:]))
+
+
+def pooled_case(seed, picks, pool_size, d=3, v=4):
+    """Frames drawn from a pool of ``pool_size`` vectors: a repeated pick
+    repeats a frame bit for bit, so its segment has an exact score tie."""
+    rng = np.random.default_rng(seed)
+    pool = rng.normal(size=(pool_size, d)).astype(np.float32)
+    seq = LatentSequence(pool[np.asarray(picks) % pool_size])
+    return seq, ProjectionMatrix(rng.normal(size=(v, d)) * 2.0)
+
+
+class TestAgainstReference:
+    """``summarize`` against the per-segment loop in ``cts_reference``:
+    the same vector bytes and the same segment table, exactly."""
+
+    @staticmethod
+    def check(seq, proj):
+        for drop in (False, True):
+            got = summarize(seq, proj, drop_blank_segments=drop)
+            assert_same_summary(got, ref.summarize(seq, proj, drop_blank_segments=drop))
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        seed=st.integers(0, 2**31),
+        pool_size=st.integers(1, 4),
+        picks=st.lists(st.integers(0, 3), min_size=1, max_size=40),
+    )
+    def test_pooled_frames_with_exact_ties(self, seed, pool_size, picks):
+        self.check(*pooled_case(seed, picks, pool_size))
+
+    @settings(deadline=None, max_examples=100)
+    @given(seed=st.integers(0, 2**31), t=st.integers(1, 60))
+    def test_random_frames(self, seed, t):
+        seq, proj, _ = random_case(seed, t=t)
+        self.check(seq, proj)
+
+    @pytest.mark.parametrize("t", [1, 2, 17])
+    def test_single_label_path(self, t):
+        # the bias makes label 2 every frame's argmax
+        rng = np.random.default_rng(t)
+        seq = LatentSequence(rng.normal(size=(t, 3)).astype(np.float32) * 0.01)
+        proj = ProjectionMatrix(rng.normal(size=(4, 3)), np.array([0.0, 0.0, 50.0, 0.0]))
+        self.check(seq, proj)
+        assert summarize(seq, proj).labels.tolist() == [2]
+
+    @pytest.mark.parametrize("t", [1, 2, 9])
+    def test_strictly_alternating_labels(self, t):
+        seq = LatentSequence(np.array([[1.0, 0.0], [0.0, 1.0]] * 5, dtype=np.float32)[:t])
+        proj = ProjectionMatrix(np.eye(2) * 4.0)
+        self.check(seq, proj)
+        summ = summarize(seq, proj)
+        assert summ.labels.tolist() == [i % 2 for i in range(t)]
+        assert summ.rep_frames.tolist() == list(range(t))
+
+    def test_tie_inside_a_segment_takes_the_earliest_frame(self):
+        frames = np.array([[1, 0], [1, 0], [3, 0], [3, 0], [2, 0]], dtype=np.float32)
+        proj = ProjectionMatrix(np.array([[-1.0, 0.0], [1.0, 0.0]]))
+        seq = LatentSequence(frames)
+        self.check(seq, proj)
+        summ = summarize(seq, proj)
+        assert summ.num_segments == 1 and summ.rep_frames.tolist() == [2]
+
+    def test_steps_against_reference_steps(self):
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            t = int(rng.integers(1, 30))
+            labels = rng.integers(0, 3, size=t)
+            scores = rng.choice([0.25, 0.5, 0.75], size=t)  # many exact ties
+            path = path_of(labels, scores)
+            seq = LatentSequence(rng.normal(size=(t, 2)).astype(np.float32))
+            want = ref.select_representatives(ref.segment_path(path), path, seq).segments
+            bounds = segment_path(labels)
+            assert bounds[:-1].tolist() == [s.start for s in want]
+            assert bounds[1:].tolist() == [s.end for s in want]
+            reps = select_representatives(bounds, scores)
+            assert reps.tolist() == [s.rep_frame for s in want]
+
+
+class TestBenchmarkSeams:
+    """perfbench patches these module attributes to trace summarize's
+    steps; a refactor that stops looking them up would zero its spans."""
+
+    def test_each_step_called_once_per_summarize(self, monkeypatch):
+        calls = {"segment_path": 0, "select_representatives": 0}
+
+        def counting(name):
+            original = getattr(cts, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(cts, name, counting(name))
+        for n, seed in enumerate(range(5), 1):
+            seq, proj, _ = random_case(seed)
+            cts.summarize(seq, proj, drop_blank_segments=bool(seed % 2))
+            assert calls == {"segment_path": n, "select_representatives": n}
+
+    def test_reimported_steps_exist(self):
+        assert cts.project_softmax is project_softmax
+        assert cts.frame_argmax is frame_argmax
 
 
 class TestSegmentValidation:
@@ -216,6 +344,67 @@ class TestSegmentValidation:
             Segment(0, 2, 0, rep_frame=2)
 
 
+class TestSummarizedSequence:
+    VALID = ([0, 2], [2, 5], [1, 0], [1, 4], [0.5, 0.25])
+
+    @staticmethod
+    def make(table, s=2, source_t=5, shift=10.0, d=3):
+        table = tuple(np.asarray(col) for col in table)
+        return SummarizedSequence(np.zeros((s, d), dtype=np.float32), table, source_t, shift)
+
+    def test_valid_table(self):
+        summ = self.make(self.VALID)
+        assert summ.segments == [Segment(0, 2, 1, 1, 0.5), Segment(2, 5, 0, 4, 0.25)]
+        assert summ.num_segments == 2
+
+    @pytest.mark.parametrize(
+        "column, value",
+        [
+            (0, [0, 5]),  # start == end
+            (0, [-1, 2]),  # negative start
+            (1, [2, 1]),  # end before start
+            (2, [1, -3]),  # negative label
+            (3, [2, 4]),  # rep_frame == end
+            (3, [1, 1]),  # rep_frame before start
+            (3, [1, -2]),  # negative rep_frame other than "unselected"
+        ],
+    )
+    def test_rejects_each_bad_row(self, column, value):
+        table = list(self.VALID)
+        table[column] = value
+        with pytest.raises(ValueError):
+            self.make(table)
+        # the record form rejects the same rows, one Segment at a time
+        with pytest.raises(ValueError):
+            [Segment(*row) for row in zip(*table)]
+
+    def test_unselected_representative_allowed(self):
+        summ = self.make(([0], [4], [1], [-1], [float("nan")]), s=1)
+        assert summ.segments[0].rep_frame == -1
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(s=3), dict(source_t=1), dict(shift=0.0), dict(shift=float("inf"))],
+        ids=["vector-rows", "more-segments-than-frames", "zero-shift", "infinite-shift"],
+    )
+    def test_rejects_bad_shape_or_shift(self, kwargs):
+        with pytest.raises(ValueError):
+            self.make(self.VALID, **kwargs)
+
+    def test_rejects_unequal_columns_and_1d_vectors(self):
+        with pytest.raises(ValueError):
+            self.make(([0, 2], [2, 5], [1], [1, 4], [0.5, 0.25]))
+        with pytest.raises(ValueError):
+            SummarizedSequence(np.zeros(2), tuple(np.asarray(c) for c in self.VALID), 5)
+
+    def test_segment_list_round_trips(self):
+        seq, proj, _ = random_case(21, t=30)
+        summ = summarize(seq, proj)
+        again = SummarizedSequence(summ.vectors, summ.segments, summ.source_T, summ.frame_shift_ms)
+        assert_same_summary(again, summ)
+        assert summ.segments is not summ.segments  # derived afresh on each access
+
+
 class TestSseqFile:
     def test_round_trip(self, tmp_path):
         seq, proj, _ = random_case(42, t=30)
@@ -225,13 +414,21 @@ class TestSseqFile:
         back = read_sseq(path)
         np.testing.assert_array_equal(back.vectors, summ.vectors)
         assert back.source_T == summ.source_T
-        assert [(s.start, s.end, s.label, s.rep_frame) for s in back.segments] == [
-            (s.start, s.end, s.label, s.rep_frame) for s in summ.segments
-        ]
+        for name in ("starts", "ends", "labels", "rep_frames"):
+            assert getattr(back, name).tolist() == getattr(summ, name).tolist()
+        assert back.rep_scores.tobytes() == summ.rep_scores.astype("<f4").astype(np.float64).tobytes()
 
     def test_rejects_unselected_segments(self, tmp_path):
         summ = SummarizedSequence(
             np.zeros((1, 2), dtype=np.float32), [Segment(0, 4, 1)], 4
+        )
+        with pytest.raises(ValueError):
+            write_sseq(tmp_path / "x.sseq", summ)
+
+    def test_rejects_fields_wider_than_32_bits(self, tmp_path):
+        big = 2**32
+        summ = SummarizedSequence(
+            np.zeros((1, 2), dtype=np.float32), [Segment(big - 1, big, 1, big - 1, 0.5)], big
         )
         with pytest.raises(ValueError):
             write_sseq(tmp_path / "x.sseq", summ)
@@ -266,12 +463,19 @@ class TestSseqFile:
         [
             ([], None, 10.0),
             ([(3, 3, 1, 3, 0.5)], None, 10.0),
+            ([(0, 0, 1, 0, 0.5)], None, 10.0),
             ([(0, 2, 1, 5, 0.5)], None, 10.0),
+            ([(0, 2, 1, 2, 0.5)], None, 10.0),
             ([(0, 2, 1, 0, 0.5)], [[0.0, float("nan")]], 10.0),
             ([(0, 2, 1, 0, float("nan"))], None, 10.0),
+            ([(0, 2, 1, 0, 1.5)], None, 10.0),
             ([(0, 2, 1, 0, 0.5)], None, float("nan")),
+            ([(0, 2, 1, 0, 0.5), (0, 2, 2, 1, 0.5), (1, 2, 1, 1, 0.5)], None, 10.0),
         ],
-        ids=["no-segments", "empty-span", "rep-outside-span", "nan-vector", "nan-score", "nan-shift"],
+        ids=[
+            "no-segments", "empty-span", "empty-span-at-0", "rep-outside-span", "rep-at-end",
+            "nan-vector", "nan-score", "score-above-1", "nan-shift", "overlap-exceeds-source-T",
+        ],
     )
     def test_invalid_contents_raise_format_error(self, tmp_path, segments, vectors, shift):
         path = tmp_path / "x.sseq"

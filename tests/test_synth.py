@@ -58,6 +58,27 @@ class TestSpec:
         with pytest.raises(ValueError):
             SynthSpec(num_intents=1)
 
+    @pytest.mark.parametrize(
+        "kw, field",
+        [
+            (dict(latent_dim=2**40), "latent_dim"),
+            (dict(vocab_size=2**40), "vocab_size"),
+            (dict(run_len_range=(2, 2**40)), "run_len_range"),
+            (dict(utterances_per_intent=10**12), "utterances_per_intent"),
+            (dict(templates_per_intent=10**12), "templates_per_intent"),
+        ],
+    )
+    def test_sizes_bounded_from_above(self, kw, field):
+        with pytest.raises(ValueError, match=f"spec too large: .*{field}"):
+            SynthSpec(**kw)
+
+    def test_size_bound_is_inclusive(self):
+        edge = dict(num_intents=2, latent_dim=2**22, template_len_range=(1, 1),
+                    run_len_range=(1, 1), utterances_per_intent=1)
+        SynthSpec(vocab_size=2**6, **edge)  # a projection of exactly MAX_SPEC_ELEMENTS
+        with pytest.raises(ValueError, match="vocab_size x latent_dim"):
+            SynthSpec(vocab_size=2**6 + 1, **edge)
+
     def test_json_round_trip(self, tmp_path):
         spec = small_spec(noise_sigma=0.25)
         path = tmp_path / "spec.json"
