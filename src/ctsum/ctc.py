@@ -2,6 +2,7 @@
 
 greedy_decode is the no-beam realization of argmax decoding: take the
 per-frame argmax path, collapse consecutive repeats, delete blanks.
+Argmax and run-length encoder are ``seqcore``'s, shared with ``cts``.
 ctc_forward_logprob sums over all alignments with the standard forward
 recursion; enumerate_alignments_logprob brute-forces the same quantity on
 instances small enough to enumerate and exists purely to cross-check it.
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .seqcore import PosteriorGrid, Vocabulary, frame_argmax
+from .seqcore import PROB_FLOOR, PosteriorGrid, Vocabulary, _argmax_path, segment_path
 
 ENUM_MAX_FRAMES = 10
 ENUM_MAX_LABELS = 5
@@ -45,21 +46,19 @@ def collapse_path(arg_labels, blank_index: int) -> np.ndarray:
     labels = np.asarray(arg_labels, dtype=np.int64)
     if labels.size == 0:
         return labels
-    keep = np.concatenate(([True], labels[1:] != labels[:-1]))
-    runs = labels[keep]
+    runs = labels[segment_path(labels)[:-1]]
     return runs[runs != blank_index]
 
 
 def greedy_decode(grid: PosteriorGrid, vocab: Vocabulary) -> LabelSequence:
-    """Best-path decode; score is the summed log of the per-frame maxima."""
+    """Best-path decode; score is the summed floored log of the per-frame maxima."""
     if vocab.size != grid.num_labels:
         raise ValueError(
             f"vocabulary size {vocab.size} does not match grid V={grid.num_labels}"
         )
-    path = frame_argmax(grid)
-    ids = collapse_path(path.arg_labels, vocab.blank_index)
-    score = float(grid.log_probs[np.arange(grid.num_frames), path.arg_labels].sum())
-    return LabelSequence(ids, score)
+    labels, scores = _argmax_path(grid.probs)
+    score = float(np.log(np.maximum(scores, PROB_FLOOR)).sum())
+    return LabelSequence(collapse_path(labels, vocab.blank_index), score)
 
 
 def _expanded_target(ids, blank_index):
@@ -69,9 +68,9 @@ def _expanded_target(ids, blank_index):
 
 
 def _min_frames(ids):
-    # each label needs a frame; equal adjacent labels need a separating blank
-    repeats = int(np.sum(ids[1:] == ids[:-1])) if len(ids) > 1 else 0
-    return len(ids) + repeats
+    # each label needs a frame; equal adjacent labels need a separating
+    # blank, one per label beyond the number of runs
+    return 2 * ids.size - (segment_path(ids).size - 1) if ids.size else 0
 
 
 def ctc_forward_logprob(
@@ -116,13 +115,7 @@ def enumerate_alignments_logprob(
     rows = grid.probs
     total = 0.0
     for path in itertools.product(range(v), repeat=t):
-        collapsed = []
-        prev = -1
-        for lab in path:
-            if lab != prev and lab != blank:
-                collapsed.append(lab)
-            prev = lab
-        if tuple(collapsed) != want:
+        if tuple(lab for lab, _ in itertools.groupby(path) if lab != blank) != want:
             continue
         p = 1.0
         for i, lab in enumerate(path):

@@ -21,7 +21,10 @@ writer.
 also accepts a list of them, and ``.segments`` derives one per row on
 demand. The benchmark under ``perfbench/`` builds and reads summaries in
 that form, which is why it stays; so do the ``project_softmax`` and
-``frame_argmax`` re-imports, which it patches on this module.
+``frame_argmax`` re-imports, which it patches on this module, and the
+name ``segment_path``: the encoder lives in ``seqcore``, shared with CTC
+best-path decoding, and ``summarize`` looks it up among this module's
+globals, so the benchmark's patch traces summarize's calls alone.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .seqcore import (
     FormatError,
     LatentSequence,
     ProjectionMatrix,
+    _argmax_path,
     _read_exact,
     _read_f32,
     _read_header,
@@ -44,6 +48,7 @@ from .seqcore import (
     _write_container,
     frame_argmax,  # noqa: F401  perfbench traces these two on this module
     project_softmax,  # noqa: F401
+    segment_path,
 )
 
 SSEQ_MAGIC = b"CTSS"
@@ -135,19 +140,6 @@ class SummarizedSequence:
         return LatentSequence(self.vectors, self.frame_shift_ms)
 
 
-def segment_path(labels: np.ndarray) -> np.ndarray:
-    """Run-length encode a per-frame label path into the S + 1 bounds of
-    its maximal runs of equal labels: run i covers frames
-    [bounds[i], bounds[i + 1]), from 0 to T."""
-    labels = np.asarray(labels)
-    if labels.ndim != 1 or labels.size == 0:
-        raise ValueError("cannot segment an empty path")
-    edge = np.empty(labels.size + 1, dtype=bool)
-    edge[0] = edge[-1] = True
-    np.not_equal(labels[1:], labels[:-1], out=edge[1:-1])
-    return edge.nonzero()[0]
-
-
 def select_representatives(bounds: np.ndarray, scores: np.ndarray) -> np.ndarray:
     """Each segment's maximal-score frame, the earliest on ties.
 
@@ -179,17 +171,15 @@ def summarize(
 ) -> SummarizedSequence:
     """Full shortening: project, argmax, segment, select.
 
-    The argmax takes the lowest label on ties, as ``frame_argmax`` does;
-    the probabilities go straight to it without building a
-    ``PosteriorGrid`` or ``FramePath``.
+    The probabilities go straight to the argmax (the lowest label wins
+    ties) without building a ``PosteriorGrid`` or ``FramePath``.
 
     drop_blank_segments removes blank-labeled segments afterwards (ablation
     only; the summary then no longer tiles the source and greedy decodes
     are no longer guaranteed to be preserved).
     """
     probs = _softmax_probs(seq, proj)
-    path = probs.argmax(axis=1)
-    scores = probs[np.arange(path.size), path]
+    path, scores = _argmax_path(probs)
     bounds = segment_path(path)
     reps = select_representatives(bounds, scores)
     starts, ends = bounds[:-1], bounds[1:]

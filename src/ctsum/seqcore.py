@@ -8,7 +8,8 @@ import numbers
 import operator
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -133,14 +134,14 @@ class ProjectionMatrix:
 
 @dataclass
 class PosteriorGrid:
-    """T x V row-stochastic per-frame label posteriors and their logs.
+    """T x V row-stochastic per-frame label posteriors.
 
-    log_probs are floored at PROB_FLOOR before the log so that -inf never
-    enters downstream forward sums.
+    ``log_probs`` is computed on first use and kept: the logs are floored
+    at PROB_FLOOR so that -inf never enters downstream forward sums, and
+    only CTC scoring reads the whole grid.
     """
 
     probs: np.ndarray
-    log_probs: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.probs = np.ascontiguousarray(self.probs, dtype=np.float64)
@@ -152,7 +153,18 @@ class PosteriorGrid:
         row_sums = self.probs.sum(axis=1)
         if np.abs(row_sums - 1.0).max() > 1e-6:
             raise ValueError("each probs row must sum to 1 within 1e-6")
-        self.log_probs = np.log(np.maximum(self.probs, PROB_FLOOR))
+
+    @classmethod
+    def _of_softmax(cls, probs: np.ndarray) -> PosteriorGrid:
+        """Wrap the softmax of inputs ``project_softmax`` checked finite: it
+        holds ``__post_init__``'s invariants, so they are not checked again."""
+        grid = cls.__new__(cls)
+        grid.probs = probs
+        return grid
+
+    @cached_property
+    def log_probs(self) -> np.ndarray:
+        return np.log(np.maximum(self.probs, PROB_FLOOR))
 
     @property
     def num_frames(self):
@@ -205,9 +217,23 @@ def _softmax_probs(seq: LatentSequence, proj: ProjectionMatrix) -> np.ndarray:
     return logits
 
 
-def _argmax_path(probs: np.ndarray) -> FramePath:
+def _argmax_path(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each frame's argmax label (the lowest on ties) and its probability."""
     labels = np.argmax(probs, axis=1)
-    return FramePath(labels, probs[np.arange(probs.shape[0]), labels])
+    return labels, probs[np.arange(probs.shape[0]), labels]
+
+
+def segment_path(labels: np.ndarray) -> np.ndarray:
+    """Run-length encode a per-frame label path into the S + 1 bounds of
+    its maximal runs of equal labels: run i covers frames
+    [bounds[i], bounds[i + 1]), from 0 to T."""
+    labels = np.asarray(labels)
+    if labels.ndim != 1 or labels.size == 0:
+        raise ValueError("cannot segment an empty path")
+    edge = np.empty(labels.size + 1, dtype=bool)
+    edge[0] = edge[-1] = True
+    np.not_equal(labels[1:], labels[:-1], out=edge[1:-1])
+    return edge.nonzero()[0]
 
 
 def project_softmax(seq: LatentSequence, proj: ProjectionMatrix) -> PosteriorGrid:
@@ -218,12 +244,13 @@ def project_softmax(seq: LatentSequence, proj: ProjectionMatrix) -> PosteriorGri
     """
     _require_finite("frames", seq.frames)
     _require_finite("weights", proj.weights)
-    return PosteriorGrid(_softmax_probs(seq, proj))
+    _require_finite("bias", proj.bias)
+    return PosteriorGrid._of_softmax(_softmax_probs(seq, proj))
 
 
 def frame_argmax(grid: PosteriorGrid) -> FramePath:
     """Argmax label per frame; ties break to the lowest label index."""
-    return _argmax_path(grid.probs)
+    return FramePath(*_argmax_path(grid.probs))
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -320,8 +321,26 @@ def generate_corpus(spec: SynthSpec, out_dir) -> Corpus:
 
 
 def load_corpus(corpus_dir) -> Corpus:
+    """Read a corpus directory and check that its files agree with its
+    spec: the projection is V x D, the vocabulary has V labels, every
+    manifest intent is in range, every label list is non-empty and in
+    range with no blank, and every ``lseq`` resolves inside the
+    directory, which is checked before it is opened, and holds
+    D-dimensional frames."""
     root = Path(corpus_dir)
     spec = load_spec(root / SPEC_NAME)
+    v, d = spec.vocab_size, spec.latent_dim
+    proj_path, vocab_path = root / PROJECTION_NAME, root / VOCAB_NAME
+    proj = read_proj(proj_path)
+    if proj.weights.shape != (v, d):
+        raise FormatError(
+            f"{proj_path}: projection is {proj.num_labels} x {proj.dim}, "
+            f"the spec's vocab_size x latent_dim is {v} x {d}"
+        )
+    vocab = read_vocab(vocab_path)
+    if vocab.size != v:
+        raise FormatError(f"{vocab_path}: {vocab.size} labels, the spec's vocab_size is {v}")
+    inside = Path(os.path.realpath(root))
     rows, ids = [], set()
     manifest = root / MANIFEST_NAME
     for lineno, line in enumerate(manifest.read_bytes().splitlines(), 1):
@@ -335,20 +354,29 @@ def load_corpus(corpus_dir) -> Corpus:
                     raise ValueError(f"{key} must be a non-empty string, got {row[key]!r}")
             if row["id"] in ids:
                 raise ValueError(f"duplicate id {row['id']!r}")
+            intent = _as_int("intent", row["intent"])
+            if not 0 <= intent < spec.num_intents:
+                raise ValueError(f"intent {intent} is outside [0, {spec.num_intents})")
+            labels = [_as_int("label", lab) for lab in row["labels"]]
+            if not labels:
+                raise ValueError("labels must be non-empty")
+            for lab in labels:
+                if not 0 <= lab < v or lab == vocab.blank_index:
+                    raise ValueError(f"label {lab} is the blank or outside [0, {v})")
+            # realpath, not Path.resolve: a symlink loop must not raise RuntimeError
+            if not Path(os.path.realpath(root / row["lseq"])).is_relative_to(inside):
+                raise ValueError(f"lseq {row['lseq']!r} lies outside the corpus directory")
             ids.add(row["id"])
-            rows.append(
-                {
-                    "id": row["id"],
-                    "intent": _as_int("intent", row["intent"]),
-                    "labels": [_as_int("label", v) for v in row["labels"]],
-                    "lseq": row["lseq"],
-                }
-            )
+            rows.append({"id": row["id"], "intent": intent, "labels": labels, "lseq": row["lseq"]})
         except (ValueError, KeyError, TypeError) as exc:
             raise FormatError(f"{where}: {exc}") from exc
-    proj = read_proj(root / PROJECTION_NAME)
-    vocab = read_vocab(root / VOCAB_NAME)
-    seqs = [read_lseq(root / row["lseq"]) for row in rows]
+    seqs = []
+    for row in rows:
+        path = root / row["lseq"]
+        seq = read_lseq(path)
+        if seq.dim != d:
+            raise FormatError(f"{path}: frames have D={seq.dim}, the spec's latent_dim is {d}")
+        seqs.append(seq)
     return Corpus(spec, rows, proj, vocab, seqs)
 
 

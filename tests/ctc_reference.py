@@ -1,6 +1,11 @@
-"""Scalar reference for the CTC forward kernel.
+"""References for CTC best-path decoding and the forward kernel.
 
-The forward recursion as a double loop over frames and target states,
+``collapse_path`` and ``greedy_decode`` decode the best path without
+``seqcore``'s run-length encoder: a keep-mask of the frames whose label
+differs from the previous one, and a score read from the whole floored
+log grid. ``ctsum.ctc`` must match them exactly.
+
+The forward recursion is a double loop over frames and target states,
 one two-term log-sum-exp at a time: ``ctsum._kernels.ctc_forward_ll``
 solves the same recursion one state column at a time and is checked
 against this.
@@ -8,7 +13,28 @@ against this.
 
 import numpy as np
 
+from ctsum.seqcore import PROB_FLOOR
+
 NEG_INF = -np.inf
+
+
+def collapse_path(arg_labels, blank_index):
+    """Collapse consecutive repeats, then delete blanks."""
+    labels = np.asarray(arg_labels, dtype=np.int64)
+    if labels.size == 0:
+        return labels
+    keep = np.concatenate(([True], labels[1:] != labels[:-1]))
+    runs = labels[keep]
+    return runs[runs != blank_index]
+
+
+def greedy_decode(probs, blank_index):
+    """(ids, score) of the best path through a (T, V) posterior grid:
+    the per-frame argmax collapsed, and the sum of its floored logs."""
+    log_probs = np.log(np.maximum(probs, PROB_FLOOR))
+    path = np.argmax(probs, axis=1)
+    score = float(log_probs[np.arange(probs.shape[0]), path].sum())
+    return collapse_path(path, blank_index), score
 
 
 def _logaddexp2(a, b):

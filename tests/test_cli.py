@@ -12,7 +12,14 @@ import pytest
 from ctsum import synth
 from ctsum.cli import main
 from ctsum.harness import validate_report
-from ctsum.seqcore import ProjectionMatrix, write_proj
+from ctsum.seqcore import (
+    LatentSequence,
+    ProjectionMatrix,
+    read_lseq,
+    read_proj,
+    write_lseq,
+    write_proj,
+)
 from ctsum.synth import SynthSpec, save_spec
 from test_corruption import FORMATS, variants
 from test_lu import no_layer_walk  # noqa: F401  (fixture)
@@ -303,6 +310,68 @@ HOSTILE_SPECS = {
     "huge-templates": {"templates_per_intent": 10**12},
 }
 
+def _reshape_projection(corpus, rows, cols):
+    proj = read_proj(corpus / "projection.proj")
+    write_proj(corpus / "projection.proj", ProjectionMatrix(proj.weights[rows, cols], proj.bias[rows]))
+
+
+def _widen_lseq(corpus):
+    seq = read_lseq(corpus / "u00000.lseq")
+    write_lseq(corpus / "u00000.lseq", LatentSequence(np.hstack([seq.frames, seq.frames[:, :1]])))
+
+
+def _lseq_outside(corpus, absolute):
+    outside = corpus.parent / "outside.lseq"
+    shutil.copyfile(corpus / "u00000.lseq", outside)
+    _edit_manifest(corpus / "manifest.jsonl", "lseq", str(outside) if absolute else "../outside.lseq")
+
+
+# files that each parse but disagree with the spec or the other files:
+# (corruption, the start of the message that must name the file at fault)
+CORPUS_MISMATCHES = {
+    "manifest-intent-past-spec": (
+        lambda c: _edit_manifest(c / "manifest.jsonl", "intent", SMALL_SPEC["num_intents"]),
+        "manifest.jsonl: manifest line 1: intent",
+    ),
+    "manifest-negative-intent": (
+        lambda c: _edit_manifest(c / "manifest.jsonl", "intent", -1),
+        "manifest.jsonl: manifest line 1: intent",
+    ),
+    "manifest-blank-label": (
+        lambda c: _edit_manifest(c / "manifest.jsonl", "labels", [1, 0]),
+        "manifest.jsonl: manifest line 1: label 0",
+    ),
+    "manifest-empty-labels": (
+        lambda c: _edit_manifest(c / "manifest.jsonl", "labels", []),
+        "manifest.jsonl: manifest line 1: labels must be non-empty",
+    ),
+    "manifest-label-past-vocab": (
+        lambda c: _edit_manifest(c / "manifest.jsonl", "labels", [SMALL_SPEC["vocab_size"]]),
+        "manifest.jsonl: manifest line 1: label",
+    ),
+    "manifest-lseq-outside": (
+        lambda c: _lseq_outside(c, absolute=False),
+        "manifest.jsonl: manifest line 1: lseq",
+    ),
+    "manifest-lseq-absolute": (
+        lambda c: _lseq_outside(c, absolute=True),
+        "manifest.jsonl: manifest line 1: lseq",
+    ),
+    "vocab-one-label-short": (
+        lambda c: _edit_json(c / "vocab.json", lambda v: dict(v, labels=v["labels"][:-1])),
+        "vocab.json:",
+    ),
+    "proj-one-label-short": (
+        lambda c: _reshape_projection(c, slice(0, -1), slice(None)),
+        "projection.proj:",
+    ),
+    "proj-one-dim-short": (
+        lambda c: _reshape_projection(c, slice(None), slice(0, -1)),
+        "projection.proj:",
+    ),
+    "lseq-wider-than-spec": (_widen_lseq, "u00000.lseq:"),
+}
+
 HOSTILE_CORPORA = {
     "manifest-float-intent": lambda c: _edit_manifest(c / "manifest.jsonl", "intent", 1.9),
     "manifest-float-labels": lambda c: _edit_manifest(c / "manifest.jsonl", "labels", [1.5, 2]),
@@ -315,6 +384,7 @@ HOSTILE_CORPORA = {
     "vocab-bool-blank": lambda c: _edit_json(c / "vocab.json", lambda v: dict(v, blank_index=True)),
     "vocab-deep-nesting": lambda c: (c / "vocab.json").write_text("[" * 100_000),
     "spec-float-intents": lambda c: _edit_json(c / "spec.json", lambda s: dict(s, num_intents=3.0)),
+    **{name: corrupt for name, (corrupt, _) in CORPUS_MISMATCHES.items()},
 }
 
 
@@ -352,6 +422,17 @@ class TestHostileJson:
             self.assert_data_error(
                 capsys, [cmd, "--corpus", str(bad), "--model", e1_model, "--system", "e1"]
             )
+
+    @pytest.mark.parametrize("corrupt, names", CORPUS_MISMATCHES.values(), ids=CORPUS_MISMATCHES)
+    def test_corpus_mismatch_names_file(self, tmp_path, capsys, corpus_dir, corrupt, names):
+        bad = tmp_path / "c"
+        shutil.copytree(corpus_dir, bad)
+        corrupt(bad)
+        err = self.assert_data_error(
+            capsys, ["train-lu", "--corpus", str(bad), "--mode", "p1", "--out",
+                     str(tmp_path / "m.ctsm"), "--seed", "1"],
+        )
+        assert str(bad / names) in err, err
 
     def test_manifest_invalid_utf8_names_file_and_line(self, tmp_path, capsys, corpus_dir,
                                                        e1_model):

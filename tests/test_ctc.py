@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ctc_reference as ref
 from ctsum.ctc import (
     LabelSequence,
     collapse_path,
@@ -10,7 +13,13 @@ from ctsum.ctc import (
     enumerate_alignments_logprob,
     greedy_decode,
 )
-from ctsum.seqcore import PosteriorGrid, Vocabulary
+from ctsum.seqcore import (
+    LatentSequence,
+    PosteriorGrid,
+    ProjectionMatrix,
+    Vocabulary,
+    project_softmax,
+)
 
 
 def make_grid(rows):
@@ -21,8 +30,8 @@ def random_grid(rng, t, v):
     return PosteriorGrid(rng.dirichlet(np.ones(v), size=t))
 
 
-def vocab_of(v):
-    return Vocabulary(["_"] + [f"l{i}" for i in range(1, v)], blank_index=0)
+def vocab_of(v, blank_index=0):
+    return Vocabulary(["_"] + [f"l{i}" for i in range(1, v)], blank_index=blank_index)
 
 
 class TestCollapse:
@@ -33,6 +42,20 @@ class TestCollapse:
 
     def test_all_blank(self):
         assert collapse_path([0, 0, 0], blank_index=0).tolist() == []
+
+    def test_empty_path_collapses_to_empty(self):
+        out = collapse_path([], blank_index=0)
+        assert out.dtype == np.int64 and out.shape == (0,)
+
+    def test_matches_keep_mask_reference(self):
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            v = int(rng.integers(1, 6))
+            labels = rng.integers(0, v, size=int(rng.integers(1, 40)))
+            blank = int(rng.integers(0, v))
+            np.testing.assert_array_equal(
+                collapse_path(labels, blank), ref.collapse_path(labels, blank)
+            )
 
     def test_random_against_two_pass_oracle(self):
         rng = np.random.default_rng(13)
@@ -89,6 +112,65 @@ class TestGreedyDecode:
         b = greedy_decode(grid, vocab_of(4))
         assert a.ids.tolist() == b.ids.tolist()
         assert a.score == b.score
+
+
+def _normalised(weights):
+    probs = np.asarray(weights, dtype=np.float64)
+    return probs / probs.sum(axis=1, keepdims=True)
+
+
+@st.composite
+def tied_grids(draw):
+    """(probs, blank_index): rows of small integer weights, normalised, so
+    equal weights within a row are exact ties."""
+    v = draw(st.integers(1, 5))
+    row = st.lists(st.integers(0, 3), min_size=v, max_size=v).filter(any)
+    rows = draw(st.lists(row, min_size=1, max_size=30))
+    return _normalised(rows), draw(st.integers(0, v - 1))
+
+
+# (weights, blank_index); each row's argmax is the lowest label of maximal weight
+GREEDY_CASES = {
+    "single-frame": ([[1, 3]], 0),
+    "all-blank": ([[3, 1], [2, 1], [5, 4]], 0),
+    "alternating": ([[0, 2, 1], [0, 1, 2]] * 4, 0),
+    "ties": ([[1, 1, 1], [0, 1, 1], [1, 1, 0], [2, 2, 2]], 0),
+    "blank-not-zero": ([[0, 0, 1], [0, 1, 0], [0, 1, 0], [0, 0, 1], [1, 0, 0], [0, 1, 0]], 2),
+    "alternating-blank-not-zero": ([[0, 1], [1, 0]] * 5, 1),
+}
+
+
+class TestGreedyAgainstReference:
+    """greedy_decode equals the keep-mask collapse and the score read
+    from the whole floored log grid, exactly: the same cells are summed
+    in the same order."""
+
+    @staticmethod
+    def assert_matches(probs, blank):
+        got = greedy_decode(PosteriorGrid(probs), vocab_of(probs.shape[1], blank))
+        want_ids, want_score = ref.greedy_decode(probs, blank)
+        assert got.ids.tolist() == want_ids.tolist()
+        assert got.score == want_score
+
+    @pytest.mark.parametrize("weights, blank", GREEDY_CASES.values(), ids=GREEDY_CASES)
+    def test_named_cases(self, weights, blank):
+        self.assert_matches(_normalised(weights), blank)
+
+    @settings(deadline=None, max_examples=200)
+    @given(case=tied_grids())
+    def test_tied_grids(self, case):
+        self.assert_matches(*case)
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        t=st.integers(1, 40),
+        v=st.integers(1, 6),
+        seed=st.integers(0, 2**31),
+        data=st.data(),
+    )
+    def test_random_grids(self, t, v, seed, data):
+        probs = np.random.default_rng(seed).dirichlet(np.full(v, 0.3), size=t)
+        self.assert_matches(probs, data.draw(st.integers(0, v - 1)))
 
 
 class TestForwardScoring:
@@ -151,6 +233,20 @@ class TestForwardScoring:
         grid = make_grid([[0.5, 0.5]])
         with pytest.raises(ValueError):
             ctc_forward_logprob(grid, LabelSequence([2]), vocab_of(2))
+
+    def test_projected_grid_scores_as_validated_grid(self):
+        # project_softmax skips the public constructor's checks and
+        # computes log_probs lazily; CTC scoring must not notice either
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            t, v, d = int(rng.integers(1, 12)), int(rng.integers(2, 6)), 3
+            seq = LatentSequence(rng.normal(size=(t, d)).astype(np.float32) * 3)
+            grid = project_softmax(seq, ProjectionMatrix(rng.normal(size=(v, d))))
+            target = LabelSequence(rng.integers(1, v, size=int(rng.integers(0, 4))))
+            vocab = vocab_of(v)
+            assert ctc_forward_logprob(grid, target, vocab) == ctc_forward_logprob(
+                PosteriorGrid(grid.probs), target, vocab
+            )
 
     def test_matches_enumeration_on_random_instances(self):
         rng = np.random.default_rng(21)

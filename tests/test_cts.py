@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cts_reference as ref
-from ctsum import cts
+from ctsum import cts, seqcore
 from ctsum.cts import (
     Segment,
     SummarizedSequence,
@@ -332,6 +332,22 @@ class TestBenchmarkSeams:
     def test_reimported_steps_exist(self):
         assert cts.project_softmax is project_softmax
         assert cts.frame_argmax is frame_argmax
+
+    def test_segment_path_is_the_shared_encoder(self):
+        assert cts.segment_path is seqcore.segment_path
+
+    def test_greedy_decode_does_not_reach_the_patched_name(self, monkeypatch):
+        # greedy_decode runs the same encoder, but not through cts's
+        # name, so the benchmark's cts.segment_path span counts E2 only
+        calls = []
+        original = cts.segment_path
+        monkeypatch.setattr(cts, "segment_path", lambda labels: calls.append(1) or original(labels))
+        for n, seed in enumerate(range(5), 1):
+            seq, proj, vocab = random_case(seed)
+            greedy_decode(project_softmax(seq, proj), vocab)
+            assert len(calls) == n - 1
+            cts.summarize(seq, proj)
+            assert len(calls) == n
 
 
 class TestSegmentValidation:

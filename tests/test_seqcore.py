@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctsum.seqcore import (
+    PROB_FLOOR,
     FormatError,
     FramePath,
     LatentSequence,
@@ -143,6 +144,31 @@ class TestProjectSoftmax:
         np.testing.assert_allclose(base.probs, shifted.probs, atol=1e-6)
 
 
+    def test_log_probs_are_floored_logs(self):
+        # the logits are far enough apart that most posteriors underflow
+        # below the floor
+        rng = np.random.default_rng(9)
+        seq = LatentSequence(rng.normal(size=(7, 3)).astype(np.float32))
+        grid = project_softmax(seq, ProjectionMatrix(rng.normal(size=(6, 3)) * 300))
+        assert (grid.probs < PROB_FLOOR).any()
+        want = np.log(np.maximum(grid.probs, PROB_FLOOR))
+        assert grid.log_probs.tobytes() == want.tobytes()
+        assert PosteriorGrid(grid.probs).log_probs.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "owner, attr", [("seq", "frames"), ("proj", "weights"), ("proj", "bias")]
+    )
+    def test_nan_set_after_construction_rejected(self, owner, attr):
+        parts = {
+            "seq": LatentSequence(np.ones((3, 2), dtype=np.float32)),
+            "proj": ProjectionMatrix(np.ones((4, 2)), np.zeros(4)),
+        }
+        obj = parts[owner]
+        setattr(obj, attr, np.full_like(getattr(obj, attr), np.nan))
+        with pytest.raises(ValueError, match=f"{attr} contains NaN"):
+            project_softmax(parts["seq"], parts["proj"])
+
+
 class TestFrameArgmax:
     def test_simple_rows(self):
         path = frame_argmax(grid_from_rows([[0.7, 0.3], [0.2, 0.8]]))
@@ -184,6 +210,21 @@ class TestPosteriorGridValidation:
     def test_rejects_non_stochastic_rows(self):
         with pytest.raises(ValueError):
             PosteriorGrid(np.array([[0.9, 0.3]]))
+
+    @pytest.mark.parametrize(
+        "probs, match",
+        [
+            ([[np.nan, 1.0]], "NaN"),
+            ([[-0.25, 1.25]], r"lie in \[0, 1\]"),
+            ([[1.5, 0.0]], r"lie in \[0, 1\]"),
+            ([0.5, 0.5], "T>=1, V>=1"),
+            ([[0.5, 0.5], [0.5, 0.25]], "sum to 1"),
+        ],
+        ids=["nan", "negative", "above-one", "one-d", "non-stochastic"],
+    )
+    def test_public_constructor_rejects(self, probs, match):
+        with pytest.raises(ValueError, match=match):
+            PosteriorGrid(np.array(probs))
 
 
 class TestFileFormats:
