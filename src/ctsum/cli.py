@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from ._version import __version__
@@ -24,9 +24,10 @@ from .harness import (
     evaluate,
     run_crossval,
     run_system,
+    system_config,
     training_items,
 )
-from .lu import LUConfig, load_model, lu_train, save_model
+from .lu import load_model, lu_train, save_model
 from .seqcore import (
     LSEQ_MAGIC,
     FormatError,
@@ -37,6 +38,15 @@ from .seqcore import (
     read_vocab,
 )
 from .synth import SynthSpec, generate_corpus, kfold_split, load_corpus, load_spec
+
+
+# crossval's HarnessConfig flags (field: help); each defaults to its field.
+_CROSSVAL_FIELDS = {
+    "epochs": "raw-frame training epochs",
+    "fine_tune_epochs": "summarized fine-tune epochs",
+    "text_epochs": "decoded-text training epochs",
+    "bench_repeats": "RTF timing repeats",
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -82,11 +92,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--mode", required=True, choices=["p1", "e1", "e2"], help="input construction")
     p.add_argument("--out", required=True, help="output model file (.ctsm)")
     p.add_argument("--seed", type=int, required=True, help="training seed")
-    p.add_argument("--epochs", type=int, default=15, help="training epochs (default 15)")
-    p.add_argument("--hidden", type=int, default=32, help="hidden units per direction (default 32)")
-    p.add_argument("--layers", type=int, default=2, help="recurrent layers (default 2)")
-    p.add_argument("--learning-rate", type=float, default=3e-3, help="Adam step size (default 3e-3)")
-    p.add_argument("--batch-size", type=int, default=16, help="mini-batch size (default 16)")
+    # Unset, each of these follows crossval's recipe for --mode (harness.system_config).
+    p.add_argument("--epochs", type=int, help="training epochs (default: crossval's for --mode)")
+    p.add_argument("--hidden", type=int, help="hidden units per direction (default: crossval's)")
+    p.add_argument("--layers", type=int, help="recurrent layers (default: crossval's)")
+    p.add_argument(
+        "--learning-rate", type=float, help="Adam step size (default: crossval's for --mode)"
+    )
+    p.add_argument("--batch-size", type=int, help="mini-batch size (default: crossval's)")
     p.add_argument("--init", help="warm-start model (.ctsm) to fine-tune, e.g. e1 weights for e2")
     p.set_defaults(func=_cmd_train)
 
@@ -102,7 +115,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--corpus", required=True, help="corpus directory")
     p.add_argument("--model", required=True, help="model file (.ctsm)")
     p.add_argument("--system", required=True, choices=["p1", "e1", "e2"], help="system to run")
-    p.add_argument("--repeats", type=int, default=3, help="timing repeats, median reported (default 3)")
+    p.add_argument(
+        "--repeats",
+        type=int,
+        default=HarnessConfig.bench_repeats,
+        help="timing repeats, median reported (default %(default)s)",
+    )
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("crossval", help="k-fold train/eval of all systems; writes a JSON report")
@@ -110,12 +128,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, required=True, help="corpus and training seed")
     p.add_argument("--out", help="report file (default: stdout)")
     p.add_argument("--k", type=int, default=5, help="number of folds (default 5)")
-    p.add_argument("--epochs", type=int, default=15, help="raw-frame training epochs (default 15)")
-    p.add_argument(
-        "--fine-tune-epochs", type=int, default=10, help="summarized fine-tune epochs (default 10)"
-    )
-    p.add_argument("--text-epochs", type=int, default=15, help="decoded-text training epochs (default 15)")
-    p.add_argument("--bench-repeats", type=int, default=3, help="RTF timing repeats (default 3)")
+    for name, what in _CROSSVAL_FIELDS.items():
+        flag, default = "--" + name.replace("_", "-"), getattr(HarnessConfig, name)
+        p.add_argument(flag, type=int, default=default, help=f"{what} (default {default})")
     p.set_defaults(func=_cmd_crossval)
     return parser
 
@@ -180,33 +195,24 @@ def _cmd_decode(args) -> int:
 
 def _cmd_train(args) -> int:
     corpus = load_corpus(args.corpus)
-    spec = corpus.spec
-    config = LUConfig(
-        input_dim=spec.latent_dim,
-        num_intents=spec.num_intents,
-        hidden=args.hidden,
-        layers=args.layers,
-        learning_rate=args.learning_rate,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        seed=args.seed,
-        vocab_size=spec.vocab_size if args.mode == "p1" else None,
-    )
+    system = SystemId[args.mode.upper()]
+    flags = ("epochs", "hidden", "layers", "learning_rate", "batch_size")
+    passed = {name: getattr(args, name) for name in flags if getattr(args, name) is not None}
+    config = replace(system_config(system, corpus.spec, HarnessConfig(), args.seed), **passed)
     init_model = load_model(args.init) if args.init else None
-    items = training_items(SystemId[args.mode.upper()], corpus, range(len(corpus)))
+    items = training_items(system, corpus, range(len(corpus)))
     model = lu_train(config, items, init_model=init_model)
     save_model(args.out, model)
-    print(json.dumps({"model": args.out, "epochs": args.epochs, "final_loss": model.train_losses[-1]}))
+    print(json.dumps({"model": args.out, "epochs": config.epochs, "final_loss": model.train_losses[-1]}))
     return 0
 
 
 def _eval_view(args, corpus):
     if args.fold is None:
         return corpus.rows, corpus.sequences
-    folds = kfold_split(corpus.rows, args.k)
     if not 0 <= args.fold < args.k:
         raise ValueError(f"fold must be in [0, {args.k})")
-    _, eval_idx = folds[args.fold]
+    _, eval_idx = kfold_split(corpus.rows, args.k)[args.fold]
     return [corpus.rows[i] for i in eval_idx], [corpus.sequences[i] for i in eval_idx]
 
 
@@ -242,28 +248,13 @@ def _cmd_bench(args) -> int:
         corpus.vocab,
         repeats=args.repeats,
     )
-    print(
-        json.dumps(
-            {
-                "system": system.value,
-                "rtf": result.rtf,
-                "total_ms": result.total_ms,
-                "stage_ms": result.stage_ms,
-                "nominal_audio_s": result.nominal_audio_s,
-            }
-        )
-    )
+    print(json.dumps({**asdict(result), "system": system.value}))
     return 0
 
 
 def _cmd_crossval(args) -> int:
     spec = _load_synth_spec(args.spec, args.seed)
-    cfg = HarnessConfig(
-        epochs=args.epochs,
-        fine_tune_epochs=args.fine_tune_epochs,
-        text_epochs=args.text_epochs,
-        bench_repeats=args.bench_repeats,
-    )
+    cfg = HarnessConfig(**{name: getattr(args, name) for name in _CROSSVAL_FIELDS})
     report = run_crossval(spec, k=args.k, cfg=cfg)
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if args.out:

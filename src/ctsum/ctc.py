@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .seqcore import PROB_FLOOR, PosteriorGrid, Vocabulary, _argmax_path, segment_path
+from .seqcore import PosteriorGrid, Vocabulary, _argmax_path, _floored_log, segment_path
 
 ENUM_MAX_FRAMES = 10
 ENUM_MAX_LABELS = 5
@@ -57,7 +57,7 @@ def greedy_decode(grid: PosteriorGrid, vocab: Vocabulary) -> LabelSequence:
             f"vocabulary size {vocab.size} does not match grid V={grid.num_labels}"
         )
     labels, scores = _argmax_path(grid.probs)
-    score = float(np.log(np.maximum(scores, PROB_FLOOR)).sum())
+    score = float(_floored_log(scores).sum())
     return LabelSequence(collapse_path(labels, vocab.blank_index), score)
 
 

@@ -13,10 +13,11 @@ accuracy and speed differences come from the inputs, not the capacity.
 
 ``STAGES`` is the one definition of how an utterance becomes classifier
 input: an ordered (name, fn) tuple per system. ``run_system`` threads
-every utterance through its system's stages and times each one;
-``training_items`` builds training inputs for ``train_fold_models`` and
-``ctsum train-lu`` (E1 on frames, E2 through the summarize stage, P1 on
-gold label ids rather than decodes).
+every utterance through its system's stages and times each one.
+``training_items`` (E1 on frames, E2 through the summarize stage, P1 on
+gold label ids rather than decodes) and ``system_config`` (each system's
+classifier sizes, epochs and learning rate) are the one training recipe
+that ``train_fold_models`` and ``ctsum train-lu`` share.
 
 Accuracy comes from k-fold cross-validation; speed from a per-utterance
 wall-clock benchmark, run in the caller's BLAS thread configuration and
@@ -33,9 +34,8 @@ from __future__ import annotations
 
 import copy
 import json
-import statistics
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from enum import Enum
 from importlib import resources
 
@@ -201,8 +201,9 @@ def bench_rtf(
     repeats: int = 3,
 ) -> BenchResult:
     """Median-of-repeats RTF, one utterance at a time, after one untimed
-    warmup. Runs in the caller's BLAS configuration: nothing here sets the
-    BLAS thread count."""
+    warmup. Every figure comes from one run: the middle by total time,
+    the upper middle at an even count. Runs in the caller's BLAS
+    configuration: nothing here sets the BLAS thread count."""
     if repeats < 3:
         raise ValueError("repeats must be >= 3")
     if not rows:
@@ -210,10 +211,9 @@ def bench_rtf(
     nominal = nominal_audio_seconds(seqs)
     run_system(system, model, rows, seqs, proj, vocab)  # warmup
     runs = [run_system(system, model, rows, seqs, proj, vocab) for _ in range(repeats)]
-    runs.sort(key=lambda r: r.total_ms)
-    median_total = statistics.median(r.total_ms for r in runs)
-    middle = runs[len(runs) // 2]
-    return BenchResult(system, median_total / 1e3 / nominal, median_total, middle.stage_ms, nominal)
+    middle = sorted(runs, key=lambda r: r.total_ms)[len(runs) // 2]
+    total = middle.total_ms
+    return BenchResult(system, total / 1e3 / nominal, total, middle.stage_ms, nominal)
 
 
 def _train_seed(seed: int, fold: int, sys_index: int) -> int:
@@ -236,41 +236,43 @@ def training_items(system: SystemId, corpus: Corpus, idx) -> list[tuple]:
     return [(x, row["intent"]) for x, row in zip(inputs, rows)]
 
 
+def system_config(system: SystemId, spec: SynthSpec, cfg: HarnessConfig, seed: int) -> LUConfig:
+    """A system's classifier config, the one recipe crossval and ``ctsum
+    train-lu`` both train with: cfg's shared sizes; E1 for ``epochs``, E2
+    for ``fine_tune_epochs`` at ``fine_tune_lr``, P1 for ``text_epochs``
+    with a label-embedding table."""
+    epochs, learning_rate = {
+        SystemId.E1: (cfg.epochs, cfg.learning_rate),
+        SystemId.E2: (cfg.fine_tune_epochs, cfg.fine_tune_lr),
+        SystemId.P1: (cfg.text_epochs, cfg.learning_rate),
+    }[system]
+    return LUConfig(
+        spec.latent_dim,
+        spec.num_intents,
+        hidden=cfg.hidden,
+        layers=cfg.layers,
+        learning_rate=learning_rate,
+        epochs=epochs,
+        batch_size=cfg.batch_size,
+        seed=seed,
+        vocab_size=spec.vocab_size if system is SystemId.P1 else None,
+    )
+
+
 def train_fold_models(
     corpus: Corpus, train_idx: list[int], cfg: HarnessConfig, fold: int
 ) -> dict[SystemId, LUModel]:
     """Train E1 on raw frames, fine-tune E2 from it on summarized frames,
-    and train P1's text classifier on gold label sequences."""
-    spec = corpus.spec
-    d, k, v = spec.latent_dim, spec.num_intents, spec.vocab_size
-    base = dict(
-        hidden=cfg.hidden,
-        layers=cfg.layers,
-        learning_rate=cfg.learning_rate,
-        batch_size=cfg.batch_size,
-    )
-    e1 = lu_train(
-        LUConfig(d, k, epochs=cfg.epochs, seed=_train_seed(spec.seed, fold, 0), **base),
-        training_items(SystemId.E1, corpus, train_idx),
-    )
-    ft = dict(base, learning_rate=cfg.fine_tune_lr)
-    e2 = lu_train(
-        LUConfig(d, k, epochs=cfg.fine_tune_epochs, seed=_train_seed(spec.seed, fold, 1), **ft),
-        training_items(SystemId.E2, corpus, train_idx),
-        init_model=e1,
-    )
-    p1 = lu_train(
-        LUConfig(
-            d,
-            k,
-            epochs=cfg.text_epochs,
-            seed=_train_seed(spec.seed, fold, 2),
-            vocab_size=v,
-            **base,
-        ),
-        training_items(SystemId.P1, corpus, train_idx),
-    )
-    return {SystemId.P1: p1, SystemId.E1: e1, SystemId.E2: e2}
+    and train P1's text classifier on gold label sequences. A system's
+    position in that order is its training-seed index."""
+    models: dict[SystemId, LUModel] = {}
+    for index, system in enumerate((SystemId.E1, SystemId.E2, SystemId.P1)):
+        models[system] = lu_train(
+            system_config(system, corpus.spec, cfg, _train_seed(corpus.spec.seed, fold, index)),
+            training_items(system, corpus, train_idx),
+            init_model=models[SystemId.E1] if system is SystemId.E2 else None,
+        )
+    return models
 
 
 def run_crossval(spec: SynthSpec, k: int = 5, cfg: HarnessConfig | None = None) -> dict:
@@ -301,16 +303,9 @@ def run_crossval(spec: SynthSpec, k: int = 5, cfg: HarnessConfig | None = None) 
                 compressions.append(run.compression)
         fold_entries.append({"fold": fold, "eval_size": len(eval_idx), "per_system": per_system})
         if fold == 0:
+            data = (corpus.rows, corpus.sequences, corpus.projection, corpus.vocab)
             for sys in SystemId:
-                bench[sys.value] = bench_rtf(
-                    sys,
-                    models[sys],
-                    corpus.rows,
-                    corpus.sequences,
-                    corpus.projection,
-                    corpus.vocab,
-                    repeats=cfg.bench_repeats,
-                )
+                bench[sys.value] = bench_rtf(sys, models[sys], *data, repeats=cfg.bench_repeats)
     summary = {
         "per_system": {
             sys.value: {

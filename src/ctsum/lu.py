@@ -48,10 +48,12 @@ from .seqcore import (
     _as_float,
     _as_int,
     _decode_json,
+    _floored_log,
     _read_exact,
     _read_f32,
     _read_header,
     _require_size,
+    _softmax_rows,
     _write_container,
 )
 
@@ -247,10 +249,7 @@ def _head_forward(model: LUModel, pk: _kernels.Packing, top):
     returns (pool, probs), one row per rank."""
     starts = np.cumsum(pk.lengths) - pk.lengths
     pool = np.add.reduceat(top[pk.rows], starts, axis=0) / pk.lengths[:, None]
-    logits = pool @ model.w_out.T + model.b_out
-    logits -= logits.max(axis=1, keepdims=True)
-    e = np.exp(logits)
-    return pool, e / e.sum(axis=1, keepdims=True)
+    return pool, _softmax_rows(pool @ model.w_out.T + model.b_out)
 
 
 def _probs(model: LUModel, xs) -> np.ndarray:
@@ -261,7 +260,7 @@ def _probs(model: LUModel, xs) -> np.ndarray:
 
 
 def _nll(probs, labels) -> np.ndarray:
-    return -np.log(np.maximum(probs[np.arange(labels.size), labels], 1e-30))
+    return -_floored_log(probs[np.arange(labels.size), labels])
 
 
 def lu_forward(model: LUModel, seq) -> np.ndarray:

@@ -42,6 +42,20 @@ def _as_float(name: str, value) -> float:
     raise TypeError(f"{name} must be a finite number, got {value!r}")
 
 
+def _floored_log(probs: np.ndarray) -> np.ndarray:
+    """Logs of probabilities floored at PROB_FLOOR: -inf never enters a sum."""
+    return np.log(np.maximum(probs, PROB_FLOOR))
+
+
+def _softmax_rows(logits: np.ndarray) -> np.ndarray:
+    """Softmax of each row of float64 logits, in place: the row maximum
+    is subtracted before exponentiation."""
+    logits -= logits.max(axis=1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=1, keepdims=True)
+    return logits
+
+
 def _require_finite(name, arr):
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains NaN or Inf")
@@ -164,7 +178,7 @@ class PosteriorGrid:
 
     @cached_property
     def log_probs(self) -> np.ndarray:
-        return np.log(np.maximum(self.probs, PROB_FLOOR))
+        return _floored_log(self.probs)
 
     @property
     def num_frames(self):
@@ -211,10 +225,7 @@ def _softmax_probs(seq: LatentSequence, proj: ProjectionMatrix) -> np.ndarray:
         )
     logits = seq.frames.astype(np.float64) @ proj.weights.T.astype(np.float64)
     logits += proj.bias.astype(np.float64)
-    logits -= logits.max(axis=1, keepdims=True)
-    np.exp(logits, out=logits)
-    logits /= logits.sum(axis=1, keepdims=True)
-    return logits
+    return _softmax_rows(logits)
 
 
 def _argmax_path(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

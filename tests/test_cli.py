@@ -4,14 +4,17 @@ import shutil
 import struct
 import subprocess
 import sys
+import warnings
+from dataclasses import replace
 
 import jsonschema
 import numpy as np
 import pytest
 
-from ctsum import synth
+from ctsum import cli, harness, synth
 from ctsum.cli import main
-from ctsum.harness import validate_report
+from ctsum.harness import HarnessConfig, SystemId, system_config, train_fold_models, validate_report
+from ctsum.lu import lu_init
 from ctsum.seqcore import (
     LatentSequence,
     ProjectionMatrix,
@@ -199,9 +202,14 @@ class TestTrainEvalBench:
         assert out["utterances"] == 6
 
     def test_eval_fold_out_of_range_exits_2(self, corpus_dir, e1_model, capsys):
-        assert main(["eval", "--corpus", corpus_dir, "--model", e1_model,
-                     "--system", "e1", "--k", "3", "--fold", "3"]) == 2
-        capsys.readouterr()
+        # k=3 strands intents of this 3-intent corpus, so splitting before
+        # the range check would warn once per fold
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["eval", "--corpus", corpus_dir, "--model", e1_model,
+                         "--system", "e1", "--k", "3", "--fold", "3"]) == 2
+        assert "fold must be in [0, 3)" in capsys.readouterr().err
+        assert [str(w.message) for w in caught] == []
 
     def test_eval_system_model_mismatch_exits_2(self, corpus_dir, e1_model, capsys):
         assert main(["eval", "--corpus", corpus_dir, "--model", e1_model,
@@ -229,6 +237,59 @@ class TestTrainEvalBench:
         assert main(["bench", "--corpus", corpus_dir, "--model", e1_model,
                      "--system", "e1", "--repeats", "2"]) == 2
         capsys.readouterr()
+
+
+class TestTrainRecipe:
+    """`train-lu` trains each --mode with crossval's recipe for its system."""
+
+    @pytest.fixture
+    def trained(self, monkeypatch):
+        configs = []
+
+        def fake_train(config, items, init_model=None):
+            configs.append(config)
+            model = lu_init(config)
+            model.train_losses.append(0.0)
+            return model
+
+        monkeypatch.setattr(cli, "lu_train", fake_train)
+        monkeypatch.setattr(harness, "lu_train", fake_train)
+        return configs
+
+    def train(self, capsys, corpus_dir, out, mode, seed, *flags):
+        return run_json(capsys, ["train-lu", "--corpus", corpus_dir, "--mode", mode,
+                                 "--out", str(out), "--seed", str(seed), *flags])
+
+    @pytest.mark.parametrize("mode", ["e1", "e2", "p1"])
+    def test_unset_flags_follow_system_config(self, corpus_dir, e1_model, tmp_path, capsys,
+                                              trained, mode):
+        init = ["--init", e1_model] if mode == "e2" else []
+        out = self.train(capsys, corpus_dir, tmp_path / "m.ctsm", mode, 4, *init)
+        want = system_config(SystemId[mode.upper()], synth.load_corpus(corpus_dir).spec,
+                             HarnessConfig(), 4)
+        assert trained == [want]
+        assert out["epochs"] == want.epochs
+
+    def test_e2_is_crossvals_e2(self, corpus_dir, e1_model, tmp_path, capsys, trained):
+        corpus = synth.load_corpus(corpus_dir)
+        train_fold_models(corpus, list(range(len(corpus))), HarnessConfig(), 0)
+        crossval_e2 = trained[1]
+        self.train(capsys, corpus_dir, tmp_path / "e2.ctsm", "e2", crossval_e2.seed,
+                   "--init", e1_model)
+        assert trained[-1] == crossval_e2
+        assert (crossval_e2.epochs, crossval_e2.learning_rate) == (10, 1e-3)
+
+    def test_passed_flags_override_only_themselves(self, corpus_dir, tmp_path, capsys, trained):
+        self.train(capsys, corpus_dir, tmp_path / "p1.ctsm", "p1", 4,
+                   "--epochs", "1", "--hidden", "8")
+        recipe = system_config(SystemId.P1, synth.load_corpus(corpus_dir).spec,
+                               HarnessConfig(), 4)
+        assert trained == [replace(recipe, epochs=1, hidden=8)]
+
+    def test_help_names_the_recipe(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["train-lu", "--help"])
+        assert "crossval's for --mode" in capsys.readouterr().out
 
 
 class TestCrossval:

@@ -17,6 +17,7 @@ from ctsum.harness import (
     run_crossval,
     run_system,
     strip_timing,
+    system_config,
     train_fold_models,
     training_items,
     validate_report,
@@ -193,6 +194,23 @@ class TestTiming:
         assert res.rtf > 0
         assert list(res.stage_ms) == STAGE_NAMES[SystemId.E2]
 
+    @pytest.mark.parametrize("repeats, middle", [(3, 4.0), (4, 4.0), (5, 3.0)])
+    def test_bench_figures_come_from_one_run(self, corpus, models, monkeypatch, repeats, middle):
+        # each faked run's stage time equals its total, so a figure from
+        # another run, or a mean of two runs, shows as a mismatch
+        totals = iter([100.0, 5.0, 2.0, 4.0, 3.0, 1.0])  # warmup first
+
+        def fake_run(system, *args):
+            t = next(totals)
+            return harness.SystemRun(system, {}, {"classify": t}, t)
+
+        monkeypatch.setattr(harness, "run_system", fake_run)
+        res = bench_rtf(SystemId.E1, models[SystemId.E1], corpus.rows, corpus.sequences,
+                        corpus.projection, corpus.vocab, repeats=repeats)
+        assert res.total_ms == middle
+        assert res.stage_ms == {"classify": middle}
+        assert res.rtf == middle / 1e3 / res.nominal_audio_s
+
     def test_bench_argument_validation(self, corpus, models):
         with pytest.raises(ValueError):
             bench_rtf(SystemId.E1, models[SystemId.E1], corpus.rows,
@@ -227,6 +245,36 @@ class TestTrainingItems:
         items = training_items(SystemId.E2, corpus, idx)
         for served, (x, _) in zip(seen, items):
             np.testing.assert_array_equal(served, x)
+
+
+class TestSystemConfig:
+    def test_recipe_per_system(self, corpus):
+        cfg = HarnessConfig(hidden=5, layers=3, learning_rate=0.01, epochs=7, fine_tune_epochs=4,
+                            fine_tune_lr=0.002, text_epochs=6, batch_size=9)
+        spec = corpus.spec
+        want = {SystemId.E1: (7, 0.01), SystemId.E2: (4, 0.002), SystemId.P1: (6, 0.01)}
+        for sys in SystemId:
+            got = system_config(sys, spec, cfg, 11)
+            assert (got.epochs, got.learning_rate) == want[sys], sys
+            assert (got.input_dim, got.num_intents, got.hidden, got.layers, got.batch_size,
+                    got.seed) == (spec.latent_dim, spec.num_intents, 5, 3, 9, 11)
+            assert got.vocab_size == (spec.vocab_size if sys is SystemId.P1 else None)
+
+    def test_train_fold_models_uses_it(self, corpus, monkeypatch):
+        calls = []
+
+        def fake_train(config, items, init_model=None):
+            calls.append((config, init_model))
+            return lu_init(config)
+
+        monkeypatch.setattr(harness, "lu_train", fake_train)
+        cfg = quick_cfg()
+        models = train_fold_models(corpus, [0, 1, 2], cfg, fold=3)
+        order = (SystemId.E1, SystemId.E2, SystemId.P1)  # position is the seed index
+        for index, (sys, (config, init)) in enumerate(zip(order, calls, strict=True)):
+            seed = harness._train_seed(corpus.spec.seed, 3, index)
+            assert config == system_config(sys, corpus.spec, cfg, seed), sys
+            assert init is (models[SystemId.E1] if sys is SystemId.E2 else None), sys
 
 
 class TestTrainFoldModels:

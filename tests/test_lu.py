@@ -23,7 +23,7 @@ from ctsum.lu import (
     save_model,
 )
 from ctsum.harness import SystemId, run_system
-from ctsum.seqcore import FormatError, LatentSequence, ProjectionMatrix, Vocabulary
+from ctsum.seqcore import PROB_FLOOR, FormatError, LatentSequence, ProjectionMatrix, Vocabulary
 from gru_reference import loss_and_grads_py
 
 
@@ -251,6 +251,19 @@ class TestForward:
         expect /= expect.sum()
 
         np.testing.assert_allclose(lu_forward(model, x), expect, atol=1e-6)
+
+    def test_head_uses_the_shared_softmax(self, monkeypatch):
+        calls = []
+        shared = lu._softmax_rows
+        monkeypatch.setattr(lu, "_softmax_rows", lambda x: calls.append(x.shape) or shared(x))
+        probs = lu_forward(lu_init(tiny_config(num_intents=3)), np.ones((4, 3)))
+        assert calls == [(1, 3)]
+        assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_nll_is_floored_at_prob_floor(self):
+        # a zero probability costs -log(PROB_FLOOR), never inf
+        nll = lu._nll(np.array([[0.0, 1.0], [0.25, 0.75]]), np.array([0, 0]))
+        assert nll.tolist() == [-np.log(PROB_FLOOR), -np.log(0.25)]
 
     def test_dimension_mismatch_rejected(self):
         model = lu_init(tiny_config())
