@@ -100,8 +100,12 @@ def _build_parser() -> _Parser:
         "--learning-rate", type=float, help="Adam step size (default: crossval's for --mode)"
     )
     p.add_argument("--batch-size", type=int, help="mini-batch size (default: crossval's)")
-    p.add_argument("--init", help="warm-start model (.ctsm) to fine-tune, e.g. e1 weights for e2")
-    p.set_defaults(func=_cmd_train)
+    p.add_argument(
+        "--init",
+        help="warm-start model (.ctsm) to fine-tune; required for e2, which crossval "
+        "fine-tunes from e1 weights",
+    )
+    p.set_defaults(func=_cmd_train, usage_error=p.error)
 
     p = sub.add_parser("eval", help="accuracy of a trained model on a corpus")
     p.add_argument("--corpus", required=True, help="corpus directory")
@@ -194,6 +198,8 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    if args.mode == "e2" and args.init is None:
+        args.usage_error("--mode e2 needs --init: E2 fine-tunes an E1 model, as in crossval")
     corpus = load_corpus(args.corpus)
     system = SystemId[args.mode.upper()]
     flags = ("epochs", "hidden", "layers", "learning_rate", "batch_size")

@@ -32,7 +32,6 @@ and are byte-reproducible for a fixed seed apart from timing fields.
 
 from __future__ import annotations
 
-import copy
 import json
 import time
 from dataclasses import asdict, dataclass
@@ -72,7 +71,7 @@ STAGES = {
     SystemId.P1: (
         ("project", lambda seq, model, proj, vocab: project_softmax(seq, proj)),
         ("decode", lambda grid, model, proj, vocab: greedy_decode(grid, vocab)),
-        ("embed", lambda decoded, model, proj, vocab: embed_labels(decoded, model)),
+        ("embed", lambda decoded, model, proj, vocab: embed_labels(decoded.ids, model)),
         ("classify", lambda x, model, proj, vocab: lu_forward(model, x)),
     ),
     SystemId.E1: (("classify", lambda seq, model, proj, vocab: lu_forward(model, seq.frames)),),
@@ -351,4 +350,4 @@ def strip_timing(report: dict):
             return [strip(v) for v in node]
         return node
 
-    return strip(copy.deepcopy(report))
+    return strip(report)

@@ -42,7 +42,6 @@ from itertools import islice
 import numpy as np
 
 from . import _kernels
-from .ctc import LabelSequence
 from .seqcore import (
     FormatError,
     _as_float,
@@ -193,18 +192,18 @@ def _as_float_seq(model: LUModel, seq) -> np.ndarray:
 
 
 def _label_ids(ids) -> np.ndarray:
-    """Label ids as a 1-d int64 array; float ids are an error, not truncated."""
-    if isinstance(ids, LabelSequence):
-        return ids.ids
+    """Label ids as a 1-d int64 array, not copied when already one; float
+    ids are an error, not truncated."""
     arr = np.asarray(ids)
     if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
         raise ValueError(f"label ids must be a 1-d integer sequence, got {arr.dtype} {arr.shape}")
-    return arr.astype(np.int64)
+    return arr.astype(np.int64, copy=False)
 
 
 def embed_labels(ids, model: LUModel) -> np.ndarray:
-    """Row-lookup of decoded label ids; an empty decode maps to one
-    all-zero vector so the classifier always sees T >= 1."""
+    """Row-lookup of label ids (a 1-d integer sequence, e.g. a decode's
+    ``ids``); an empty sequence maps to one all-zero vector so the
+    classifier always sees T >= 1."""
     if model.embedding is None:
         raise ValueError("model has no embedding table")
     ids = _label_ids(ids)

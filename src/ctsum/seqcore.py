@@ -285,7 +285,7 @@ def frame_argmax(grid: PosteriorGrid) -> FramePath:
 def _read_exact(fh, count, what):
     data = fh.read(count)
     if len(data) != count:
-        raise FormatError(f"truncated file while reading {what}")
+        raise FormatError(f"{fh.name}: truncated file while reading {what}")
     return data
 
 

@@ -28,7 +28,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .ctc import LabelSequence
 from .seqcore import (
     FormatError,
     LatentSequence,
@@ -133,18 +132,6 @@ class SynthSpec:
 
 
 @dataclass
-class Utterance:
-    id: str
-    intent: int
-    true_labels: LabelSequence
-    seq: LatentSequence
-
-    def __post_init__(self):
-        if len(self.true_labels) < 1:
-            raise ValueError("true_labels must be non-empty")
-
-
-@dataclass
 class Corpus:
     """A fully materialized corpus, in generation (manifest) order."""
 
@@ -232,24 +219,15 @@ def templates_disjoint(templates) -> bool:
 
 
 def generate_utterance(
-    spec: SynthSpec,
-    intent: int,
-    rng: np.random.Generator,
-    *,
-    embeddings: np.ndarray | None = None,
-    templates=None,
-    uid: str = "u0",
-) -> Utterance:
-    """One utterance: noisy frame runs per template label, blank-vector
-    gap frames between labels. Noise is isotropic Gaussian scaled so the
-    expected noise-vector norm is about noise_sigma, commensurate with
-    the unit-norm embeddings."""
+    spec: SynthSpec, intent: int, rng: np.random.Generator, embeddings: np.ndarray, templates
+) -> tuple[tuple[int, ...], LatentSequence]:
+    """One utterance of an intent, as (template labels, frames): noisy
+    frame runs per template label, blank-vector gap frames between
+    labels. Noise is isotropic Gaussian scaled so the expected
+    noise-vector norm is about noise_sigma, commensurate with the
+    unit-norm embeddings."""
     if not 0 <= intent < spec.num_intents:
         raise ValueError(f"intent {intent} out of range")
-    if embeddings is None:
-        _, embeddings = plant_projection(spec)
-    if templates is None:
-        templates = make_templates(spec)
     group = templates[intent]
     labels = group[int(rng.integers(len(group)))]
     scale = spec.noise_sigma / math.sqrt(spec.latent_dim)
@@ -268,8 +246,7 @@ def generate_utterance(
                 chunks.append(emit(0, gap))
         run = int(rng.integers(run_lo, run_hi + 1))
         chunks.append(emit(label, run))
-    frames = np.concatenate(chunks, axis=0)
-    return Utterance(uid, intent, LabelSequence(list(labels)), LatentSequence(frames))
+    return labels, LatentSequence(np.concatenate(chunks, axis=0))
 
 
 def build_corpus(spec: SynthSpec) -> Corpus:
@@ -278,29 +255,14 @@ def build_corpus(spec: SynthSpec) -> Corpus:
     proj, emb = plant_projection(spec)
     templates = make_templates(spec)
     assert templates_disjoint(templates)
-    vocab = default_vocab(spec.vocab_size)
-
-    utts = [
-        generate_utterance(
-            spec,
-            i % spec.num_intents,
-            _stream(spec.seed, _KEY_UTTERANCE_BASE + i),
-            embeddings=emb,
-            templates=templates,
-            uid=f"u{i:05d}",
-        )
-        for i in range(spec.num_utterances)
-    ]
-    rows = [
-        {
-            "id": u.id,
-            "intent": u.intent,
-            "labels": [int(v) for v in u.true_labels.ids],
-            "lseq": f"{u.id}.lseq",
-        }
-        for u in utts
-    ]
-    return Corpus(spec, rows, proj, vocab, [u.seq for u in utts])
+    rows, seqs = [], []
+    for i in range(spec.num_utterances):
+        intent, uid = i % spec.num_intents, f"u{i:05d}"
+        rng = _stream(spec.seed, _KEY_UTTERANCE_BASE + i)
+        labels, seq = generate_utterance(spec, intent, rng, emb, templates)
+        rows.append({"id": uid, "intent": intent, "labels": list(labels), "lseq": f"{uid}.lseq"})
+        seqs.append(seq)
+    return Corpus(spec, rows, proj, default_vocab(spec.vocab_size), seqs)
 
 
 def generate_corpus(spec: SynthSpec, out_dir) -> Corpus:

@@ -14,7 +14,7 @@ import pytest
 from ctsum import cli, harness, synth
 from ctsum.cli import main
 from ctsum.harness import HarnessConfig, SystemId, system_config, train_fold_models, validate_report
-from ctsum.lu import lu_init
+from ctsum.lu import LUConfig, lu_init, save_model
 from ctsum.seqcore import (
     LatentSequence,
     ProjectionMatrix,
@@ -290,6 +290,20 @@ class TestTrainRecipe:
         with pytest.raises(SystemExit):
             main(["train-lu", "--help"])
         assert "crossval's for --mode" in capsys.readouterr().out
+
+    def test_e2_without_init_is_a_usage_error(self, tmp_path, capsys, trained):
+        # the corpus does not exist: the check comes before any file is read
+        with pytest.raises(SystemExit) as exc:
+            main(["train-lu", "--corpus", str(tmp_path / "missing"), "--mode", "e2",
+                  "--out", str(tmp_path / "e2.ctsm"), "--seed", "1"])
+        assert exc.value.code == 1
+        assert "--init" in capsys.readouterr().err.splitlines()[-1]
+        assert trained == []
+
+    def test_help_says_e2_needs_init(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["train-lu", "--help"])
+        assert "required for e2" in " ".join(capsys.readouterr().out.split())
 
 
 class TestCrossval:
@@ -641,4 +655,54 @@ class TestCorruptedFiles:
                 err = capsys.readouterr().err
                 if rc not in (0, 2) or "Traceback" in err:
                     escaped.append(f"{cmd}, {what}: exit {rc}: {err}")
+        assert not escaped, "\n".join(escaped[:20])
+
+    # format: (V, D) of a 2-intent corpus matching the valid file, and
+    # the system the commands run
+    CORPUS_FORMATS = {"proj": (4, 3, "e2"), "vocab": (3, 2, "p1"), "ctsm": (3, 2, "e2")}
+
+    @pytest.mark.parametrize("fmt", sorted(CORPUS_FORMATS))
+    def test_corpus_and_model_formats_exit_0_or_2(self, tmp_path, capsys, fmt):
+        """The ``.proj`` and vocab variants replace a tiny corpus's file;
+        the ``.ctsm`` variants are the model of ``eval``, ``bench`` and
+        ``train-lu --init``. The untouched file runs every command."""
+        v, d, system = self.CORPUS_FORMATS[fmt]
+        corpus = tmp_path / "c"
+        synth.generate_corpus(
+            SynthSpec(num_intents=2, vocab_size=v, latent_dim=d, templates_per_intent=1,
+                      template_len_range=(1, 2), utterances_per_intent=1), corpus)
+        write, _ = FORMATS[fmt]
+        valid = tmp_path / f"valid.{fmt}"
+        write(valid)
+        bad = {"proj": corpus / synth.PROJECTION_NAME, "vocab": corpus / synth.VOCAB_NAME,
+               "ctsm": tmp_path / "variant.ctsm"}[fmt]
+        model = bad if fmt == "ctsm" else tmp_path / "m.ctsm"
+        if fmt != "ctsm":
+            save_model(model, lu_init(LUConfig(d, 2, hidden=1, layers=1,
+                                               vocab_size=v if system == "p1" else None)))
+        run = ["--corpus", str(corpus), "--system", system, "--model", str(model)]
+        init = ["--init", str(model)] if system == "e2" else []
+        argvs = [
+            ["eval", *run],
+            ["bench", *run],
+            ["train-lu", "--corpus", str(corpus), "--mode", system, *init, "--seed", "1",
+             "--out", str(tmp_path / "out.ctsm"), "--epochs", "1", "--hidden", "1",
+             "--layers", "1"],
+        ]
+        bad.write_bytes(valid.read_bytes())
+        for argv in argvs:
+            assert main(argv) == 0, (argv[0], capsys.readouterr().err)
+        capsys.readouterr()
+        escaped = []
+        for what, data in variants(valid.read_bytes()):
+            bad.write_bytes(data)
+            for argv in argvs:
+                try:
+                    rc = main(argv)
+                except Exception as exc:  # any escape is the finding
+                    escaped.append(f"{argv[0]}, {what}: {type(exc).__name__}: {exc}")
+                    continue
+                err = capsys.readouterr().err
+                if rc not in (0, 2) or "Traceback" in err:
+                    escaped.append(f"{argv[0]}, {what}: exit {rc}: {err}")
         assert not escaped, "\n".join(escaped[:20])

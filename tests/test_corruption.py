@@ -85,3 +85,16 @@ def test_every_corruption_loads_or_raises_format_error(tmp_path, fmt):
     assert not escaped, f"{len(escaped)} of {2 * len(raw)} variants escaped:\n" + "\n".join(
         escaped[:20]
     )
+
+
+@pytest.mark.parametrize("fmt", ["ctsm", "lseq", "proj", "sseq"])
+@pytest.mark.parametrize("size", [5, 9])
+def test_truncated_header_names_the_file(tmp_path, fmt, size):
+    # every container header is at least 10 bytes long
+    write, read = FORMATS[fmt]
+    path = tmp_path / f"short.{fmt}"
+    write(path)
+    path.write_bytes(path.read_bytes()[:size])
+    with pytest.raises(FormatError, match="truncated") as exc:
+        read(path)
+    assert str(path) in str(exc.value)

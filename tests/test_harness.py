@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from ctsum import harness
-from ctsum.ctc import LabelSequence
 from ctsum.cts import summarize
 from ctsum.harness import (
     STAGES,
@@ -129,7 +128,7 @@ class TestRunSystem:
         run = run_system(SystemId.P1, p1, corpus.rows, corpus.sequences,
                          corpus.projection, corpus.vocab)
         for row in corpus.rows:
-            x = embed_labels(LabelSequence(row["labels"]), p1)
+            x = embed_labels(row["labels"], p1)
             assert run.predictions[row["id"]] == int(np.argmax(lu_forward(p1, x)))
 
     def test_misaligned_inputs_rejected(self, corpus, models):

@@ -210,14 +210,13 @@ class TestUtterance:
             noise_sigma=0.0,
         )
         _, emb = plant_projection(spec)
-        utt = generate_utterance(
-            spec, 0, np.random.default_rng(5),
-            embeddings=emb, templates=[[(3, 5)]] * spec.num_intents,
+        labels, seq = generate_utterance(
+            spec, 0, np.random.default_rng(5), emb, [[(3, 5)]] * spec.num_intents
         )
         # layout: run, gap, run with unit lengths and no leading gap
-        assert utt.seq.frames.shape == (3, spec.latent_dim)
-        assert list(utt.true_labels.ids) == [3, 5]
-        np.testing.assert_allclose(utt.seq.frames, emb[[3, 0, 5]], atol=1e-6)
+        assert seq.frames.shape == (3, spec.latent_dim)
+        assert list(labels) == [3, 5]
+        np.testing.assert_allclose(seq.frames, emb[[3, 0, 5]], atol=1e-6)
 
     def test_frame_count_range(self):
         spec = SynthSpec()
@@ -228,17 +227,17 @@ class TestUtterance:
         templates = make_templates(spec)
         rng = np.random.default_rng(6)
         for i in range(40):
-            utt = generate_utterance(spec, i % spec.num_intents, rng,
-                                     embeddings=emb, templates=templates)
-            n = len(utt.true_labels)
-            t = utt.seq.frames.shape[0]
+            labels, seq = generate_utterance(spec, i % spec.num_intents, rng, emb, templates)
+            n = len(labels)
+            t = seq.frames.shape[0]
             assert lo <= n <= hi
             assert n * rlo <= t <= n * rhi + (n - 1) * ghi
 
     def test_intent_out_of_range(self):
         spec = small_spec()
+        _, emb = plant_projection(spec)
         with pytest.raises(ValueError):
-            generate_utterance(spec, 3, np.random.default_rng(0))
+            generate_utterance(spec, 3, np.random.default_rng(0), emb, make_templates(spec))
 
     def test_noiseless_decode_recovers_labels(self):
         corpus = build_corpus(small_spec(noise_sigma=0.0))
