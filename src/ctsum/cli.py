@@ -73,6 +73,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--in", dest="inp", required=True, help="input .lseq file")
     p.add_argument("--proj", required=True, help="projection .proj file")
     p.add_argument("--out", required=True, help="output .sseq file")
+    p.add_argument("--vocab", help="vocab JSON; its blank is the one dropped (default: label 0)")
     p.add_argument(
         "--drop-blank-segments",
         action="store_true",
@@ -155,10 +156,26 @@ def _cmd_synth(args) -> int:
     return 0
 
 
+def _read_vocab_or_indices(path, proj) -> Vocabulary:
+    """The vocab at ``path``, sized to the projection; without one, labels
+    are the projection's row indices and the blank is 0."""
+    if not path:
+        return Vocabulary([f"{i}" for i in range(proj.num_labels)], blank_index=0)
+    vocab = read_vocab(path)
+    if vocab.size != proj.num_labels:
+        raise FormatError(
+            f"{path}: vocabulary size {vocab.size} does not match projection V={proj.num_labels}"
+        )
+    return vocab
+
+
 def _cmd_summarize(args) -> int:
     seq = read_lseq(args.inp)
     proj = read_proj(args.proj)
-    summ = summarize(seq, proj, drop_blank_segments=args.drop_blank_segments)
+    vocab = _read_vocab_or_indices(args.vocab, proj)
+    summ = summarize(
+        seq, proj, drop_blank_segments=args.drop_blank_segments, blank_index=vocab.blank_index
+    )
     write_sseq(args.out, summ)
     print(json.dumps({"out": args.out, "source_frames": summ.source_T, "segments": summ.num_segments}))
     return 0
@@ -177,11 +194,7 @@ def _read_any_sequence(path):
 def _cmd_decode(args) -> int:
     seq = _read_any_sequence(args.inp)
     proj = read_proj(args.proj)
-    vocab = (
-        read_vocab(args.vocab)
-        if args.vocab
-        else Vocabulary([f"{i}" for i in range(proj.num_labels)], blank_index=0)
-    )
+    vocab = _read_vocab_or_indices(args.vocab, proj)
     decoded = greedy_decode(project_softmax(seq, proj), vocab)
     row = {
         "id": Path(args.inp).stem,

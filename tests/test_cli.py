@@ -1,4 +1,5 @@
 import json
+import os
 import pathlib
 import shutil
 import struct
@@ -15,13 +16,16 @@ from ctsum import cli, harness, synth
 from ctsum.cli import main
 from ctsum.harness import HarnessConfig, SystemId, system_config, train_fold_models, validate_report
 from ctsum.lu import LUConfig, lu_init, save_model
+from ctsum.cts import read_sseq
 from ctsum.seqcore import (
     LatentSequence,
     ProjectionMatrix,
+    Vocabulary,
     read_lseq,
     read_proj,
     write_lseq,
     write_proj,
+    write_vocab,
 )
 from ctsum.synth import SynthSpec, save_spec
 from test_corruption import FORMATS, variants
@@ -158,6 +162,39 @@ class TestSummarizeDecode:
         assert main(args + ["--out", str(b)]) == 0
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.fixture
+    def blank_two(self, tmp_path):
+        """Frames that argmax to 0, 0, 2, 1, 1 under a 3-label identity x 10
+        projection, and a vocab whose blank is label 2."""
+        lseq, proj, vocab = tmp_path / "x.lseq", tmp_path / "p.proj", tmp_path / "v.json"
+        write_lseq(lseq, LatentSequence(np.eye(3)[[0, 0, 2, 1, 1]]))
+        write_proj(proj, ProjectionMatrix(10.0 * np.eye(3)))
+        write_vocab(vocab, Vocabulary(["a", "b", "_"], blank_index=2))
+        args = ["summarize", "--in", str(lseq), "--proj", str(proj), "--drop-blank-segments"]
+        return args, str(vocab)
+
+    @pytest.mark.parametrize("with_vocab, labels", [(True, [0, 1]), (False, [2, 1])])
+    def test_drop_blank_segments_drops_the_vocab_blank(self, blank_two, tmp_path, capsys,
+                                                       with_vocab, labels):
+        # without --vocab the blank is label 0, as in decode
+        args, vocab = blank_two
+        out = tmp_path / "s.sseq"
+        run_json(capsys, args + ["--out", str(out)] + (["--vocab", vocab] if with_vocab else []))
+        assert read_sseq(out).labels.tolist() == labels
+
+    def test_summarize_vocab_of_wrong_size_exits_2(self, blank_two, tmp_path, capsys):
+        args, _ = blank_two
+        small = tmp_path / "small.json"
+        write_vocab(small, Vocabulary(["_", "a"]))
+        assert main(args + ["--out", str(tmp_path / "s.sseq"), "--vocab", str(small)]) == 2
+        assert "small.json: vocabulary size 2" in capsys.readouterr().err
+
+    def test_summarize_to_devnull(self, corpus_dir, capsys):
+        root = pathlib.Path(corpus_dir)
+        assert main(["summarize", "--in", str(root / "u00000.lseq"),
+                     "--proj", str(root / "projection.proj"), "--out", os.devnull]) == 0
+        assert json.loads(capsys.readouterr().out)["out"] == os.devnull
 
     def test_decode_without_vocab_uses_indices(self, corpus_dir, capsys):
         root = pathlib.Path(corpus_dir)

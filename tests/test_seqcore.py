@@ -1,11 +1,17 @@
+import errno
 import json
+import os
 import struct
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ctsum.cli import main
+from ctsum.cts import SummarizedSequence, read_sseq, write_sseq
+from ctsum.lu import LUConfig, load_model, lu_init, save_model
 from ctsum.seqcore import (
     PROB_FLOOR,
     FormatError,
@@ -23,6 +29,7 @@ from ctsum.seqcore import (
     write_proj,
     write_vocab,
 )
+from ctsum.synth import SynthSpec, generate_corpus
 
 
 def grid_from_rows(rows):
@@ -349,3 +356,147 @@ class TestFramePathValidation:
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):
             FramePath(np.array([0, 1]), np.array([0.5]))
+
+
+def _summary(n):
+    idx = np.arange(n)
+    table = (idx, idx + 1, idx % 2 + 1, idx, np.full(n, 0.75))
+    return SummarizedSequence(np.arange(2.0 * n).reshape(n, 2), table, n, 12.5)
+
+
+# format: (writer, reader, an artifact whose size grows with n)
+CONTAINERS = {
+    "lseq": (write_lseq, read_lseq, lambda n: LatentSequence(np.arange(2.0 * n).reshape(n, 2))),
+    "proj": (
+        write_proj,
+        read_proj,
+        lambda n: ProjectionMatrix(np.linspace(-1.0, 1.0, 2 * n).reshape(n, 2), np.arange(n)),
+    ),
+    "sseq": (write_sseq, read_sseq, _summary),
+    "ctsm": (
+        save_model,
+        load_model,
+        lambda n: lu_init(LUConfig(input_dim=2, num_intents=2, hidden=n, layers=1, seed=3)),
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def tiny_corpus(tmp_path_factory):
+    out = tmp_path_factory.mktemp("corpus") / "c"
+    spec = SynthSpec(num_intents=2, vocab_size=3, latent_dim=2, templates_per_intent=1,
+                     utterances_per_intent=1, seed=0)
+    generate_corpus(spec, out)
+    return out
+
+
+def _cli_reading(fmt, path, corpus, tmp_path):
+    """A command line whose command reads ``path`` as a ``fmt`` file."""
+    lseq, proj = str(corpus / "u00000.lseq"), str(corpus / "projection.proj")
+    return {
+        "lseq": ["summarize", "--in", str(path), "--proj", proj, "--out", str(tmp_path / "o")],
+        "proj": ["decode", "--in", lseq, "--proj", str(path)],
+        "sseq": ["decode", "--in", str(path), "--proj", proj],
+        "ctsm": ["eval", "--corpus", str(corpus), "--model", str(path), "--system", "e1"],
+    }[fmt]
+
+
+def _fail_write(monkeypatch, path, step, magic):
+    """Make the container writer's first write (after half its bytes) or
+    its write of ``magic`` fail; the returned list gets the bytes the file
+    held at that moment, which is what a writer killed there leaves."""
+    real_write = os.write
+    left = []
+
+    def write(fd, data):
+        if step == "first":
+            real_write(fd, data[: len(data) // 2])
+        elif bytes(data) != magic:
+            return real_write(fd, data)
+        left.append(path.read_bytes())
+        raise OSError(errno.EIO, "injected write failure")
+
+    monkeypatch.setattr(os, "write", write)
+    return left
+
+
+class TestContainerRewrite:
+    """Container writers rewrite an existing file in place, never through
+    O_TRUNC, and no reader accepts a rewrite cut short."""
+
+    @pytest.mark.parametrize("fmt", CONTAINERS)
+    @pytest.mark.parametrize("sizes", [(5, 2), (2, 5)], ids=["shrink", "grow"])
+    def test_rewrite_equals_fresh_write(self, tmp_path, fmt, sizes):
+        write, read, make = CONTAINERS[fmt]
+        path, fresh = tmp_path / "x", tmp_path / "fresh"
+        write(path, make(sizes[0]))
+        first_size = path.stat().st_size
+        write(path, make(sizes[1]))
+        write(fresh, make(sizes[1]))
+        assert path.stat().st_size != first_size
+        assert path.read_bytes() == fresh.read_bytes()
+        read(path)
+
+    @pytest.mark.parametrize("fmt", CONTAINERS)
+    def test_writers_never_open_with_o_trunc(self, tmp_path, monkeypatch, fmt):
+        # Truncating on open makes ext4 start writeback on close, which
+        # cost the offline benchmark about a third of its throughput.
+        write, _, make = CONTAINERS[fmt]
+        path = tmp_path / "x"
+        real_open = os.open
+        flags = []
+
+        def spy(file, flag, *args, **kwargs):
+            if os.fspath(file) == str(path):
+                flags.append(flag)
+            return real_open(file, flag, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", spy)
+        write(path, make(5))
+        write(path, make(2))
+        # builtin open() does not go through os.open, so it would show as []
+        assert len(flags) == 2
+        assert not any(flag & os.O_TRUNC for flag in flags)
+
+    @pytest.mark.parametrize("fmt", CONTAINERS)
+    @pytest.mark.parametrize("step", ["first", "magic"])
+    def test_failed_rewrite_is_rejected(self, tmp_path, monkeypatch, capsys, tiny_corpus,
+                                        fmt, step):
+        write, read, make = CONTAINERS[fmt]
+        path = tmp_path / f"x.{fmt}"
+        write(path, make(5))
+        left = _fail_write(monkeypatch, path, step, path.read_bytes()[:4])
+        with pytest.raises(OSError, match="injected write failure"):
+            write(path, make(2))
+        monkeypatch.undo()
+        assert path.stat().st_size == 0
+        killed = tmp_path / f"killed.{fmt}"
+        killed.write_bytes(left[0])
+        assert killed.stat().st_size > 0
+        for bad in (killed, path):
+            with pytest.raises(FormatError):
+                read(bad)
+            assert main(_cli_reading(fmt, bad, tiny_corpus, tmp_path)) == 2
+            assert bad.name in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt", CONTAINERS)
+    def test_write_to_devnull(self, fmt):
+        # neither truncatable nor (for a FIFO) seekable: written once, in order
+        write, _, make = CONTAINERS[fmt]
+        write(os.devnull, make(3))
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+    @pytest.mark.parametrize("fmt", CONTAINERS)
+    def test_write_to_fifo_sends_the_fresh_bytes(self, tmp_path, fmt):
+        write, _, make = CONTAINERS[fmt]
+        fresh, fifo = tmp_path / "fresh", tmp_path / "fifo"
+        write(fresh, make(3))
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()))
+        reader.start()
+        try:
+            write(fifo, make(3))
+        finally:
+            reader.join(timeout=10)
+        assert received == [fresh.read_bytes()]
