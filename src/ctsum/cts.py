@@ -29,7 +29,6 @@ globals, so the benchmark's patch traces summarize's calls alone.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,11 +38,10 @@ from .seqcore import (
     LatentSequence,
     ProjectionMatrix,
     _argmax_path,
-    _read_exact,
-    _read_f32,
+    _frame_shift,
     _read_header,
+    _read_payload,
     _require_finite,
-    _require_size,
     _softmax_probs,
     _write_container,
     frame_argmax,  # noqa: F401  perfbench traces these two on this module
@@ -66,7 +64,7 @@ class Segment:
     end: int
     label: int
     rep_frame: int = -1
-    rep_score: float = math.nan
+    rep_score: float = np.nan
 
     def __post_init__(self):
         if not 0 <= self.start < self.end:
@@ -87,7 +85,7 @@ class SummarizedSequence:
     ``table`` is five length-S arrays ``(starts, ends, labels,
     rep_frames, rep_scores)``, or a list of ``Segment`` records. A
     ``rep_frames`` entry of -1 marks a segment whose representative is
-    not selected yet.
+    not selected yet; a selected one needs a ``rep_scores`` entry in [0, 1].
     """
 
     def __init__(self, vectors, table, source_T: int, frame_shift_ms: float = 10.0):
@@ -102,23 +100,24 @@ class SummarizedSequence:
         self.rep_frames = reps = np.asarray(reps, dtype=np.int64)
         self.rep_scores = scores = np.asarray(scores, dtype=np.float64)
         self.source_T = int(source_T)
-        self.frame_shift_ms = float(frame_shift_ms)
+        self.frame_shift_ms = _frame_shift(frame_shift_ms)
 
         if self.vectors.ndim != 2:
             raise ValueError("vectors must be 2-d")
+        _require_finite("vectors", self.vectors)
         s = self.vectors.shape[0]
         if not starts.shape == ends.shape == labels.shape == reps.shape == scores.shape == (s,):
             raise ValueError("vectors and segments must have equal length")
         if s > self.source_T:
             raise ValueError("cannot have more segments than source frames")
-        if not (math.isfinite(self.frame_shift_ms) and self.frame_shift_ms > 0):
-            raise ValueError(f"frame_shift_ms must be positive, got {self.frame_shift_ms}")
         # count_nonzero is the cheapest "any" on the few-row tables summarize
         # makes; (starts | labels) is negative where either one is
         if np.count_nonzero(((starts | labels) < 0) | (starts >= ends)):
             raise ValueError("bad segment: every segment needs 0 <= start < end and label >= 0")
-        if np.count_nonzero((reps != -1) & ((reps < starts) | (reps >= ends))):
-            raise ValueError("rep_frame must lie inside the segment span")
+        # clipping to [0, 1] changes a score outside it, and NaN != NaN
+        bad_rep = (reps < starts) | (reps >= ends) | (scores.clip(0.0, 1.0) != scores)
+        if np.count_nonzero(bad_rep & (reps != -1)):
+            raise ValueError("a selected rep_frame must lie in its span, its rep_score in [0, 1]")
 
     @property
     def table(self) -> tuple[np.ndarray, ...]:
@@ -233,16 +232,11 @@ def read_sseq(path) -> SummarizedSequence:
         s, d, shift = _read_header(fh, SSEQ_MAGIC, path)
         if s == 0:
             raise FormatError(f"{path}: summary has no segments")
-        _require_size(fh, path, 4 * s * d + _SEG_RECORD.itemsize * s)
-        vectors = _read_f32(fh, s * d, "vectors")
-        raw = _read_exact(fh, _SEG_RECORD.itemsize * s, "segment table")
-    table = np.frombuffer(raw, dtype=_SEG_RECORD)
+        payload = _read_payload(fh, path, (4 * d + _SEG_RECORD.itemsize) * s)
+    vectors = np.frombuffer(payload, "<f4", s * d).reshape(s, d)
+    table = np.frombuffer(payload, _SEG_RECORD, offset=4 * s * d)
+    columns = tuple(table[name] for name in _SEG_RECORD.names)
     try:
-        _require_finite("vectors", vectors)
-        scores = table["rep_score"]
-        if np.count_nonzero((scores >= 0.0) & (scores <= 1.0)) != s:
-            raise ValueError("rep_score must lie in [0, 1]")
-        columns = tuple(table[name] for name in _SEG_RECORD.names)
-        return SummarizedSequence(vectors.reshape(s, d), columns, table["end"].max(), shift)
+        return SummarizedSequence(vectors, columns, table["end"].max(), shift)
     except ValueError as exc:
         raise FormatError(f"{path}: invalid summary: {exc}") from exc

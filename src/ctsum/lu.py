@@ -49,9 +49,8 @@ from .seqcore import (
     _decode_json,
     _floored_log,
     _read_exact,
-    _read_f32,
     _read_header,
-    _require_size,
+    _read_payload,
     _softmax_rows,
     _write_container,
 )
@@ -411,6 +410,7 @@ def save_model(path, model: LUModel):
     header = json.dumps(
         {"config": cfg, "train_losses": [float(x) for x in model.train_losses]},
         sort_keys=True,
+        allow_nan=False,
     ).encode("utf-8")
     _write_container(path, MODEL_MAGIC, "I", (len(header),), header, model.params)
 
@@ -438,8 +438,7 @@ def load_model(path) -> LUModel:
                 f"hidden={config.hidden}, more parameters than the file's {left} bytes hold"
             )
         n = _num_params(config)
-        _require_size(fh, path, 4 * n)
-        params = _read_f32(fh, n, "parameters").astype(np.float64)
+        params = np.frombuffer(_read_payload(fh, path, 4 * n), "<f4").astype(np.float64)
     if not np.isfinite(params).all():
         raise FormatError(f"{path}: non-finite parameter values")
     return LUModel(config, params, losses)

@@ -62,6 +62,16 @@ def _require_finite(name, arr):
         raise ValueError(f"{name} contains NaN or Inf")
 
 
+def _frame_shift(value) -> float:
+    """``frame_shift_ms`` as a float, positive and finite also as the
+    float32 ``.lseq`` and ``.sseq`` store: the bounds are the halfway
+    points that round to 0 and to inf in float32."""
+    shift = float(value)
+    if not 2.0**-150 < shift < 2.0**128 - 2.0**103:  # NaN fails too
+        raise ValueError(f"frame_shift_ms must be positive and finite as float32, got {shift}")
+    return shift
+
+
 @dataclass
 class LatentSequence:
     """A T x D matrix of per-frame encoder activations."""
@@ -74,9 +84,7 @@ class LatentSequence:
         if self.frames.ndim != 2 or self.frames.shape[0] < 1 or self.frames.shape[1] < 1:
             raise ValueError(f"frames must be (T>=1, D>=1), got {self.frames.shape}")
         _require_finite("frames", self.frames)
-        self.frame_shift_ms = float(self.frame_shift_ms)
-        if not (np.isfinite(self.frame_shift_ms) and self.frame_shift_ms > 0):
-            raise ValueError(f"frame_shift_ms must be positive, got {self.frame_shift_ms}")
+        self.frame_shift_ms = _frame_shift(self.frame_shift_ms)
 
     @property
     def num_frames(self):
@@ -171,8 +179,8 @@ class PosteriorGrid:
 
     @classmethod
     def _of_softmax(cls, probs: np.ndarray) -> PosteriorGrid:
-        """Wrap the softmax of inputs ``project_softmax`` checked finite: it
-        holds ``__post_init__``'s invariants, so they are not checked again."""
+        """Wrap the output of ``_softmax_probs``: it holds ``__post_init__``'s
+        invariants, so they are not checked again."""
         grid = cls.__new__(cls)
         grid.probs = probs
         return grid
@@ -217,15 +225,20 @@ class FramePath:
 def _softmax_probs(seq: LatentSequence, proj: ProjectionMatrix) -> np.ndarray:
     """The (T, V) float64 softmax of weights @ frame + bias, per frame.
 
-    Inputs are taken as finite, which ``LatentSequence`` and
-    ``ProjectionMatrix`` enforce at construction.
-    """
+    Finite float32 inputs keep the float64 logits finite, so a non-finite
+    logit means an input changed after construction; the NaN or Inf one
+    is named, else a float64 overflow is reported. The row maximum is
+    subtracted before exp, so logits up to ~1e4 stay stable."""
     if proj.dim != seq.dim:
         raise ValueError(
             f"dimension mismatch: projection expects D={proj.dim}, sequence has D={seq.dim}"
         )
     logits = seq.frames.astype(np.float64) @ proj.weights.T.astype(np.float64)
     logits += proj.bias.astype(np.float64)
+    if not np.isfinite(logits).all():
+        for name, arr in (("frames", seq.frames), ("weights", proj.weights), ("bias", proj.bias)):
+            _require_finite(name, arr)
+        raise ValueError("logits overflow float64")
     return _softmax_rows(logits)
 
 
@@ -249,14 +262,8 @@ def segment_path(labels: np.ndarray) -> np.ndarray:
 
 
 def project_softmax(seq: LatentSequence, proj: ProjectionMatrix) -> PosteriorGrid:
-    """Per-frame softmax over label logits weights @ frame + bias.
-
-    Logits are computed in float64 with the per-row maximum subtracted
-    before exponentiation, so magnitudes up to ~1e4 stay stable.
-    """
-    _require_finite("frames", seq.frames)
-    _require_finite("weights", proj.weights)
-    _require_finite("bias", proj.bias)
+    """Per-frame softmax over label logits weights @ frame + bias, as a
+    grid (see ``_softmax_probs``)."""
     return PosteriorGrid._of_softmax(_softmax_probs(seq, proj))
 
 
@@ -269,8 +276,14 @@ def frame_argmax(grid: PosteriorGrid) -> FramePath:
 # file formats (all little-endian)
 #
 # A binary container is "magic | u16 version | header fields", then its
-# payloads, f32 arrays row-major. ``_write_container`` and ``_read_header``
-# are the only code that frames one.
+# payloads, f32 arrays row-major. ``_write_container``, ``_read_header``
+# and ``_read_payload`` are the only code that frames one.
+#
+# Each in-memory type validates itself at construction. A reader only
+# frames, constructs and turns ``ValueError`` into ``FormatError``, and the
+# one writer refuses a float payload that is not finite as f32, so any file
+# a ctsum writer produces loads. (``load_model`` checks the parameters,
+# which ``LUModel`` does not.)
 #
 # .lseq : "CTSQ" | u16 version | u32 T | u32 D | f32 frame_shift_ms | f32[T*D]
 # .proj : "CTSP" | u16 version | u32 V | u32 D | f32[V*D] weights | f32[V] bias
@@ -283,12 +296,12 @@ def frame_argmax(grid: PosteriorGrid) -> FramePath:
 #
 # A container is rewritten in place, never truncated on open: on ext4, a
 # file truncated to zero and written again has its writeback started on
-# close (``auto_da_alloc``). This pays only when the target file already
-# exists. On a 2-vCPU VM, rewriting 600 .sseq-sized files cost 28-94 us a
-# file that way against 7-15 us in place (over several runs), and the benchmark's ``offline``
-# workload, which rewrites the same 600 paths on every pass, went from
-# 1673 to 2296 utterances/s (medians of 20 runs). A new file costs the
-# same either way (450-720 us a .lseq there): creating it dominates.
+# close (``auto_da_alloc``), which costs only when the target exists. On
+# a 2-vCPU VM, rewriting 600 .sseq-sized files cost 28-94 us a file that
+# way against 7-15 us in place (several runs), and the benchmark's
+# ``offline`` workload, which rewrites the same 600 paths on every pass,
+# went from 1673 to 2296 utterances/s (medians of 20 runs). A new file
+# costs the same either way (450-720 us a .lseq there).
 # On a regular file the writer therefore
 #   1. writes the whole container with its 4 magic bytes zeroed,
 #   2. truncates the file to the new length (an older, longer file's
@@ -322,19 +335,16 @@ def _read_exact(fh, count, what):
     return data
 
 
-def _read_f32(fh, count, what) -> np.ndarray:
-    return np.frombuffer(_read_exact(fh, 4 * count, what), dtype="<f4")
-
-
-def _require_size(fh, path, payload):
-    """Reject a file whose bytes after the header differ from its declared
-    ``payload`` count, before any payload is read (or allocated)."""
+def _read_payload(fh, path, nbytes) -> bytes:
+    """The rest of the file, ``nbytes`` long by its header; a file of any
+    other size is rejected before anything is read (or allocated)."""
     actual = os.fstat(fh.fileno()).st_size
-    declared = fh.tell() + payload
+    declared = fh.tell() + nbytes
     if actual < declared:
         raise FormatError(f"{path}: truncated file: header declares {declared} bytes, file has {actual}")
     if actual > declared:
         raise FormatError(f"{path}: trailing bytes: header declares {declared} bytes, file has {actual}")
+    return _read_exact(fh, nbytes, "payload")
 
 
 def _read_header(fh, magic, path, fields="IIf"):
@@ -357,16 +367,18 @@ def _write_all(fd, data):
 
 def _write_container(path, magic, fields, values, *payloads):
     """Write a "magic | u16 version | fields" header (struct codes), then
-    each payload: bytes as they are, arrays as f32.
+    each payload: bytes as they are, arrays as f32, refused before the
+    file is opened unless finite.
 
     An existing regular file is rewritten in place, in the order the
     format comment above gives, so that no reader accepts a file whose
     writer died part-way (an OS crash is another matter, see there).
     """
-    data = b"".join([
-        struct.pack("<4sH" + fields, bytes(len(magic)), FORMAT_VERSION, *values),
-        *(p if isinstance(p, bytes) else p.astype("<f4").tobytes() for p in payloads),
-    ])
+    payloads = [p if isinstance(p, bytes) else p.astype("<f4", order="C") for p in payloads]
+    if not all(isinstance(p, bytes) or np.isfinite(p).all() for p in payloads):
+        raise ValueError(f"{path}: refusing to write non-finite float32 values")
+    header = struct.pack("<4sH" + fields, bytes(len(magic)), FORMAT_VERSION, *values)
+    data = b"".join([header, *payloads])
     fd = os.open(path, _REWRITE_FLAGS, 0o666)
     try:
         if stat.S_ISREG(os.fstat(fd).st_mode):
@@ -407,8 +419,7 @@ def write_lseq(path, seq: LatentSequence):
 def read_lseq(path) -> LatentSequence:
     with open(path, "rb") as fh:
         t, d, shift = _read_header(fh, LSEQ_MAGIC, path)
-        _require_size(fh, path, 4 * t * d)
-        frames = _read_f32(fh, t * d, "frame data")
+        frames = np.frombuffer(_read_payload(fh, path, 4 * t * d), "<f4")
     try:
         return LatentSequence(frames.reshape(t, d), shift)
     except ValueError as exc:
@@ -422,11 +433,9 @@ def write_proj(path, proj: ProjectionMatrix):
 def read_proj(path) -> ProjectionMatrix:
     with open(path, "rb") as fh:
         v, d = _read_header(fh, PROJ_MAGIC, path, "II")
-        _require_size(fh, path, 4 * v * d + 4 * v)
-        weights = _read_f32(fh, v * d, "weights")
-        bias = _read_f32(fh, v, "bias")
+        floats = np.frombuffer(_read_payload(fh, path, 4 * v * (d + 1)), "<f4")
     try:
-        return ProjectionMatrix(weights.reshape(v, d), bias)
+        return ProjectionMatrix(floats[: v * d].reshape(v, d), floats[v * d :])
     except ValueError as exc:
         raise FormatError(f"{path}: invalid projection: {exc}") from exc
 

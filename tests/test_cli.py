@@ -264,6 +264,23 @@ class TestTrainEvalBench:
                                 "--model", out_path, "--system", "e2"])
         assert out["compression_ratio"] > 1.0
 
+    @pytest.mark.parametrize("diverged", ["nan-loss", "nan-parameter"])
+    def test_diverged_model_exits_2_without_a_file(self, corpus_dir, tmp_path, monkeypatch,
+                                                   capsys, diverged):
+        def fake_train(config, items, init_model=None):
+            model = lu_init(config)
+            model.train_losses.append(float("nan") if diverged == "nan-loss" else 1.0)
+            if diverged == "nan-parameter":
+                model.params[0] = np.nan
+            return model
+
+        monkeypatch.setattr(cli, "lu_train", fake_train)
+        out = tmp_path / "m.ctsm"
+        assert main(["train-lu", "--corpus", corpus_dir, "--mode", "e1", "--out", str(out),
+                     "--seed", "0"]) == 2
+        assert "ctsum: error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bench_reports_rtf(self, corpus_dir, e1_model, capsys):
         out = run_json(capsys, ["bench", "--corpus", corpus_dir,
                                 "--model", e1_model, "--system", "e1"])

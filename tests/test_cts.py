@@ -400,12 +400,30 @@ class TestSummarizedSequence:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [dict(s=3), dict(source_t=1), dict(shift=0.0), dict(shift=float("inf"))],
-        ids=["vector-rows", "more-segments-than-frames", "zero-shift", "infinite-shift"],
+        [
+            dict(s=3), dict(source_t=1), dict(shift=0.0), dict(shift=float("inf")),
+            dict(shift=1e39), dict(shift=1e-50),
+        ],
+        ids=[
+            "vector-rows", "more-segments-than-frames", "zero-shift", "infinite-shift",
+            "shift-overflows-float32", "shift-underflows-float32",
+        ],
     )
     def test_rejects_bad_shape_or_shift(self, kwargs):
         with pytest.raises(ValueError):
             self.make(self.VALID, **kwargs)
+
+    @pytest.mark.parametrize("score", [1.5, -0.25, float("nan")])
+    def test_rejects_selected_score_outside_unit_interval(self, score):
+        with pytest.raises(ValueError, match=r"rep_score in \[0, 1\]"):
+            self.make(self.VALID[:4] + ([0.5, score],))
+
+    def test_rejects_non_finite_vector(self):
+        table = tuple(np.asarray(col) for col in self.VALID)
+        vectors = np.zeros((2, 3), dtype=np.float32)
+        vectors[1, 2] = np.nan
+        with pytest.raises(ValueError, match="vectors contains NaN"):
+            SummarizedSequence(vectors, table, 5)
 
     def test_rejects_unequal_columns_and_1d_vectors(self):
         with pytest.raises(ValueError):

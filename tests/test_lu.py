@@ -620,11 +620,23 @@ class TestModelFile:
         with pytest.raises(FormatError, match="header declares"):
             load_model(tmp_path / "long.ctsm")
 
-    def test_rejects_non_finite_parameters(self, tmp_path):
+    @pytest.mark.parametrize("loss", [float("nan"), float("inf")])
+    def test_save_refuses_non_finite_loss(self, tmp_path, loss):
+        path = tmp_path / "m.ctsm"
+        save_model(path, lu_init(tiny_config()))
+        before = path.read_bytes()
         model = lu_init(tiny_config())
-        model.w_out[0, 0] = np.nan
+        model.train_losses = [1.0, loss]
+        with pytest.raises(ValueError):
+            save_model(path, model)
+        assert path.read_bytes() == before
+
+    def test_rejects_non_finite_parameters(self, tmp_path):
+        # save_model refuses a NaN parameter, so the file is patched: its
+        # last four bytes are the last parameter
         path = tmp_path / "nan.ctsm"
-        save_model(path, model)
+        save_model(path, lu_init(tiny_config()))
+        path.write_bytes(path.read_bytes()[:-4] + np.float32(np.nan).tobytes())
         with pytest.raises(FormatError, match="non-finite"):
             load_model(path)
 

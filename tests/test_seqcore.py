@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctsum.cli import main
-from ctsum.cts import SummarizedSequence, read_sseq, write_sseq
+from ctsum.cts import SummarizedSequence, read_sseq, summarize, write_sseq
 from ctsum.lu import LUConfig, load_model, lu_init, save_model
 from ctsum.seqcore import (
     PROB_FLOOR,
@@ -50,6 +50,15 @@ class TestLatentSequence:
             LatentSequence(np.array([[np.nan]], dtype=np.float32))
         with pytest.raises(ValueError):
             LatentSequence(np.ones((2, 2)), frame_shift_ms=0.0)
+
+    @pytest.mark.parametrize(
+        "shift", [float("inf"), float("nan"), 1e39, 1e-50],
+        ids=["infinite", "nan", "overflows-float32", "underflows-float32"],
+    )
+    def test_rejects_shift_not_positive_and_finite_as_float32(self, shift):
+        # .lseq stores the shift as f32: 1e39 would not pack, 1e-50 would read back as 0
+        with pytest.raises(ValueError, match="frame_shift_ms must be positive"):
+            LatentSequence(np.ones((2, 2)), frame_shift_ms=shift)
 
 
 class TestVocabulary:
@@ -172,8 +181,20 @@ class TestProjectSoftmax:
         }
         obj = parts[owner]
         setattr(obj, attr, np.full_like(getattr(obj, attr), np.nan))
-        with pytest.raises(ValueError, match=f"{attr} contains NaN"):
-            project_softmax(parts["seq"], parts["proj"])
+        for entry in (project_softmax, summarize):
+            with pytest.raises(ValueError, match=f"{attr} contains NaN"):
+                entry(parts["seq"], parts["proj"])
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+    def test_float64_overflow_set_after_construction_rejected(self):
+        # finite inputs, but a float64 array swapped in overflows the logits
+        seq = LatentSequence(np.ones((3, 2), dtype=np.float32))
+        proj = ProjectionMatrix(np.ones((4, 2)))
+        seq.frames = np.full((3, 2), 1e200)
+        proj.weights = np.full((4, 2), 1e200)
+        for entry in (project_softmax, summarize):
+            with pytest.raises(ValueError, match="logits overflow float64"):
+                entry(seq, proj)
 
 
 class TestFrameArgmax:
@@ -478,6 +499,39 @@ class TestContainerRewrite:
                 read(bad)
             assert main(_cli_reading(fmt, bad, tiny_corpus, tmp_path)) == 2
             assert bad.name in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
+    @pytest.mark.parametrize("fmt", CONTAINERS)
+    def test_non_finite_value_refused_before_opening(self, tmp_path, monkeypatch, fmt):
+        # each type checks itself at construction; these values are set
+        # afterwards, and the writer refuses them instead of writing a file
+        # its reader rejects
+        write, read, make = CONTAINERS[fmt]
+        path = tmp_path / "x"
+        write(path, make(3))
+        before = path.read_bytes()
+        bad = make(3)
+        attr, value = {
+            "lseq": ("frames", np.nan),
+            "proj": ("bias", np.inf),
+            "sseq": ("vectors", np.nan),
+            "ctsm": ("params", 1e39),  # inf as float32
+        }[fmt]
+        getattr(bad, attr).flat[-1] = value
+        real_open = os.open
+        opened = []
+
+        def spy(file, *args, **kwargs):
+            opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", spy)
+        with pytest.raises(ValueError, match="refusing to write non-finite") as err:
+            write(path, bad)
+        assert str(path) in str(err.value)
+        assert opened == []
+        assert path.read_bytes() == before
+        read(path)
 
     @pytest.mark.parametrize("fmt", CONTAINERS)
     def test_write_to_devnull(self, fmt):
