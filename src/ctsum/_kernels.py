@@ -5,11 +5,11 @@ column of one target state over all frames is a first-order recurrence,
 solved with one ``np.logaddexp.accumulate``, so the Python loop has S =
 2L+1 iterations rather than T x S.
 
-The GRU kernels run over a packed minibatch (see ``Packing``): the input
-projection of every row is one matrix product, and each time step
-advances all sequences still running with one more. The forward kernel
-takes a leading group axis, so both directions of a bidirectional layer
-advance in one time loop, one batched recurrent product per step.
+The GRU kernels run over a packed minibatch (see ``Packing``): the
+caller makes the input projection of every row, one matrix product,
+once for both kernels, and each time step advances all sequences still
+running with one more. With a leading group axis, the forward kernel
+steps both directions of a layer in one loop, one product per step.
 
 All kernels take float64 arrays, C-contiguous except ``gru_forward``'s
 ``ut``: the classifier passes the transposed view ``u.transpose(0, 2,
@@ -108,8 +108,11 @@ def pack_lengths(lengths) -> Packing:
     return Packing(order, ranked, offsets.tolist(), active.tolist(), rows, rev)
 
 
-def _sigmoid(v):
-    return 1.0 / (1.0 + np.exp(-v))
+def _cell(a, v, H):
+    """Gates (z, r, n) from input projections and recurrent products (..., 3H)."""
+    zr = 1.0 / (1.0 + np.exp(-(a[..., : 2 * H] + v[..., : 2 * H])))
+    r = zr[..., H:]
+    return zr[..., :H], r, np.tanh(a[..., 2 * H :] + r * v[..., 2 * H :])
 
 
 def gru_forward(a, ut, pk: Packing):
@@ -130,7 +133,7 @@ def gru_forward(a, ut, pk: Packing):
     rows of every group with one batched product; a bidirectional layer
     runs as G = 2, its backward group fed the rows in ``pk.rev`` order.
     Every sequence starts from h_prev = 0. Returns the packed hidden
-    states h, (G, N, H); ``gru_backward`` recomputes the gates from them.
+    states h, (G, N, H); ``gru_backward`` recomputes the gates (``_cell``).
     """
     G, N, _ = a.shape
     H = ut.shape[1]
@@ -138,11 +141,7 @@ def gru_forward(a, ut, pk: Packing):
     h_prev = np.zeros((G, pk.active[0], H))
     for lo, k in zip(pk.offsets, pk.active):
         hp = h_prev[:, :k]
-        at = a[:, lo : lo + k]
-        v = hp @ ut
-        zr = _sigmoid(at[..., : 2 * H] + v[..., : 2 * H])
-        z = zr[..., :H]
-        n = np.tanh(at[..., 2 * H :] + zr[..., H:] * v[..., 2 * H :])
+        z, _, n = _cell(a[:, lo : lo + k], hp @ ut, H)
         h_prev = h[:, lo : lo + k]
         np.add((1.0 - z) * n, z * hp, out=h_prev)
     return h
@@ -159,26 +158,23 @@ def _previous_states(h, pk: Packing):
     return prev
 
 
-def gru_backward(x, h, w, u, b, pk: Packing, dh_out):
+def gru_backward(x, a, h, w, u, pk: Packing, dh_out):
     """Backward pass of one direction (one group of gru_forward).
 
-    x, h are that group's packed inputs and hidden states, (N, Din) and
-    (N, H), with w, u, b as in ``a = x @ w.T + b`` and ``ut = u.T``;
-    dh_out is dLoss/dh per row.
+    x, a, h are that group's packed inputs, input projections ``a = x @
+    w.T + b`` (as given to ``gru_forward``) and hidden states, (N, Din),
+    (N, 3H) and (N, H), with ``ut = u.T``; dh_out is dLoss/dh per row.
 
-    The gates of every row are recomputed with one product each for w
-    and u; only the carry dLoss/dh_prev runs step by step, in reverse.
+    The gates of every row are recomputed from ``a`` and one product
+    with u; only the carry dLoss/dh_prev runs step by step, in reverse.
     Returns (dw, du, db, dx), gradients summed over the minibatch, with
     dx packed like x for stacking layers.
     """
     H = u.shape[1]
     h_prev = _previous_states(h, pk)
-    a = x @ w.T + b
     v = h_prev @ u.T
-    z = _sigmoid(a[:, :H] + v[:, :H])
-    r = _sigmoid(a[:, H : 2 * H] + v[:, H : 2 * H])
+    z, r, n = _cell(a, v, H)
     vn = v[:, 2 * H :]
-    n = np.tanh(a[:, 2 * H :] + r * vn)
     # dLoss/dv of a row is dh times these three blocks, row by row
     g_n = (1.0 - z) * (1.0 - n * n)
     g = np.stack(((h_prev - n) * z * (1.0 - z), g_n * vn * r * (1.0 - r), g_n * r), axis=1)

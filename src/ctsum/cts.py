@@ -39,10 +39,12 @@ from .seqcore import (
     ProjectionMatrix,
     _argmax_path,
     _frame_shift,
+    _parse,
     _read_header,
     _read_payload,
     _require_finite,
     _softmax_probs,
+    _writable,
     _write_container,
     frame_argmax,  # noqa: F401  perfbench traces these two on this module
     project_softmax,  # noqa: F401
@@ -57,7 +59,7 @@ class Segment:
     """A maximal run [start, end) of frames sharing one argmax label.
 
     rep_frame/rep_score stay unset (-1 / nan) until a representative is
-    selected.
+    selected, which a ``SummarizedSequence`` requires.
     """
 
     start: int
@@ -83,9 +85,9 @@ class SummarizedSequence:
     """S x D representative vectors plus the segment table they came from.
 
     ``table`` is five length-S arrays ``(starts, ends, labels,
-    rep_frames, rep_scores)``, or a list of ``Segment`` records. A
-    ``rep_frames`` entry of -1 marks a segment whose representative is
-    not selected yet; a selected one needs a ``rep_scores`` entry in [0, 1].
+    rep_frames, rep_scores)``, or a list of ``Segment`` records, each with
+    its representative selected. ``_check`` holds every rule of the type;
+    construction runs it, and ``write_sseq`` runs it again.
     """
 
     def __init__(self, vectors, table, source_T: int, frame_shift_ms: float = 10.0):
@@ -94,30 +96,34 @@ class SummarizedSequence:
             table = tuple(zip(*rows)) if rows else ((),) * 5
         starts, ends, labels, reps, scores = table
         self.vectors = np.ascontiguousarray(vectors, dtype=np.float32)
-        self.starts = starts = np.asarray(starts, dtype=np.int64)
-        self.ends = ends = np.asarray(ends, dtype=np.int64)
-        self.labels = labels = np.asarray(labels, dtype=np.int64)
-        self.rep_frames = reps = np.asarray(reps, dtype=np.int64)
-        self.rep_scores = scores = np.asarray(scores, dtype=np.float64)
+        self.starts = np.asarray(starts, dtype=np.int64)
+        self.ends = np.asarray(ends, dtype=np.int64)
+        self.labels = np.asarray(labels, dtype=np.int64)
+        self.rep_frames = np.asarray(reps, dtype=np.int64)
+        self.rep_scores = np.asarray(scores, dtype=np.float64)
         self.source_T = int(source_T)
-        self.frame_shift_ms = _frame_shift(frame_shift_ms)
+        self.frame_shift_ms = float(frame_shift_ms)
+        self._check()
 
-        if self.vectors.ndim != 2:
-            raise ValueError("vectors must be 2-d")
+    def _check(self):
+        """Raise ``ValueError`` unless the summary holds its invariants."""
+        _frame_shift(self.frame_shift_ms)
+        if self.vectors.ndim != 2 or self.vectors.shape[1] < 1:
+            raise ValueError(f"vectors must be (S, D>=1), got {self.vectors.shape}")
         _require_finite("vectors", self.vectors)
+        starts, ends, labels, reps, scores = self.table
         s = self.vectors.shape[0]
         if not starts.shape == ends.shape == labels.shape == reps.shape == scores.shape == (s,):
             raise ValueError("vectors and segments must have equal length")
         if s > self.source_T:
             raise ValueError("cannot have more segments than source frames")
-        # count_nonzero is the cheapest "any" on the few-row tables summarize
-        # makes; (starts | labels) is negative where either one is
-        if np.count_nonzero(((starts | labels) < 0) | (starts >= ends)):
-            raise ValueError("bad segment: every segment needs 0 <= start < end and label >= 0")
-        # clipping to [0, 1] changes a score outside it, and NaN != NaN
-        bad_rep = (reps < starts) | (reps >= ends) | (scores.clip(0.0, 1.0) != scores)
-        if np.count_nonzero(bad_rep & (reps != -1)):
-            raise ValueError("a selected rep_frame must lie in its span, its rep_score in [0, 1]")
+        # count_nonzero is the cheapest "any" on the few-row tables summarize makes;
+        # (starts | labels) < 0 where either one is, start <= rep < end implies
+        # start < end, and clipping changes a score outside [0, 1] or NaN
+        bad = ((starts | labels) < 0) | (reps < starts) | (reps >= ends)
+        if np.count_nonzero(bad | (scores.clip(0.0, 1.0) != scores)):
+            raise ValueError("every segment needs 0 <= start <= rep_frame < end, label >= 0 "
+                             "and rep_score in [0, 1]")
 
     @property
     def table(self) -> tuple[np.ndarray, ...]:
@@ -213,11 +219,10 @@ _U32_MAX = np.iinfo(np.uint32).max
 
 
 def write_sseq(path, summ: SummarizedSequence):
+    _writable(path, summ._check)
     s, d = summ.vectors.shape
     if s == 0:
         raise ValueError("refusing to write an empty summary")
-    if np.count_nonzero(summ.rep_frames < 0):
-        raise ValueError("segments must have representatives selected")
     if summ.ends.max() > _U32_MAX or summ.labels.max() > _U32_MAX:
         raise ValueError("segment ends and labels must fit in 32 bits")
     table = np.empty(s, dtype=_SEG_RECORD)
@@ -236,7 +241,4 @@ def read_sseq(path) -> SummarizedSequence:
     vectors = np.frombuffer(payload, "<f4", s * d).reshape(s, d)
     table = np.frombuffer(payload, _SEG_RECORD, offset=4 * s * d)
     columns = tuple(table[name] for name in _SEG_RECORD.names)
-    try:
-        return SummarizedSequence(vectors, columns, table["end"].max(), shift)
-    except ValueError as exc:
-        raise FormatError(f"{path}: invalid summary: {exc}") from exc
+    return _parse(path, "summary", SummarizedSequence, vectors, columns, table["end"].max(), shift)

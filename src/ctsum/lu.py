@@ -48,6 +48,7 @@ from .seqcore import (
     _as_int,
     _decode_json,
     _floored_log,
+    _parse,
     _read_exact,
     _read_header,
     _read_payload,
@@ -179,14 +180,10 @@ def lu_init(config: LUConfig) -> LUModel:
 
 
 def _as_float_seq(model: LUModel, seq) -> np.ndarray:
+    """A sequence as float64 input, checked against the model's input width."""
     x = np.ascontiguousarray(seq, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] < 1:
-        raise ValueError(f"input must be (T>=1, D), got shape {x.shape}")
-    if x.shape[1] != model.config.input_dim:
-        raise ValueError(
-            f"dimension mismatch: model expects D={model.config.input_dim}, "
-            f"got {x.shape[1]}"
-        )
+    if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] != model.config.input_dim:
+        raise ValueError(f"input dimensions must be (T>=1, D={model.config.input_dim}), got {x.shape}")
     return x
 
 
@@ -225,8 +222,8 @@ def _pack(xs):
 
 def _bigru_forward(model: LUModel, pk: _kernels.Packing, x):
     """Run all layers, both directions of a layer in one fused
-    recurrence; caches hold per-direction (input, h), the backward
-    direction's in its reversed row order. The weights are the
+    recurrence; caches hold per-direction inputs (the backward one's in
+    reversed row order), projections a and h. The weights are the
     direction-stacked views of ``model.stacked``, never copied."""
     cur = x
     caches = []
@@ -237,7 +234,7 @@ def _bigru_forward(model: LUModel, pk: _kernels.Packing, x):
         np.matmul(xr, st.w[1].T, out=a[1])
         a += st.b[:, None]
         hf, hb = _kernels.gru_forward(a, st.u.transpose(0, 2, 1), pk)
-        caches.append((cur, hf, xr, hb))
+        caches.append((cur, xr, a, hf, hb))
         cur = np.concatenate((hf, hb[pk.rev]), axis=1)
     return cur, caches
 
@@ -292,14 +289,14 @@ def _batch_loss_and_grads(model: LUModel, items):
     dh = np.empty_like(top)
     dh[pk.rows] = np.repeat(dpool, pk.lengths, axis=0)
 
-    for (fw, bw), (gf, gb), (xin, hf, xr, hb) in zip(
+    for (fw, bw), (gf, gb), (xin, xr, a, hf, hb) in zip(
         reversed(model.layers), reversed(grad.layers), reversed(caches)
     ):
         gf.w[...], gf.u[...], gf.b[...], dxf = _kernels.gru_backward(
-            xin, hf, fw.w, fw.u, fw.b, pk, dh[:, :h]
+            xin, a[0], hf, fw.w, fw.u, pk, dh[:, :h]
         )
         gb.w[...], gb.u[...], gb.b[...], dxb = _kernels.gru_backward(
-            xr, hb, bw.w, bw.u, bw.b, pk, dh[pk.rev, h:]
+            xr, a[1], hb, bw.w, bw.u, pk, dh[pk.rev, h:]
         )
         dh = dxf + dxb[pk.rev]
 
@@ -406,13 +403,21 @@ def gradient_check(config: LUConfig, sample) -> float:
 
 def save_model(path, model: LUModel):
     """Write the .ctsm container; parameters in canonical order as f32."""
-    cfg = asdict(model.config)
-    header = json.dumps(
-        {"config": cfg, "train_losses": [float(x) for x in model.train_losses]},
-        sort_keys=True,
-        allow_nan=False,
-    ).encode("utf-8")
+    losses = [float(x) for x in model.train_losses]
+    if not all(map(math.isfinite, losses)):
+        raise ValueError(f"{path}: refusing to write non-finite train_losses")
+    meta = {"config": asdict(model.config), "train_losses": losses}
+    header = json.dumps(meta, sort_keys=True, allow_nan=False).encode("utf-8")
     _write_container(path, MODEL_MAGIC, "I", (len(header),), header, model.params)
+
+
+def _model_header(meta) -> tuple[LUConfig, list[float]]:
+    """The config and training losses of a decoded .ctsm JSON header."""
+    config = LUConfig(**meta["config"])
+    losses = meta.get("train_losses", [])
+    if not isinstance(losses, list):
+        raise ValueError("train_losses must be a list of finite numbers")
+    return config, [_as_float("train_losses", x) for x in losses]
 
 
 def load_model(path) -> LUModel:
@@ -422,14 +427,7 @@ def load_model(path) -> LUModel:
         if left < 0:
             raise FormatError(f"{path}: truncated file: header declares a {hlen}-byte JSON header")
         meta = _decode_json(_read_exact(fh, hlen, "JSON header"), path, "model header")
-        try:
-            config = LUConfig(**meta["config"])
-            losses = meta.get("train_losses", [])
-            if not isinstance(losses, list):
-                raise ValueError("train_losses must be a list of finite numbers")
-            losses = [_as_float("train_losses", x) for x in losses]
-        except (ValueError, KeyError, TypeError, OverflowError) as exc:
-            raise FormatError(f"{path}: invalid model header: {exc}") from exc
+        config, losses = _parse(path, "model header", _model_header, meta)
         # Each layer holds at least 6 * 3H parameters (w, u, b of two
         # directions); bound the layer count before _layout walks it.
         if 4 * 6 * 3 * config.hidden * config.layers > left:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import math
 import numbers
 import operator
 import os
@@ -11,6 +10,7 @@ import stat
 import struct
 from dataclasses import dataclass
 from functools import cached_property
+from sys import float_info
 
 import numpy as np
 
@@ -36,9 +36,9 @@ def _as_int(name: str, value) -> int:
 
 
 def _as_float(name: str, value) -> float:
-    """A real field, e.g. from JSON: a bool, a string or a non-finite
-    value is an error."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value):
+    """A real field, e.g. from JSON: a bool, a string, NaN, an infinity or
+    an int too large for a float (so beyond the bound) is an error."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) and abs(value) <= float_info.max:
         return float(value)
     raise TypeError(f"{name} must be a finite number, got {value!r}")
 
@@ -103,8 +103,9 @@ class Vocabulary:
     blank_index: int = 0
 
     def __post_init__(self):
-        if isinstance(self.labels, str):
-            raise ValueError("labels must be a list of strings, not one string")
+        if not isinstance(self.labels, (list, tuple)):
+            kind = "one string" if isinstance(self.labels, str) else type(self.labels).__name__
+            raise ValueError(f"labels must be a list of strings, not {kind}")
         self.labels = list(self.labels)
         if not self.labels:
             raise ValueError("labels must be non-empty")
@@ -280,10 +281,10 @@ def frame_argmax(grid: PosteriorGrid) -> FramePath:
 # and ``_read_payload`` are the only code that frames one.
 #
 # Each in-memory type validates itself at construction. A reader only
-# frames, constructs and turns ``ValueError`` into ``FormatError``, and the
-# one writer refuses a float payload that is not finite as f32, so any file
-# a ctsum writer produces loads. (``load_model`` checks the parameters,
-# which ``LUModel`` does not.)
+# frames and constructs through ``_parse``. A writer refuses what its
+# reader would reject before it opens the file (``_write_container`` a
+# float payload not finite as f32), so any file a ctsum writer produces
+# loads. (``load_model`` checks the parameters, which ``LUModel`` does not.)
 #
 # .lseq : "CTSQ" | u16 version | u32 T | u32 D | f32 frame_shift_ms | f32[T*D]
 # .proj : "CTSP" | u16 version | u32 V | u32 D | f32[V*D] weights | f32[V] bias
@@ -404,26 +405,39 @@ def _rewrite_in_place(fd, data, magic):
         raise
 
 
+def _parse(where, what, build, *args):
+    """``build(*args)`` on contents of the file ``where``: the one place where
+    malformed contents become a FormatError naming the file (and ``what``)."""
+    try:
+        return build(*args)
+    except (ValueError, TypeError, KeyError, OverflowError, RecursionError) as exc:
+        prefix = f"{where}: invalid {what}" if what else where
+        raise FormatError(f"{prefix}: {exc}") from exc
+
+
+def _writable(path, check, *args):
+    """``check(*args)``, its ``ValueError`` naming the file to be written."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def _decode_json(data: bytes, where, what="JSON"):
     """The UTF-8 JSON document in ``data``; ``where`` names its file."""
-    try:
-        return json.loads(data.decode("utf-8"))
-    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
-        raise FormatError(f"{where}: invalid {what}: {exc}") from exc
+    return _parse(where, what, lambda: json.loads(data.decode("utf-8")))
 
 
 def write_lseq(path, seq: LatentSequence):
-    _write_container(path, LSEQ_MAGIC, "IIf", (*seq.frames.shape, seq.frame_shift_ms), seq.frames)
+    shift = _writable(path, _frame_shift, seq.frame_shift_ms)
+    _write_container(path, LSEQ_MAGIC, "IIf", (*seq.frames.shape, shift), seq.frames)
 
 
 def read_lseq(path) -> LatentSequence:
     with open(path, "rb") as fh:
         t, d, shift = _read_header(fh, LSEQ_MAGIC, path)
         frames = np.frombuffer(_read_payload(fh, path, 4 * t * d), "<f4")
-    try:
-        return LatentSequence(frames.reshape(t, d), shift)
-    except ValueError as exc:
-        raise FormatError(f"{path}: invalid latent sequence: {exc}") from exc
+    return _parse(path, "latent sequence", LatentSequence, frames.reshape(t, d), shift)
 
 
 def write_proj(path, proj: ProjectionMatrix):
@@ -434,10 +448,7 @@ def read_proj(path) -> ProjectionMatrix:
     with open(path, "rb") as fh:
         v, d = _read_header(fh, PROJ_MAGIC, path, "II")
         floats = np.frombuffer(_read_payload(fh, path, 4 * v * (d + 1)), "<f4")
-    try:
-        return ProjectionMatrix(floats[: v * d].reshape(v, d), floats[v * d :])
-    except ValueError as exc:
-        raise FormatError(f"{path}: invalid projection: {exc}") from exc
+    return _parse(path, "projection", ProjectionMatrix, floats[: v * d].reshape(v, d), floats[v * d :])
 
 
 def write_vocab(path, vocab: Vocabulary):
@@ -449,7 +460,4 @@ def write_vocab(path, vocab: Vocabulary):
 def read_vocab(path) -> Vocabulary:
     with open(path, "rb") as fh:
         obj = _decode_json(fh.read(), path)
-    try:
-        return Vocabulary(obj["labels"], obj["blank_index"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: invalid vocabulary: {exc}") from exc
+    return _parse(path, "vocabulary", lambda: Vocabulary(obj["labels"], obj["blank_index"]))

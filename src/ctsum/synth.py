@@ -36,6 +36,7 @@ from .seqcore import (
     _as_float,
     _as_int,
     _decode_json,
+    _parse,
     read_lseq,
     read_proj,
     read_vocab,
@@ -282,12 +283,34 @@ def generate_corpus(spec: SynthSpec, out_dir) -> Corpus:
     return corpus
 
 
+def _manifest_row(row, ids, spec: SynthSpec, vocab: Vocabulary, inside: Path) -> dict:
+    """A decoded manifest line as a corpus row (its new id added to ``ids``),
+    with its labels non-blank and in range and its ``lseq`` inside ``inside``."""
+    for key in ("id", "lseq"):
+        if not isinstance(row[key], str) or not row[key]:
+            raise ValueError(f"{key} must be a non-empty string, got {row[key]!r}")
+    if row["id"] in ids:
+        raise ValueError(f"duplicate id {row['id']!r}")
+    intent = _as_int("intent", row["intent"])
+    if not 0 <= intent < spec.num_intents:
+        raise ValueError(f"intent {intent} is outside [0, {spec.num_intents})")
+    labels = [_as_int("label", lab) for lab in row["labels"]]
+    if not labels:
+        raise ValueError("labels must be non-empty")
+    for lab in labels:
+        if not 0 <= lab < spec.vocab_size or lab == vocab.blank_index:
+            raise ValueError(f"label {lab} is the blank or outside [0, {spec.vocab_size})")
+    # realpath, not Path.resolve: a symlink loop must not raise RuntimeError
+    if not Path(os.path.realpath(inside / row["lseq"])).is_relative_to(inside):
+        raise ValueError(f"lseq {row['lseq']!r} lies outside the corpus directory")
+    ids.add(row["id"])
+    return {"id": row["id"], "intent": intent, "labels": labels, "lseq": row["lseq"]}
+
+
 def load_corpus(corpus_dir) -> Corpus:
     """Read a corpus directory and check that its files agree with its
     spec: the projection is V x D, the vocabulary has V labels, every
-    manifest intent is in range, every label list is non-empty and in
-    range with no blank, and every ``lseq`` resolves inside the
-    directory, which is checked before it is opened, and holds
+    manifest row passes ``_manifest_row``, and every ``lseq`` holds
     D-dimensional frames."""
     root = Path(corpus_dir)
     spec = load_spec(root / SPEC_NAME)
@@ -310,28 +333,7 @@ def load_corpus(corpus_dir) -> Corpus:
             continue
         where = f"{manifest}: manifest line {lineno}"
         row = _decode_json(line, where)
-        try:
-            for key in ("id", "lseq"):
-                if not isinstance(row[key], str) or not row[key]:
-                    raise ValueError(f"{key} must be a non-empty string, got {row[key]!r}")
-            if row["id"] in ids:
-                raise ValueError(f"duplicate id {row['id']!r}")
-            intent = _as_int("intent", row["intent"])
-            if not 0 <= intent < spec.num_intents:
-                raise ValueError(f"intent {intent} is outside [0, {spec.num_intents})")
-            labels = [_as_int("label", lab) for lab in row["labels"]]
-            if not labels:
-                raise ValueError("labels must be non-empty")
-            for lab in labels:
-                if not 0 <= lab < v or lab == vocab.blank_index:
-                    raise ValueError(f"label {lab} is the blank or outside [0, {v})")
-            # realpath, not Path.resolve: a symlink loop must not raise RuntimeError
-            if not Path(os.path.realpath(root / row["lseq"])).is_relative_to(inside):
-                raise ValueError(f"lseq {row['lseq']!r} lies outside the corpus directory")
-            ids.add(row["id"])
-            rows.append({"id": row["id"], "intent": intent, "labels": labels, "lseq": row["lseq"]})
-        except (ValueError, KeyError, TypeError) as exc:
-            raise FormatError(f"{where}: {exc}") from exc
+        rows.append(_parse(where, None, _manifest_row, row, ids, spec, vocab, inside))
     seqs = []
     for row in rows:
         path = root / row["lseq"]
@@ -389,7 +391,4 @@ def load_spec(path) -> SynthSpec:
     unknown = set(data) - known
     if unknown:
         raise FormatError(f"{path}: unknown spec fields {sorted(unknown)}")
-    try:
-        return SynthSpec(**data)
-    except (ValueError, TypeError) as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+    return _parse(path, None, lambda: SynthSpec(**data))

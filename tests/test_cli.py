@@ -278,7 +278,11 @@ class TestTrainEvalBench:
         out = tmp_path / "m.ctsm"
         assert main(["train-lu", "--corpus", corpus_dir, "--mode", "e1", "--out", str(out),
                      "--seed", "0"]) == 2
-        assert "ctsum: error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "ctsum: error:" in err
+        assert str(out) in err
+        if diverged == "nan-loss":
+            assert "train_losses" in err
         assert not out.exists()
 
     def test_bench_reports_rtf(self, corpus_dir, e1_model, capsys):

@@ -382,7 +382,7 @@ class TestSummarizedSequence:
             (2, [1, -3]),  # negative label
             (3, [2, 4]),  # rep_frame == end
             (3, [1, 1]),  # rep_frame before start
-            (3, [1, -2]),  # negative rep_frame other than "unselected"
+            (3, [1, -2]),  # negative rep_frame
         ],
     )
     def test_rejects_each_bad_row(self, column, value):
@@ -394,19 +394,21 @@ class TestSummarizedSequence:
         with pytest.raises(ValueError):
             [Segment(*row) for row in zip(*table)]
 
-    def test_unselected_representative_allowed(self):
-        summ = self.make(([0], [4], [1], [-1], [float("nan")]), s=1)
-        assert summ.segments[0].rep_frame == -1
+    def test_unselected_representative_rejected(self):
+        # Segment's default rep_frame of -1 means "not selected yet"; a
+        # summary takes selected segments only
+        with pytest.raises(ValueError, match="every segment needs 0 <= start <= rep_frame < end"):
+            self.make(([0], [4], [1], [-1], [float("nan")]), s=1)
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             dict(s=3), dict(source_t=1), dict(shift=0.0), dict(shift=float("inf")),
-            dict(shift=1e39), dict(shift=1e-50),
+            dict(shift=1e39), dict(shift=1e-50), dict(d=0),
         ],
         ids=[
             "vector-rows", "more-segments-than-frames", "zero-shift", "infinite-shift",
-            "shift-overflows-float32", "shift-underflows-float32",
+            "shift-overflows-float32", "shift-underflows-float32", "zero-dim",
         ],
     )
     def test_rejects_bad_shape_or_shift(self, kwargs):
@@ -452,12 +454,10 @@ class TestSseqFile:
             assert getattr(back, name).tolist() == getattr(summ, name).tolist()
         assert back.rep_scores.tobytes() == summ.rep_scores.astype("<f4").astype(np.float64).tobytes()
 
-    def test_rejects_unselected_segments(self, tmp_path):
-        summ = SummarizedSequence(
-            np.zeros((1, 2), dtype=np.float32), [Segment(0, 4, 1)], 4
-        )
-        with pytest.raises(ValueError):
-            write_sseq(tmp_path / "x.sseq", summ)
+    def test_rejects_unselected_segments(self):
+        # refused when the summary is built, so there is nothing to write
+        with pytest.raises(ValueError, match="every segment needs 0 <= start <= rep_frame < end"):
+            SummarizedSequence(np.zeros((1, 2), dtype=np.float32), [Segment(0, 4, 1)], 4)
 
     def test_rejects_fields_wider_than_32_bits(self, tmp_path):
         big = 2**32
@@ -516,6 +516,14 @@ class TestSseqFile:
         path.write_bytes(self.sseq_bytes(segments, vectors=vectors, shift=shift))
         with pytest.raises(FormatError):
             read_sseq(path)
+
+    def test_zero_dim_vectors_raise_format_error(self, tmp_path):
+        # well framed, but a summary's vectors need D >= 1, as a sequence's do
+        path = tmp_path / "x.sseq"
+        path.write_bytes(self.sseq_bytes([(0, 2, 1, 0, 0.5)], d=0))
+        with pytest.raises(FormatError, match=r"invalid summary: vectors must be \(S, D>=1\)") as e:
+            read_sseq(path)
+        assert str(path) in str(e.value)
 
     def test_declared_size_checked_before_reading(self, tmp_path):
         raw = self.sseq_bytes([(0, 2, 1, 0, 0.5), (2, 4, 0, 3, 0.5)])

@@ -196,7 +196,7 @@ class TestGruKernels:
             xs, w, u, b, pk, x = random_gru_instance(seed)
             h = forward(x, w, u, b, pk)
             dh = np.random.default_rng(seed + 100).standard_normal(h.shape)
-            dw, du, db, dx = gru_backward(x, h, w, u, b, pk, dh)
+            dw, du, db, dx = gru_backward(x, x @ w.T + b, h, w, u, pk, dh)
             sums = [np.zeros_like(w), np.zeros_like(u), np.zeros_like(b)]
             for xi, rows in zip(xs, sequence_rows(pk)):
                 ref = gru_backward_py(xi, *gru_forward_py(xi, w, u, b), w, u, dh[rows])
@@ -213,7 +213,7 @@ class TestGruKernels:
             return forward(x, wv, uv, b, pk).sum()
 
         h = forward(x, w, u, b, pk)
-        dw, du, _, _ = gru_backward(x, h, w, u, b, pk, np.ones_like(h))
+        dw, du, _, _ = gru_backward(x, x @ w.T + b, h, w, u, pk, np.ones_like(h))
         step = 1e-6
         for grad, arg in ((dw, 0), (du, 1)):
             for idx in [(0, 0), (3, 1), (5, 1)]:

@@ -1,7 +1,8 @@
 """Only the harness composes the pipeline: the decoder (``ctc``), the
 summarizer (``cts``), the classifier (``lu``) and the corpus generator
 (``synth``) import nothing from the package but the shared ``seqcore``
-and ``_kernels``."""
+and ``_kernels``. And one helper, ``seqcore._parse``, turns a reader's
+errors into ``FormatError``."""
 
 import ast
 import pathlib
@@ -48,3 +49,50 @@ def test_checker_sees_relative_and_absolute_imports(tmp_path):
         "from ctsum.harness import STAGES\nimport ctsum.synth\nfrom .seqcore import Vocabulary\n"
     )
     assert package_imports(src) == {"_kernels", "lu", "ctc", "harness", "synth", "seqcore"}
+
+
+def format_error_handlers(path):
+    """The function around each ``except`` handler in a source file whose
+    body raises ``FormatError``."""
+    found = []
+
+    def raises_format_error(node):
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return getattr(exc, "id", getattr(exc, "attr", None)) == "FormatError"
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                visit(child, getattr(child, "name", "<lambda>"))
+                continue
+            if isinstance(child, ast.ExceptHandler) and any(
+                isinstance(n, ast.Raise) and n.exc is not None and raises_format_error(n)
+                for n in ast.walk(child)
+            ):
+                found.append(function)
+            visit(child, function)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    return found
+
+
+def test_one_helper_turns_errors_into_format_error():
+    found = [
+        f"{path.stem}.{function}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for function in format_error_handlers(path)
+    ]
+    assert found == ["seqcore._parse"]
+
+
+def test_checker_sees_every_form_of_the_raise(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text(
+        "def a():\n    try:\n        f()\n    except ValueError as e:\n"
+        "        raise FormatError(str(e)) from e\n"
+        "def b():\n    try:\n        f()\n    except KeyError:\n"
+        "        if x:\n            raise seqcore.FormatError\n"
+        "def c():\n    try:\n        f()\n    except KeyError:\n        raise ValueError()\n"
+        "    raise FormatError('not in a handler')\n"
+    )
+    assert format_error_handlers(src) == ["a", "b"]

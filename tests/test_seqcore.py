@@ -78,6 +78,18 @@ class TestVocabulary:
         with pytest.raises(ValueError, match="not one string"):
             Vocabulary("abc", 1)
 
+    def test_rejects_a_mapping_for_labels(self, tmp_path):
+        # iterating a JSON object yields its keys, which are not a label list
+        with pytest.raises(ValueError, match="labels must be a list of strings, not dict"):
+            Vocabulary({"_": 1, "a": 2})
+        path = tmp_path / "v.json"
+        path.write_text(json.dumps({"blank_index": 0, "labels": {"_": 1, "a": 2}}))
+        with pytest.raises(FormatError, match="invalid vocabulary: labels must be a list"):
+            read_vocab(path)
+
+    def test_tuple_of_labels_accepted(self):
+        assert Vocabulary(("_", "a")).labels == ["_", "a"]
+
     @pytest.mark.parametrize("blank", [1.5, True, "1"])
     def test_blank_index_must_be_an_integer(self, blank):
         with pytest.raises(TypeError, match="blank_index must be an integer"):
@@ -86,6 +98,21 @@ class TestVocabulary:
     def test_numpy_integer_blank_index_accepted(self):
         vocab = Vocabulary(["_", "a", "b"], np.int64(2))
         assert vocab.blank_index == 2 and type(vocab.blank_index) is int
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda v: SynthSpec(noise_sigma=v),
+        lambda v: SynthSpec(logit_scale=v),
+        lambda v: LUConfig(3, 2, learning_rate=v),
+    ],
+    ids=["noise_sigma", "logit_scale", "learning_rate"],
+)
+def test_float_field_rejects_int_too_large_for_a_float(make):
+    with pytest.raises(TypeError, match="must be a finite number"):
+        make(10**400)
+    make(10**300)  # an int a float holds is a number like any other
 
 
 class TestProjectSoftmax:
@@ -381,9 +408,11 @@ class TestFramePathValidation:
 
 def _summary(n):
     idx = np.arange(n)
-    table = (idx, idx + 1, idx % 2 + 1, idx, np.full(n, 0.75))
+    table = (idx, idx + 1, idx % 2 + 1, idx.copy(), np.full(n, 0.75))  # no shared column
     return SummarizedSequence(np.arange(2.0 * n).reshape(n, 2), table, n, 12.5)
 
+
+SEGMENT_RULE = "every segment needs 0 <= start <= rep_frame < end, label >= 0 and rep_score in [0, 1]"
 
 # format: (writer, reader, an artifact whose size grows with n)
 CONTAINERS = {
@@ -501,8 +530,24 @@ class TestContainerRewrite:
             assert bad.name in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
-    @pytest.mark.parametrize("fmt", CONTAINERS)
-    def test_non_finite_value_refused_before_opening(self, tmp_path, monkeypatch, fmt):
+    @pytest.mark.parametrize(
+        "fmt, attr, value, message",
+        [
+            ("lseq", "frames", np.nan, "refusing to write non-finite float32 values"),
+            ("proj", "bias", np.inf, "refusing to write non-finite float32 values"),
+            ("sseq", "vectors", np.nan, "vectors contains NaN or Inf"),
+            ("ctsm", "params", 1e39, "refusing to write non-finite float32 values"),  # inf as f32
+            ("lseq", "frame_shift_ms", 0.0,
+             "frame_shift_ms must be positive and finite as float32, got 0.0"),
+            ("sseq", "rep_scores", np.nan, SEGMENT_RULE),
+            ("sseq", "rep_scores", 1.5, SEGMENT_RULE),
+            ("sseq", "rep_frames", 3, SEGMENT_RULE),  # the end of the last span, [2, 3)
+        ],
+        ids=["lseq", "proj", "sseq", "ctsm", "lseq-zero-shift", "sseq-nan-score",
+             "sseq-score-above-1", "sseq-rep-outside-span"],
+    )
+    def test_non_finite_value_refused_before_opening(self, tmp_path, monkeypatch, fmt, attr,
+                                                     value, message):
         # each type checks itself at construction; these values are set
         # afterwards, and the writer refuses them instead of writing a file
         # its reader rejects
@@ -511,13 +556,10 @@ class TestContainerRewrite:
         write(path, make(3))
         before = path.read_bytes()
         bad = make(3)
-        attr, value = {
-            "lseq": ("frames", np.nan),
-            "proj": ("bias", np.inf),
-            "sseq": ("vectors", np.nan),
-            "ctsm": ("params", 1e39),  # inf as float32
-        }[fmt]
-        getattr(bad, attr).flat[-1] = value
+        if isinstance(getattr(bad, attr), np.ndarray):
+            getattr(bad, attr).flat[-1] = value
+        else:
+            setattr(bad, attr, value)
         real_open = os.open
         opened = []
 
@@ -526,9 +568,9 @@ class TestContainerRewrite:
             return real_open(file, *args, **kwargs)
 
         monkeypatch.setattr(os, "open", spy)
-        with pytest.raises(ValueError, match="refusing to write non-finite") as err:
+        with pytest.raises(ValueError) as err:
             write(path, bad)
-        assert str(path) in str(err.value)
+        assert str(err.value) == f"{path}: {message}"
         assert opened == []
         assert path.read_bytes() == before
         read(path)
