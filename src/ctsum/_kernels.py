@@ -6,16 +6,18 @@ solved with one ``np.logaddexp.accumulate``, so the Python loop has S =
 2L+1 iterations rather than T x S.
 
 The GRU kernels run over a packed minibatch (see ``Packing``): the
-caller makes the input projection of every row, one matrix product,
-once for both kernels, and each time step advances all sequences still
-running with one more. With a leading group axis, the forward kernel
-steps both directions of a layer in one loop, one product per step.
+input projection of every row is made once, for both kernels, and each
+time step advances all sequences still running with one matrix product.
+``gru_forward`` is one recurrence of any width: a bidirectional layer
+runs as one recurrence of width 2H, its state [h_f | h_b] and its two
+recurrent weight matrices one block-diagonal matrix (``bidirectional``),
+so a step is one 2-D product for both directions. The zero blocks add
+exact zeros, so each direction's recurrent products equal those of its
+own C-ordered (H, 3H) matrix u.T; a product with the transposed view of
+u goes down another BLAS path for a few rows and differs from them in
+the last bits.
 
-All kernels take float64 arrays, C-contiguous except ``gru_forward``'s
-``ut``: the classifier passes the transposed view ``u.transpose(0, 2,
-1)`` of its direction-stacked weights, and that view must stay a view.
-A C-contiguous copy sends the per-step product down a different BLAS
-path, whose results differ in the last bits.
+All kernels take float64 arrays.
 """
 
 from typing import NamedTuple
@@ -108,20 +110,20 @@ def pack_lengths(lengths) -> Packing:
     return Packing(order, ranked, offsets.tolist(), active.tolist(), rows, rev)
 
 
-def _cell(a, v, H):
-    """Gates (z, r, n) from input projections and recurrent products (..., 3H)."""
-    zr = 1.0 / (1.0 + np.exp(-(a[..., : 2 * H] + v[..., : 2 * H])))
-    r = zr[..., H:]
-    return zr[..., :H], r, np.tanh(a[..., 2 * H :] + r * v[..., 2 * H :])
+def _cell(a, v):
+    """Gates (z, r, n) from input projections and recurrent products, each
+    (..., 3, K) with the gate blocks on the second-to-last axis."""
+    zr = 1.0 / (1.0 + np.exp(-(a[..., :2, :] + v[..., :2, :])))
+    r = zr[..., 1, :]
+    return zr[..., 0, :], r, np.tanh(a[..., 2, :] + r * v[..., 2, :])
 
 
 def gru_forward(a, ut, pk: Packing):
-    """G independent 3-gate GRU directions stepped through one time loop.
+    """One 3-gate GRU recurrence of width K over a packed minibatch.
 
-    a  : (G, N, 3H) input projections a = w @ x_t + b of each group's
-         packed rows, each group in its own processing order
-    ut : (G, H, 3H) transposed recurrent weights u.T of each group, gate
-         blocks stacked [update; reset; cand]; any strides (see above)
+    a  : (N, 3K) input projections a = w @ x_t + b of the packed rows,
+         gate blocks [update | reset | cand]
+    ut : (K, 3K) transposed recurrent weights u.T, same gate blocks
 
     Cell, with s = sigmoid and blocks a = w @ x_t + b, v = u @ h_prev:
         z = s(a_z + v_z)
@@ -129,22 +131,53 @@ def gru_forward(a, ut, pk: Packing):
         n = tanh(a_n + r * v_n)
         h = (1 - z) * n + z * h_prev
 
-    All groups share the packing ``pk``, so step t advances the same
-    rows of every group with one batched product; a bidirectional layer
-    runs as G = 2, its backward group fed the rows in ``pk.rev`` order.
-    Every sequence starts from h_prev = 0. Returns the packed hidden
-    states h, (G, N, H); ``gru_backward`` recomputes the gates (``_cell``).
+    Every sequence starts from h_prev = 0, and step t advances the rows
+    of all sequences still running with one (k, K) @ (K, 3K) product. A
+    bidirectional layer runs as one recurrence of width K = 2H in the
+    layout of ``bidirectional``. Returns the packed hidden states h,
+    (N, K); ``gru_backward`` recomputes the gates (``_cell``).
     """
-    G, N, _ = a.shape
-    H = ut.shape[1]
-    h = np.empty((G, N, H))
-    h_prev = np.zeros((G, pk.active[0], H))
+    N, K = a.shape[0], ut.shape[0]
+    a = a.reshape(N, 3, K)
+    h = np.empty((N, K))
+    h_prev = np.zeros((pk.active[0], K))
     for lo, k in zip(pk.offsets, pk.active):
-        hp = h_prev[:, :k]
-        z, _, n = _cell(a[:, lo : lo + k], hp @ ut, H)
-        h_prev = h[:, lo : lo + k]
+        hp = h_prev[:k]
+        z, _, n = _cell(a[lo : lo + k], (hp @ ut).reshape(k, 3, K))
+        h_prev = h[lo : lo + k]
         np.add((1.0 - z) * n, z * hp, out=h_prev)
     return h
+
+
+def bidirectional(xs, w, u, b):
+    """Both directions of a layer as one GRU recurrence of width 2H.
+
+    xs      : packed inputs (x, x[pk.rev]) of the forward and backward
+              direction, each (N, Din)
+    w, u, b : (2, 3H, Din), (2, 3H, H), (2, 3H) weights of the two
+              directions, gate blocks [update; reset; cand]
+
+    Returns ``gru_forward``'s (a, ut) for the state [h_f | h_b]: the
+    input projections gate-major, (N, 6H) = [z_f z_b | r_f r_b | n_f
+    n_b], each direction's written straight into its columns, and the
+    block-diagonal (2H, 6H) recurrent weights, in which each direction's
+    state feeds only its own gate columns. gru_forward's h then splits
+    into h[:, :H] (forward) and h[:, H:] (backward, in ``pk.rev`` row
+    order), and ``a.reshape(N, 3, 2, H)[:, :, d]`` is direction d's
+    (N, 3, H) gate view.
+    """
+    _, H3, din = w.shape
+    H = H3 // 3
+    N = xs[0].shape[0]
+    a = np.empty((N, 3, 2, H))
+    for d, x in enumerate(xs):  # one (N, Din) @ (Din, H) product per gate
+        wt = w[d].reshape(3, H, din).transpose(0, 2, 1)
+        np.matmul(x, wt, out=a[:, :, d].transpose(1, 0, 2))
+    a += b.reshape(2, 3, H).transpose(1, 0, 2)
+    ubd = np.zeros((2, H, 3, 2, H))
+    for d in range(2):
+        ubd[d, :, :, d] = u[d].T.reshape(H, 3, H)
+    return a.reshape(N, 2 * H3), ubd.reshape(2 * H, 2 * H3)
 
 
 def _previous_states(h, pk: Packing):
@@ -159,11 +192,14 @@ def _previous_states(h, pk: Packing):
 
 
 def gru_backward(x, a, h, w, u, pk: Packing, dh_out):
-    """Backward pass of one direction (one group of gru_forward).
+    """Backward pass of one direction.
 
-    x, a, h are that group's packed inputs, input projections ``a = x @
-    w.T + b`` (as given to ``gru_forward``) and hidden states, (N, Din),
-    (N, 3H) and (N, H), with ``ut = u.T``; dh_out is dLoss/dh per row.
+    x, a, h are that direction's packed inputs, input projections ``a =
+    x @ w.T + b`` and hidden states, (N, Din), (N, 3H) and (N, H), in its
+    own processing order; dh_out is dLoss/dh per row. a may also be its
+    (N, 3, H) gate view and h a column view: of a bidirectional layer,
+    direction d's gates of the gate-major projections and its half of
+    ``gru_forward``'s h, neither copied.
 
     The gates of every row are recomputed from ``a`` and one product
     with u; only the carry dLoss/dh_prev runs step by step, in reverse.
@@ -172,9 +208,9 @@ def gru_backward(x, a, h, w, u, pk: Packing, dh_out):
     """
     H = u.shape[1]
     h_prev = _previous_states(h, pk)
-    v = h_prev @ u.T
-    z, r, n = _cell(a, v, H)
-    vn = v[:, 2 * H :]
+    v = (h_prev @ u.T).reshape(-1, 3, H)
+    z, r, n = _cell(a.reshape(-1, 3, H), v)
+    vn = v[:, 2]
     # dLoss/dv of a row is dh times these three blocks, row by row
     g_n = (1.0 - z) * (1.0 - n * n)
     g = np.stack(((h_prev - n) * z * (1.0 - z), g_n * vn * r * (1.0 - r), g_n * r), axis=1)

@@ -9,12 +9,13 @@ between flavors.
 
 Everything runs in float64. Training computes one loss and gradient per
 minibatch: the batch is packed time-major without padding
-(``_kernels.pack_lengths``). Both directions of a layer advance in one
-time loop (``_kernels.gru_forward`` with one group per direction); the
-backward pass runs each direction once over the batch
-(``_kernels.gru_backward``). Inference is the same path with a batch of
-one. Gradients are fully hand-derived and verified against central
-finite differences by ``gradient_check``.
+(``_kernels.pack_lengths``). Both directions of a layer advance as one
+recurrence of width 2H (``_kernels.gru_forward`` in the layout of
+``_kernels.bidirectional``: state [h_f | h_b], block-diagonal recurrent
+weights, one 2-D product per step); the backward pass runs each
+direction once over the batch (``_kernels.gru_backward``). Inference is
+the same path with a batch of one. Gradients are fully hand-derived and
+verified against central finite differences by ``gradient_check``.
 
 Parameters: every array lives in one flat float64 buffer,
 ``LUModel.params``, which the optimizer, the gradient, the gradient check
@@ -23,8 +24,9 @@ of its canonical order: for each layer, forward direction then backward
 direction, each as (w, u, b); then output projection (w_out, b_out); then
 the embedding table when present. The named fields of ``LUModel`` are
 views into the buffer. So are the direction-stacked weights of each layer
-(``LUModel.stacked``: w (2, 3H, Din), u (2, 3H, H), b (2, 3H)), which the
-forward pass hands to the fused kernel with no per-call copy.
+(``LUModel.stacked``: w (2, 3H, Din), u (2, 3H, H), b (2, 3H)), from
+which the forward pass makes both directions' input projections and the
+block-diagonal recurrent weights.
 
 Model file (.ctsm, container layout in ``seqcore``): a UTF-8 JSON header
 (config + training losses), then the float32 parameters in canonical
@@ -46,6 +48,7 @@ from .seqcore import (
     FormatError,
     _as_float,
     _as_int,
+    _as_seed,
     _decode_json,
     _floored_log,
     _parse,
@@ -84,7 +87,7 @@ class LUConfig:
         self.learning_rate = _as_float("learning_rate", self.learning_rate)
         if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
-        self.seed = _as_int("seed", self.seed)
+        self.seed = _as_seed(self.seed)
         if self.vocab_size is not None:
             self.vocab_size = _as_int("vocab_size", self.vocab_size)
             if self.vocab_size < 1:
@@ -221,21 +224,19 @@ def _pack(xs):
 
 
 def _bigru_forward(model: LUModel, pk: _kernels.Packing, x):
-    """Run all layers, both directions of a layer in one fused
-    recurrence; caches hold per-direction inputs (the backward one's in
-    reversed row order), projections a and h. The weights are the
-    direction-stacked views of ``model.stacked``, never copied."""
+    """Run all layers, both directions of a layer as one recurrence of
+    width 2H (``_kernels.bidirectional``); caches hold per-direction
+    inputs (the backward one's in reversed row order), the gate-major
+    projections a and the states h = [h_f | h_b]."""
+    H = model.config.hidden
     cur = x
     caches = []
     for st in model.stacked:
-        xr = cur[pk.rev]
-        a = np.empty((2, cur.shape[0], st.b.shape[1]))
-        np.matmul(cur, st.w[0].T, out=a[0])
-        np.matmul(xr, st.w[1].T, out=a[1])
-        a += st.b[:, None]
-        hf, hb = _kernels.gru_forward(a, st.u.transpose(0, 2, 1), pk)
-        caches.append((cur, xr, a, hf, hb))
-        cur = np.concatenate((hf, hb[pk.rev]), axis=1)
+        xs = (cur, cur[pk.rev])
+        a, ubd = _kernels.bidirectional(xs, st.w, st.u, st.b)
+        h = _kernels.gru_forward(a, ubd, pk)
+        caches.append((xs, a, h))
+        cur = np.concatenate((h[:, :H], h[pk.rev, H:]), axis=1)
     return cur, caches
 
 
@@ -289,14 +290,15 @@ def _batch_loss_and_grads(model: LUModel, items):
     dh = np.empty_like(top)
     dh[pk.rows] = np.repeat(dpool, pk.lengths, axis=0)
 
-    for (fw, bw), (gf, gb), (xin, xr, a, hf, hb) in zip(
+    for (fw, bw), (gf, gb), ((xin, xr), a, hs) in zip(
         reversed(model.layers), reversed(grad.layers), reversed(caches)
     ):
+        af, ab = (a.reshape(-1, 3, 2, h)[:, :, d] for d in (0, 1))  # (N, 3, H) gate views
         gf.w[...], gf.u[...], gf.b[...], dxf = _kernels.gru_backward(
-            xin, a[0], hf, fw.w, fw.u, pk, dh[:, :h]
+            xin, af, hs[:, :h], fw.w, fw.u, pk, dh[:, :h]
         )
         gb.w[...], gb.u[...], gb.b[...], dxb = _kernels.gru_backward(
-            xr, a[1], hb, bw.w, bw.u, pk, dh[pk.rev, h:]
+            xr, ab, hs[:, h:], bw.w, bw.u, pk, dh[pk.rev, h:]
         )
         dh = dxf + dxb[pk.rev]
 

@@ -35,6 +35,14 @@ def _as_int(name: str, value) -> int:
     raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
+def _as_seed(value) -> int:
+    """A random seed: an integer >= 0, as numpy's ``SeedSequence`` takes."""
+    seed = _as_int("seed", value)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def _as_float(name: str, value) -> float:
     """A real field, e.g. from JSON: a bool, a string, NaN, an infinity or
     an int too large for a float (so beyond the bound) is an error."""

@@ -35,6 +35,7 @@ from .seqcore import (
     Vocabulary,
     _as_float,
     _as_int,
+    _as_seed,
     _decode_json,
     _parse,
     read_lseq,
@@ -86,9 +87,9 @@ class SynthSpec:
             "latent_dim",
             "templates_per_intent",
             "utterances_per_intent",
-            "seed",
         ):
             setattr(self, name, _as_int(name, getattr(self, name)))
+        self.seed = _as_seed(self.seed)
         if self.num_intents < 2:
             raise ValueError("num_intents must be >= 2")
         if self.vocab_size < self.num_intents:

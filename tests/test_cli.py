@@ -128,6 +128,12 @@ class TestSynth:
         spec = json.loads((pathlib.Path(corpus_dir) / "spec.json").read_text())
         assert spec["seed"] == 42
 
+    def test_negative_seed_exits_2_naming_seed(self, tmp_path, capsys):
+        out = tmp_path / "c"
+        assert main(["synth", "--out", str(out), "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "ctsum: error: seed must be >= 0, got -1\n"
+        assert not out.exists()
+
     def test_reports_counts(self, tmp_path, spec_file, capsys):
         out = run_json(capsys, ["synth", "--spec", spec_file, "--out",
                                 str(tmp_path / "c2"), "--seed", "42"])
@@ -431,6 +437,7 @@ def _edit_model_config(path, field, value):
 HOSTILE_SPECS = {
     "float-intents": {"num_intents": 3.0},
     "float-seed": {"seed": 1.5},
+    "negative-seed": {"seed": -1},
     "float-range": {"run_len_range": [1.5, 4]},
     "bool-dim": {"latent_dim": True},
     "bool-sigma": {"noise_sigma": True},
@@ -517,6 +524,7 @@ HOSTILE_CORPORA = {
     "vocab-bool-blank": lambda c: _edit_json(c / "vocab.json", lambda v: dict(v, blank_index=True)),
     "vocab-deep-nesting": lambda c: (c / "vocab.json").write_text("[" * 100_000),
     "spec-float-intents": lambda c: _edit_json(c / "spec.json", lambda s: dict(s, num_intents=3.0)),
+    "spec-negative-seed": lambda c: _edit_json(c / "spec.json", lambda s: dict(s, seed=-1)),
     **{name: corrupt for name, (corrupt, _) in CORPUS_MISMATCHES.items()},
 }
 
@@ -581,7 +589,9 @@ class TestHostileJson:
             err = self.assert_data_error(capsys, argv)
             assert f"{manifest}: manifest line 1: invalid JSON" in err, err
 
-    @pytest.mark.parametrize("value", [1.7, True], ids=["float-seed", "bool-seed"])
+    @pytest.mark.parametrize(
+        "value", [1.7, True, -1], ids=["float-seed", "bool-seed", "negative-seed"]
+    )
     def test_model_header(self, tmp_path, capsys, corpus_dir, e1_model, value):
         bad = tmp_path / "bad.ctsm"
         shutil.copyfile(e1_model, bad)

@@ -7,15 +7,16 @@ there, and to exactly -inf where no alignment fits.
 
 The GRU kernels run a packed minibatch and go through matrix products
 over many rows at once, so they are held to a tight allclose against the
-per-sequence reference in ``gru_reference``. The forward kernel steps G
-groups (the directions of a layer) at once; single-direction tests run
-it with G = 1.
+per-sequence reference in ``gru_reference``. The forward kernel is one
+recurrence of any width: single-direction tests run it at width H, and
+a bidirectional layer runs at width 2H in ``bidirectional``'s layout.
 """
 
 import numpy as np
 import pytest
 
 from ctsum._kernels import (
+    bidirectional,
     ctc_forward_ll,
     gru_backward,
     gru_forward,
@@ -162,39 +163,58 @@ class TestPacking:
                 np.testing.assert_array_equal(got, want, err_msg=name)
 
 
-def forward(x, w, u, b, pk):
-    """One direction through the grouped kernel: a group of one."""
-    return gru_forward((x @ w.T + b)[None], u.T[None], pk)[0]
-
-
 class TestGruKernels:
     def test_forward_close_to_python(self):
         for seed in range(10):
             xs, w, u, b, pk, x = random_gru_instance(seed)
-            h = forward(x, w, u, b, pk)
+            h = gru_forward(x @ w.T + b, u.T, pk)
             for xi, rows in zip(xs, sequence_rows(pk)):
                 ref = gru_forward_py(xi, w, u, b)[0]
                 np.testing.assert_allclose(h[rows], ref, rtol=1e-12, atol=1e-14)
 
-    def test_two_groups_close_to_python(self):
-        # both directions of a layer: own weights per group, group 1 runs
-        # every sequence reversed through pk.rev
-        for seed in range(10):
-            xs, w, u, b, pk, x = random_gru_instance(seed)
-            _, wb, ub, bb, *_ = random_gru_instance(seed + 50)
-            a = np.stack((x @ w.T + b, x[pk.rev] @ wb.T + bb))
-            h = gru_forward(a, np.stack((u.T, ub.T)), pk)
-            assert h.shape == (2, x.shape[0], u.shape[1])
+    def test_both_directions_close_to_python(self):
+        # a bidirectional layer as one recurrence of width 2H: own weights
+        # per direction, the backward one fed every sequence reversed
+        # through pk.rev; h[:, :H] is the forward state, h[:, H:] the
+        # backward one in reversed row order
+        shapes = [(7, 2, 7, 1, 5), (6,), (1, 1), (3, 9, 4, 9)]
+        for seed, lengths in enumerate(shapes * 3):
+            xs, w, u, b, pk, x = random_gru_instance(seed, lengths=lengths)
+            _, wb, ub, bb, *_ = random_gru_instance(seed + 50, lengths=lengths)
+            stacked = (np.stack(pair) for pair in ((w, wb), (u, ub), (b, bb)))
+            ag, ubd = bidirectional((x, x[pk.rev]), *stacked)
+            hidden = u.shape[1]
+            assert ag.shape == (x.shape[0], 6 * hidden) and ubd.shape == (2 * hidden, 6 * hidden)
+            h = gru_forward(ag, ubd, pk)
             for xi, rows in zip(xs, sequence_rows(pk)):
                 ref_f = gru_forward_py(xi, w, u, b)[0]
                 ref_b = gru_forward_py(xi[::-1], wb, ub, bb)[0]
-                np.testing.assert_allclose(h[0][rows], ref_f, rtol=1e-12, atol=1e-14)
-                np.testing.assert_allclose(h[1][rows], ref_b, rtol=1e-12, atol=1e-14)
+                np.testing.assert_allclose(h[rows, :hidden], ref_f, rtol=1e-12, atol=1e-14)
+                np.testing.assert_allclose(h[rows, hidden:], ref_b, rtol=1e-12, atol=1e-14)
+
+    def test_bidirectional_layout(self):
+        # gate-major columns [z_f z_b | r_f r_b | n_f n_b]; each direction's
+        # state rows of ubd hold its own u.T and zeros in the other's columns
+        hidden, n, din = 3, 4, 5
+        rng = np.random.default_rng(9)
+        xs = rng.standard_normal((2, n, din))
+        w = rng.standard_normal((2, 3 * hidden, din))
+        u = rng.standard_normal((2, 3 * hidden, hidden))
+        b = rng.standard_normal((2, 3 * hidden))
+        ag, ubd = bidirectional(xs, w, u, b)
+        blocks = [slice(i * hidden, (i + 1) * hidden) for i in range(6)]
+        for d in range(2):
+            a = xs[d] @ w[d].T + b[d]
+            for gate in range(3):
+                col = blocks[2 * gate + d]
+                np.testing.assert_allclose(ag[:, col], a[:, blocks[gate]], rtol=1e-15, atol=1e-15)
+                np.testing.assert_array_equal(ubd[blocks[d], col], u[d][blocks[gate]].T)
+                assert not ubd[blocks[1 - d], col].any()
 
     def test_backward_close_to_python(self):
         for seed in range(10):
             xs, w, u, b, pk, x = random_gru_instance(seed)
-            h = forward(x, w, u, b, pk)
+            h = gru_forward(x @ w.T + b, u.T, pk)
             dh = np.random.default_rng(seed + 100).standard_normal(h.shape)
             dw, du, db, dx = gru_backward(x, x @ w.T + b, h, w, u, pk, dh)
             sums = [np.zeros_like(w), np.zeros_like(u), np.zeros_like(b)]
@@ -210,9 +230,9 @@ class TestGruKernels:
         _, w, u, b, pk, x = random_gru_instance(3, lengths=(4, 1, 3), din=3, h=2)
 
         def loss(wv, uv):
-            return forward(x, wv, uv, b, pk).sum()
+            return gru_forward(x @ wv.T + b, uv.T, pk).sum()
 
-        h = forward(x, w, u, b, pk)
+        h = gru_forward(x @ w.T + b, u.T, pk)
         dw, du, _, _ = gru_backward(x, x @ w.T + b, h, w, u, pk, np.ones_like(h))
         step = 1e-6
         for grad, arg in ((dw, 0), (du, 1)):
@@ -225,7 +245,7 @@ class TestGruKernels:
 
     def test_zero_state_start(self):
         _, w, u, b, pk, x = random_gru_instance(5, lengths=(1, 1, 1))
-        h = forward(x, w, u, b, pk)
+        h = gru_forward(x @ w.T + b, u.T, pk)
         # every row is a first step and sees h_prev = 0: h = (1 - z) * n
         # with z = s(a_z) and n = tanh(a_n), free of u
         hidden = u.shape[1]

@@ -102,6 +102,11 @@ class TestInit:
         with pytest.raises(ValueError):
             LUConfig(input_dim=2, num_intents=2, learning_rate=0.0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -5"):
+            LUConfig(input_dim=3, num_intents=2, seed=-5)
+        assert LUConfig(input_dim=3, num_intents=2, seed=0).seed == 0
+
     @pytest.mark.parametrize("field", ["seed", "hidden", "vocab_size"])
     @pytest.mark.parametrize("value", [1.7, 2.0, True])
     def test_integer_fields_reject_float_and_bool(self, field, value):
@@ -649,6 +654,7 @@ class TestModelFile:
             lambda meta: meta["config"].update(hidden=2.0),
             lambda meta: meta["config"].update(seed=1.7),
             lambda meta: meta["config"].update(seed=True),
+            lambda meta: meta["config"].update(seed=-1),
             lambda meta: meta["config"].update(learning_rate=float("inf")),
             lambda meta: meta["config"].update(learning_rate=True),
         ],
@@ -659,6 +665,7 @@ class TestModelFile:
             "float-hidden",
             "float-seed",
             "bool-seed",
+            "negative-seed",
             "infinite-learning-rate",
             "bool-learning-rate",
         ],

@@ -135,6 +135,17 @@ class TestSpec:
         with pytest.raises(FormatError, match="must be a finite number"):
             load_spec(path)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            SynthSpec(seed=-1)
+        assert SynthSpec(seed=0).seed == 0
+
+    def test_load_spec_rejects_negative_seed(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"seed": -3}))
+        with pytest.raises(FormatError, match="seed must be >= 0"):
+            load_spec(path)
+
     def test_unknown_field_rejected(self, tmp_path):
         path = tmp_path / "spec.json"
         save_spec(path, small_spec())
