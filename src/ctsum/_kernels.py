@@ -8,14 +8,11 @@ solved with one ``np.logaddexp.accumulate``, so the Python loop has S =
 The GRU kernels run over a packed minibatch (see ``Packing``): the
 input projection of every row is made once, for both kernels, and each
 time step advances all sequences still running with one matrix product.
-``gru_forward`` is one recurrence of any width: a bidirectional layer
-runs as one recurrence of width 2H, its state [h_f | h_b] and its two
-recurrent weight matrices one block-diagonal matrix (``bidirectional``),
-so a step is one 2-D product for both directions. The zero blocks add
-exact zeros, so each direction's recurrent products equal those of its
-own C-ordered (H, 3H) matrix u.T; a product with the transposed view of
-u goes down another BLAS path for a few rows and differs from them in
-the last bits.
+``gru_forward`` is one recurrence of any width; ``bigru_layer`` runs both
+directions of a bidirectional layer as one recurrence of width 2H, and
+its docstring is the one account of that layer's layout.
+``bigru_layer_backward`` undoes the layout for ``gru_backward``, which
+runs one direction at a time.
 
 All kernels take float64 arrays.
 """
@@ -132,10 +129,9 @@ def gru_forward(a, ut, pk: Packing):
         h = (1 - z) * n + z * h_prev
 
     Every sequence starts from h_prev = 0, and step t advances the rows
-    of all sequences still running with one (k, K) @ (K, 3K) product. A
-    bidirectional layer runs as one recurrence of width K = 2H in the
-    layout of ``bidirectional``. Returns the packed hidden states h,
-    (N, K); ``gru_backward`` recomputes the gates (``_cell``).
+    of all sequences still running with one (k, K) @ (K, 3K) product.
+    Returns the packed hidden states h, (N, K); ``gru_backward``
+    recomputes the gates (``_cell``).
     """
     N, K = a.shape[0], ut.shape[0]
     a = a.reshape(N, 3, K)
@@ -147,37 +143,6 @@ def gru_forward(a, ut, pk: Packing):
         h_prev = h[lo : lo + k]
         np.add((1.0 - z) * n, z * hp, out=h_prev)
     return h
-
-
-def bidirectional(xs, w, u, b):
-    """Both directions of a layer as one GRU recurrence of width 2H.
-
-    xs      : packed inputs (x, x[pk.rev]) of the forward and backward
-              direction, each (N, Din)
-    w, u, b : (2, 3H, Din), (2, 3H, H), (2, 3H) weights of the two
-              directions, gate blocks [update; reset; cand]
-
-    Returns ``gru_forward``'s (a, ut) for the state [h_f | h_b]: the
-    input projections gate-major, (N, 6H) = [z_f z_b | r_f r_b | n_f
-    n_b], each direction's written straight into its columns, and the
-    block-diagonal (2H, 6H) recurrent weights, in which each direction's
-    state feeds only its own gate columns. gru_forward's h then splits
-    into h[:, :H] (forward) and h[:, H:] (backward, in ``pk.rev`` row
-    order), and ``a.reshape(N, 3, 2, H)[:, :, d]`` is direction d's
-    (N, 3, H) gate view.
-    """
-    _, H3, din = w.shape
-    H = H3 // 3
-    N = xs[0].shape[0]
-    a = np.empty((N, 3, 2, H))
-    for d, x in enumerate(xs):  # one (N, Din) @ (Din, H) product per gate
-        wt = w[d].reshape(3, H, din).transpose(0, 2, 1)
-        np.matmul(x, wt, out=a[:, :, d].transpose(1, 0, 2))
-    a += b.reshape(2, 3, H).transpose(1, 0, 2)
-    ubd = np.zeros((2, H, 3, 2, H))
-    for d in range(2):
-        ubd[d, :, :, d] = u[d].T.reshape(H, 3, H)
-    return a.reshape(N, 2 * H3), ubd.reshape(2 * H, 2 * H3)
 
 
 def _previous_states(h, pk: Packing):
@@ -196,10 +161,9 @@ def gru_backward(x, a, h, w, u, pk: Packing, dh_out):
 
     x, a, h are that direction's packed inputs, input projections ``a =
     x @ w.T + b`` and hidden states, (N, Din), (N, 3H) and (N, H), in its
-    own processing order; dh_out is dLoss/dh per row. a may also be its
-    (N, 3, H) gate view and h a column view: of a bidirectional layer,
-    direction d's gates of the gate-major projections and its half of
-    ``gru_forward``'s h, neither copied.
+    own processing order; dh_out is dLoss/dh per row. a may also be an
+    (N, 3, H) gate view and h a column view, as ``bigru_layer_backward``
+    passes them uncopied.
 
     The gates of every row are recomputed from ``a`` and one product
     with u; only the carry dLoss/dh_prev runs step by step, in reverse.
@@ -225,3 +189,55 @@ def gru_backward(x, a, h, w, u, pk: Packing, dh_out):
     da = dv.copy()
     da[:, 2 * H :] = dh * g_n
     return da.T @ x, dv.T @ h_prev, da.sum(axis=0), da @ w
+
+
+def bigru_layer(x, w, u, b, pk: Packing):
+    """Both directions of a bidirectional GRU layer over packed rows.
+
+    x       : (N, Din) packed inputs
+    w, u, b : (2, 3H, Din), (2, 3H, H), (2, 3H) weights of the forward
+              and backward direction, gate blocks [update; reset; cand]
+
+    The backward direction reads each sequence reversed, ``x[pk.rev]``.
+    Both run as one ``gru_forward`` recurrence of width 2H, state [h_f |
+    h_b] with h_b in ``pk.rev`` row order: the input projections are
+    gate-major, (N, 6H) = [z_f z_b | r_f r_b | n_f n_b], one product per
+    gate and direction, and the recurrent weights one block-diagonal
+    (2H, 6H) matrix, each direction's state feeding only its own gate
+    columns. The zero blocks add exact zeros, so each direction's
+    recurrent products equal those with its own C-ordered u.T.
+
+    Returns (out, cache): out = [h_f | h_b], (N, 2H) in packed row
+    order, and the cache ``bigru_layer_backward`` takes.
+    """
+    _, H3, din = w.shape
+    H = H3 // 3
+    N = x.shape[0]
+    xs = (x, x[pk.rev])
+    a = np.empty((N, 3, 2, H))
+    for d, xd in enumerate(xs):  # one (N, Din) @ (Din, H) product per gate
+        wt = w[d].reshape(3, H, din).transpose(0, 2, 1)
+        np.matmul(xd, wt, out=a[:, :, d].transpose(1, 0, 2))
+    a += b.reshape(2, 3, H).transpose(1, 0, 2)
+    ubd = np.zeros((2, H, 3, 2, H))
+    for d in range(2):
+        ubd[d, :, :, d] = u[d].T.reshape(H, 3, H)
+    h = gru_forward(a.reshape(N, 2 * H3), ubd.reshape(2 * H, 2 * H3), pk)
+    return np.concatenate((h[:, :H], h[pk.rev, H:]), axis=1), (xs, a, h)
+
+
+def bigru_layer_backward(cache, w, u, pk: Packing, dout):
+    """Backward pass of ``bigru_layer`` for dout = dLoss/dout: one
+    ``gru_backward`` per direction on its gate view of the cached
+    projections and its half of the cached states. Returns (dw, du, db,
+    dx), the gradients shaped like w, u and b (direction d on row d) and
+    dLoss/dx summed over both directions, (N, Din) in packed row order.
+    """
+    xs, a, h = cache
+    H = u.shape[2]
+    fw = gru_backward(xs[0], a[:, :, 0], h[:, :H], w[0], u[0], pk, dout[:, :H])
+    bw = gru_backward(xs[1], a[:, :, 1], h[:, H:], w[1], u[1], pk, dout[pk.rev, H:])
+    dw, du, db = (np.stack(pair) for pair in zip(fw[:3], bw[:3]))
+    # dx summed in place: freeing both directions' dx here let glibc trim the heap,
+    # and the next layer's gru_backward page-faulted its temporaries back in
+    return dw, du, db, np.add(fw[3], bw[3][pk.rev], out=fw[3])

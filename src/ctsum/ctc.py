@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .seqcore import PosteriorGrid, Vocabulary, _argmax_path, _floored_log, segment_path
+from .seqcore import PosteriorGrid, Vocabulary, _argmax_path, _floored_log, _label_ids, segment_path
 
 ENUM_MAX_FRAMES = 10
 ENUM_MAX_LABELS = 5
@@ -31,9 +31,7 @@ class LabelSequence:
     score: float | None = None
 
     def __post_init__(self):
-        self.ids = np.ascontiguousarray(self.ids, dtype=np.int64)
-        if self.ids.ndim != 1:
-            raise ValueError("ids must be a 1-d array")
+        self.ids = np.ascontiguousarray(_label_ids(self.ids))
         if self.ids.size and self.ids.min() < 0:
             raise ValueError("ids must be non-negative")
 

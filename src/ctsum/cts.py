@@ -38,6 +38,7 @@ from .seqcore import (
     LatentSequence,
     ProjectionMatrix,
     _argmax_path,
+    _as_int,
     _frame_shift,
     _parse,
     _read_header,
@@ -101,7 +102,7 @@ class SummarizedSequence:
         self.labels = np.asarray(labels, dtype=np.int64)
         self.rep_frames = np.asarray(reps, dtype=np.int64)
         self.rep_scores = np.asarray(scores, dtype=np.float64)
-        self.source_T = int(source_T)
+        self.source_T = _as_int("source_T", source_T)
         self.frame_shift_ms = float(frame_shift_ms)
         self._check()
 
@@ -124,6 +125,8 @@ class SummarizedSequence:
         if np.count_nonzero(bad | (scores.clip(0.0, 1.0) != scores)):
             raise ValueError("every segment needs 0 <= start <= rep_frame < end, label >= 0 "
                              "and rep_score in [0, 1]")
+        if s and (ends[-1] > self.source_T or np.count_nonzero(starts[1:] < ends[:-1])):
+            raise ValueError(f"segments must be in order, disjoint and end by source_T={self.source_T}")
 
     @property
     def table(self) -> tuple[np.ndarray, ...]:

@@ -9,13 +9,12 @@ between flavors.
 
 Everything runs in float64. Training computes one loss and gradient per
 minibatch: the batch is packed time-major without padding
-(``_kernels.pack_lengths``). Both directions of a layer advance as one
-recurrence of width 2H (``_kernels.gru_forward`` in the layout of
-``_kernels.bidirectional``: state [h_f | h_b], block-diagonal recurrent
-weights, one 2-D product per step); the backward pass runs each
-direction once over the batch (``_kernels.gru_backward``). Inference is
-the same path with a batch of one. Gradients are fully hand-derived and
-verified against central finite differences by ``gradient_check``.
+(``_kernels.pack_lengths``), and each layer runs both directions forward
+and backward through ``_kernels.bigru_layer`` and
+``_kernels.bigru_layer_backward``, whose docstrings describe the layer's
+layout. Inference is the same path with a batch of one. Gradients are
+fully hand-derived and verified against central finite differences by
+``gradient_check``.
 
 Parameters: every array lives in one flat float64 buffer,
 ``LUModel.params``, which the optimizer, the gradient, the gradient check
@@ -23,10 +22,10 @@ and the model file each treat as one vector. ``_layout`` is the one table
 of its canonical order: for each layer, forward direction then backward
 direction, each as (w, u, b); then output projection (w_out, b_out); then
 the embedding table when present. The named fields of ``LUModel`` are
-views into the buffer. So are the direction-stacked weights of each layer
-(``LUModel.stacked``: w (2, 3H, Din), u (2, 3H, H), b (2, 3H)), from
-which the forward pass makes both directions' input projections and the
-block-diagonal recurrent weights.
+views into the buffer: the direction-stacked weights of each layer
+(``LUModel.stacked``: w (2, 3H, Din), u (2, 3H, H), b (2, 3H)), which the
+forward and backward passes take, and each direction's own (w, u, b)
+(``LUModel.layers``), rows of those.
 
 Model file (.ctsm, container layout in ``seqcore``): a UTF-8 JSON header
 (config + training losses), then the float32 parameters in canonical
@@ -39,7 +38,6 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass, field, replace
-from itertools import islice
 
 import numpy as np
 
@@ -51,6 +49,7 @@ from .seqcore import (
     _as_seed,
     _decode_json,
     _floored_log,
+    _label_ids,
     _parse,
     _read_exact,
     _read_header,
@@ -131,7 +130,7 @@ class LUModel:
     params: np.ndarray  # (_num_params(config),) float64, canonical order
     train_losses: list[float] = field(default_factory=list)
     # views into params
-    layers: list[tuple[GRUParams, GRUParams]] = field(init=False, repr=False)  # (fw, bw) per layer
+    layers: list[tuple[GRUParams, GRUParams]] = field(init=False, repr=False)  # (fw, bw) rows of stacked
     stacked: list[GRUParams] = field(init=False, repr=False)  # per layer, both directions
     w_out: np.ndarray = field(init=False, repr=False)  # (K, 2H)
     b_out: np.ndarray = field(init=False, repr=False)  # (K,)
@@ -140,27 +139,27 @@ class LUModel:
     def __post_init__(self):
         if self.params.shape != (_num_params(self.config),):
             raise ValueError(f"params must have shape ({_num_params(self.config)},)")
-        views = iter(self.param_arrays())
-        self.layers = [
-            (GRUParams(*islice(views, 3)), GRUParams(*islice(views, 3)))
-            for _ in range(self.config.layers)
-        ]
-        self.w_out, self.b_out = next(views), next(views)
-        self.embedding = next(views, None)
+        views = self.param_arrays()
+        n = 6 * self.config.layers  # (w, u, b) of two directions per layer
         # A layer's backward (w, u, b) block follows its forward block of the
         # same size, so the two blocks are the rows of one (2, block) view.
         self.stacked, pos = [], 0
-        for fw, _ in self.layers:
-            nw, nu = fw.w.size, fw.u.size
-            pair = self.params[pos : pos + 2 * (nw + nu + fw.b.size)].reshape(2, -1)
+        for w, u, b in zip(views[0:n:6], views[1:n:6], views[2:n:6]):  # forward blocks
+            nw, nu = w.size, u.size
+            pair = self.params[pos : pos + 2 * (nw + nu + b.size)].reshape(2, -1)
             self.stacked.append(
                 GRUParams(
-                    pair[:, :nw].reshape(2, *fw.w.shape),
-                    pair[:, nw : nw + nu].reshape(2, *fw.u.shape),
+                    pair[:, :nw].reshape(2, *w.shape),
+                    pair[:, nw : nw + nu].reshape(2, *u.shape),
                     pair[:, nw + nu :],
                 )
             )
             pos += pair.size
+        self.layers = [
+            tuple(GRUParams(st.w[d], st.u[d], st.b[d]) for d in (0, 1)) for st in self.stacked
+        ]
+        self.w_out, self.b_out, *table = views[n:]
+        self.embedding = table[0] if table else None
 
     def param_arrays(self) -> list[np.ndarray]:
         """All parameters in canonical order, as views into ``params``."""
@@ -190,15 +189,6 @@ def _as_float_seq(model: LUModel, seq) -> np.ndarray:
     return x
 
 
-def _label_ids(ids) -> np.ndarray:
-    """Label ids as a 1-d int64 array, not copied when already one; float
-    ids are an error, not truncated."""
-    arr = np.asarray(ids)
-    if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
-        raise ValueError(f"label ids must be a 1-d integer sequence, got {arr.dtype} {arr.shape}")
-    return arr.astype(np.int64, copy=False)
-
-
 def embed_labels(ids, model: LUModel) -> np.ndarray:
     """Row-lookup of label ids (a 1-d integer sequence, e.g. a decode's
     ``ids``); an empty sequence maps to one all-zero vector so the
@@ -224,20 +214,13 @@ def _pack(xs):
 
 
 def _bigru_forward(model: LUModel, pk: _kernels.Packing, x):
-    """Run all layers, both directions of a layer as one recurrence of
-    width 2H (``_kernels.bidirectional``); caches hold per-direction
-    inputs (the backward one's in reversed row order), the gate-major
-    projections a and the states h = [h_f | h_b]."""
-    H = model.config.hidden
-    cur = x
+    """Run all layers; returns the top layer's packed output and each
+    layer's cache for the backward pass."""
     caches = []
     for st in model.stacked:
-        xs = (cur, cur[pk.rev])
-        a, ubd = _kernels.bidirectional(xs, st.w, st.u, st.b)
-        h = _kernels.gru_forward(a, ubd, pk)
-        caches.append((xs, a, h))
-        cur = np.concatenate((h[:, :H], h[pk.rev, H:]), axis=1)
-    return cur, caches
+        x, cache = _kernels.bigru_layer(x, st.w, st.u, st.b, pk)
+        caches.append(cache)
+    return x, caches
 
 
 def _head_forward(model: LUModel, pk: _kernels.Packing, top):
@@ -276,7 +259,6 @@ def _batch_loss_and_grads(model: LUModel, items):
     minibatch."""
     pk, x = _pack([_sample_input(model, data) for data, _ in items])
     labels = np.array([int(items[i][1]) for i in pk.order])
-    h = model.config.hidden
     top, caches = _bigru_forward(model, pk, x)
     pool, probs = _head_forward(model, pk, top)
     loss = float(_nll(probs, labels).sum())
@@ -290,17 +272,8 @@ def _batch_loss_and_grads(model: LUModel, items):
     dh = np.empty_like(top)
     dh[pk.rows] = np.repeat(dpool, pk.lengths, axis=0)
 
-    for (fw, bw), (gf, gb), ((xin, xr), a, hs) in zip(
-        reversed(model.layers), reversed(grad.layers), reversed(caches)
-    ):
-        af, ab = (a.reshape(-1, 3, 2, h)[:, :, d] for d in (0, 1))  # (N, 3, H) gate views
-        gf.w[...], gf.u[...], gf.b[...], dxf = _kernels.gru_backward(
-            xin, af, hs[:, :h], fw.w, fw.u, pk, dh[:, :h]
-        )
-        gb.w[...], gb.u[...], gb.b[...], dxb = _kernels.gru_backward(
-            xr, ab, hs[:, h:], bw.w, bw.u, pk, dh[pk.rev, h:]
-        )
-        dh = dxf + dxb[pk.rev]
+    for st, g, cache in zip(reversed(model.stacked), reversed(grad.stacked), reversed(caches)):
+        g.w[...], g.u[...], g.b[...], dh = _kernels.bigru_layer_backward(cache, st.w, st.u, pk, dh)
 
     if model.embedding is not None:
         ids = np.empty(pk.rows.size, dtype=np.int64)

@@ -35,6 +35,15 @@ def _as_int(name: str, value) -> int:
     raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
+def _label_ids(ids) -> np.ndarray:
+    """Label ids as a 1-d int64 array, not copied when already one; float,
+    bool and string ids are an error, not truncated or parsed."""
+    arr = np.asarray(ids)
+    if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
+        raise ValueError(f"label ids must be a 1-d integer sequence, got {arr.dtype} {arr.shape}")
+    return arr.astype(np.int64, copy=False)
+
+
 def _as_seed(value) -> int:
     """A random seed: an integer >= 0, as numpy's ``SeedSequence`` takes."""
     seed = _as_int("seed", value)

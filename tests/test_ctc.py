@@ -327,3 +327,11 @@ class TestLabelSequence:
 
     def test_len(self):
         assert len(LabelSequence([3, 4])) == 2
+
+    @pytest.mark.parametrize("ids", [[1.7, 2.2], np.array([1.5]), [True], ["1"]],
+                             ids=["float-list", "float-array", "bool", "string"])
+    def test_rejects_non_integer_ids(self, ids):
+        # embed_labels' rule: refused, not truncated or parsed, so a target
+        # that ctc_forward_logprob scores is one the classifier can embed
+        with pytest.raises(ValueError, match="label ids must be a 1-d integer sequence"):
+            LabelSequence(ids)

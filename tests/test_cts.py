@@ -420,6 +420,25 @@ class TestSummarizedSequence:
         with pytest.raises(ValueError, match=r"rep_score in \[0, 1\]"):
             self.make(self.VALID[:4] + ([0.5, score],))
 
+    @pytest.mark.parametrize(
+        "table, source_t",
+        [
+            (([0], [10], [1], [5], [0.5]), 3),
+            (([0, 2], [2, 6], [1, 0], [1, 4], [0.5, 0.25]), 5),
+            (([0, 0], [3, 3], [1, 1], [0, 0], [0.5, 0.5]), 5),
+            (([2, 0], [5, 2], [0, 1], [4, 1], [0.25, 0.5]), 5),
+        ],
+        ids=["past-source", "last-past-source", "overlapping", "out-of-order"],
+    )
+    def test_rejects_segments_outside_source_or_overlapping(self, table, source_t):
+        with pytest.raises(ValueError, match="segments must be in order, disjoint and end by source_T"):
+            self.make(table, s=len(table[0]), source_t=source_t)
+
+    @pytest.mark.parametrize("source_t", [2.9, 5.0, "5", True])
+    def test_source_t_must_be_an_integer(self, source_t):
+        with pytest.raises(TypeError, match="source_T must be an integer"):
+            self.make(self.VALID, source_t=source_t)
+
     def test_rejects_non_finite_vector(self):
         table = tuple(np.asarray(col) for col in self.VALID)
         vectors = np.zeros((2, 3), dtype=np.float32)
@@ -458,6 +477,16 @@ class TestSseqFile:
         # refused when the summary is built, so there is nothing to write
         with pytest.raises(ValueError, match="every segment needs 0 <= start <= rep_frame < end"):
             SummarizedSequence(np.zeros((1, 2), dtype=np.float32), [Segment(0, 4, 1)], 4)
+
+    def test_refuses_segments_moved_past_source(self, tmp_path):
+        # read_sseq recovers source_T as the last end, so a summary whose
+        # segments end past its source would come back with another one
+        seq, proj, _ = random_case(42, t=30)
+        summ = summarize(seq, proj)
+        summ.ends[-1] += 1
+        with pytest.raises(ValueError, match="end by source_T=30"):
+            write_sseq(tmp_path / "x.sseq", summ)
+        assert not (tmp_path / "x.sseq").exists()
 
     def test_rejects_fields_wider_than_32_bits(self, tmp_path):
         big = 2**32

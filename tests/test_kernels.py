@@ -9,14 +9,15 @@ The GRU kernels run a packed minibatch and go through matrix products
 over many rows at once, so they are held to a tight allclose against the
 per-sequence reference in ``gru_reference``. The forward kernel is one
 recurrence of any width: single-direction tests run it at width H, and
-a bidirectional layer runs at width 2H in ``bidirectional``'s layout.
+``bigru_layer`` runs a bidirectional layer through it at width 2H.
 """
 
 import numpy as np
 import pytest
 
 from ctsum._kernels import (
-    bidirectional,
+    bigru_layer,
+    bigru_layer_backward,
     ctc_forward_ll,
     gru_backward,
     gru_forward,
@@ -172,44 +173,84 @@ class TestGruKernels:
                 ref = gru_forward_py(xi, w, u, b)[0]
                 np.testing.assert_allclose(h[rows], ref, rtol=1e-12, atol=1e-14)
 
+    @staticmethod
+    def two_directions(seed, lengths):
+        """A ragged instance with own weights per direction, stacked as
+        ``bigru_layer`` takes them, and each direction's (w, u, b)."""
+        xs, w, u, b, pk, x = random_gru_instance(seed, lengths=lengths)
+        _, wb, ub, bb, *_ = random_gru_instance(seed + 50, lengths=lengths)
+        stacked = tuple(np.stack(pair) for pair in ((w, wb), (u, ub), (b, bb)))
+        return xs, pk, x, stacked, ((w, u, b), (wb, ub, bb))
+
     def test_both_directions_close_to_python(self):
-        # a bidirectional layer as one recurrence of width 2H: own weights
-        # per direction, the backward one fed every sequence reversed
-        # through pk.rev; h[:, :H] is the forward state, h[:, H:] the
-        # backward one in reversed row order
+        # own weights per direction, the backward one fed every sequence
+        # reversed; out holds [h_f | h_b] in packed row order
         shapes = [(7, 2, 7, 1, 5), (6,), (1, 1), (3, 9, 4, 9)]
         for seed, lengths in enumerate(shapes * 3):
-            xs, w, u, b, pk, x = random_gru_instance(seed, lengths=lengths)
-            _, wb, ub, bb, *_ = random_gru_instance(seed + 50, lengths=lengths)
-            stacked = (np.stack(pair) for pair in ((w, wb), (u, ub), (b, bb)))
-            ag, ubd = bidirectional((x, x[pk.rev]), *stacked)
-            hidden = u.shape[1]
-            assert ag.shape == (x.shape[0], 6 * hidden) and ubd.shape == (2 * hidden, 6 * hidden)
-            h = gru_forward(ag, ubd, pk)
+            xs, pk, x, stacked, (fw, bw) = self.two_directions(seed, lengths)
+            out, _ = bigru_layer(x, *stacked, pk)
+            hidden = stacked[1].shape[2]
+            assert out.shape == (x.shape[0], 2 * hidden)
             for xi, rows in zip(xs, sequence_rows(pk)):
-                ref_f = gru_forward_py(xi, w, u, b)[0]
-                ref_b = gru_forward_py(xi[::-1], wb, ub, bb)[0]
-                np.testing.assert_allclose(h[rows, :hidden], ref_f, rtol=1e-12, atol=1e-14)
-                np.testing.assert_allclose(h[rows, hidden:], ref_b, rtol=1e-12, atol=1e-14)
+                ref_f = gru_forward_py(xi, *fw)[0]
+                ref_b = gru_forward_py(xi[::-1], *bw)[0][::-1]
+                np.testing.assert_allclose(out[rows, :hidden], ref_f, rtol=1e-12, atol=1e-14)
+                np.testing.assert_allclose(out[rows, hidden:], ref_b, rtol=1e-12, atol=1e-14)
 
     def test_bidirectional_layout(self):
-        # gate-major columns [z_f z_b | r_f r_b | n_f n_b]; each direction's
-        # state rows of ubd hold its own u.T and zeros in the other's columns
-        hidden, n, din = 3, 4, 5
+        # the cache holds the inputs (x, x[pk.rev]), the gate-major
+        # projections [z_f z_b | r_f r_b | n_f n_b] and the states
+        # [h_f | h_b], h_b in pk.rev row order; each direction's state
+        # feeds only its own gates, so the other direction's weights leave
+        # its half of out bit-identical
+        hidden, din = 3, 5
         rng = np.random.default_rng(9)
-        xs = rng.standard_normal((2, n, din))
+        pk = pack_lengths([3, 1, 2])
+        n = pk.rows.size
+        x = rng.standard_normal((n, din))
         w = rng.standard_normal((2, 3 * hidden, din))
         u = rng.standard_normal((2, 3 * hidden, hidden))
         b = rng.standard_normal((2, 3 * hidden))
-        ag, ubd = bidirectional(xs, w, u, b)
+        out, (xs, ag, h) = bigru_layer(x, w, u, b, pk)
+        np.testing.assert_array_equal(xs[0], x)
+        np.testing.assert_array_equal(xs[1], x[pk.rev])
+        ag = ag.reshape(n, 6 * hidden)
         blocks = [slice(i * hidden, (i + 1) * hidden) for i in range(6)]
         for d in range(2):
             a = xs[d] @ w[d].T + b[d]
             for gate in range(3):
                 col = blocks[2 * gate + d]
                 np.testing.assert_allclose(ag[:, col], a[:, blocks[gate]], rtol=1e-15, atol=1e-15)
-                np.testing.assert_array_equal(ubd[blocks[d], col], u[d][blocks[gate]].T)
-                assert not ubd[blocks[1 - d], col].any()
+        np.testing.assert_array_equal(out, np.concatenate((h[:, :hidden], h[pk.rev, hidden:]), axis=1))
+        for d in range(2):
+            other = [arr.copy() for arr in (w, u, b)]
+            for arr in other:
+                arr[1 - d] = rng.standard_normal(arr[1 - d].shape)
+            own = slice(d * hidden, (d + 1) * hidden)
+            np.testing.assert_array_equal(bigru_layer(x, *other, pk)[0][:, own], out[:, own])
+
+    def test_layer_backward_close_to_python(self):
+        # each direction against the per-sequence reference, the backward
+        # one on the reversed sequence with its half of dout reversed;
+        # dx sums both directions in packed row order
+        shapes = [(7, 2, 7, 1, 5), (6,), (1, 1), (3, 9, 4, 9)]
+        for seed, lengths in enumerate(shapes * 2):
+            xs, pk, x, stacked, (fw, bw) = self.two_directions(seed, lengths)
+            out, cache = bigru_layer(x, *stacked, pk)
+            dout = np.random.default_rng(seed + 100).standard_normal(out.shape)
+            dw, du, db, dx = bigru_layer_backward(cache, stacked[0], stacked[1], pk, dout)
+            hidden = stacked[1].shape[2]
+            sums = [np.zeros_like(arr) for arr in stacked]
+            for xi, rows in zip(xs, sequence_rows(pk)):
+                ref_f = gru_backward_py(xi, *gru_forward_py(xi, *fw), *fw[:2], dout[rows, :hidden])
+                xr = xi[::-1]
+                ref_b = gru_backward_py(xr, *gru_forward_py(xr, *bw), *bw[:2], dout[rows, hidden:][::-1])
+                for d, ref in enumerate((ref_f, ref_b)):
+                    for acc, g in zip(sums, ref):
+                        acc[d] += g
+                np.testing.assert_allclose(dx[rows], ref_f[3] + ref_b[3][::-1], rtol=1e-10, atol=1e-12)
+            for got, want in zip((dw, du, db), sums):
+                np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 
     def test_backward_close_to_python(self):
         for seed in range(10):

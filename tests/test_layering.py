@@ -1,8 +1,10 @@
 """Only the harness composes the pipeline: the decoder (``ctc``), the
 summarizer (``cts``), the classifier (``lu``) and the corpus generator
 (``synth``) import nothing from the package but the shared ``seqcore``
-and ``_kernels``. And one helper, ``seqcore._parse``, turns a reader's
-errors into ``FormatError``."""
+and ``_kernels``. The classifier reaches the BiGRU layer only through
+``_kernels.bigru_layer`` and its backward pass, which own the layer's
+layout. And one helper, ``seqcore._parse``, turns a reader's errors into
+``FormatError``."""
 
 import ast
 import pathlib
@@ -49,6 +51,47 @@ def test_checker_sees_relative_and_absolute_imports(tmp_path):
         "from ctsum.harness import STAGES\nimport ctsum.synth\nfrom .seqcore import Vocabulary\n"
     )
     assert package_imports(src) == {"_kernels", "lu", "ctc", "harness", "synth", "seqcore"}
+
+
+LU_KERNELS = {"Packing", "pack_lengths", "bigru_layer", "bigru_layer_backward"}
+
+
+def kernel_names(path):
+    """The ``_kernels`` names a source file uses: imported from it, or read
+    as attributes of the module under any name it is bound to."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    aliases, found = {"_kernels"}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").split(".")
+            if module[-1] == "_kernels":
+                found.update(alias.name for alias in node.names)
+            elif module[-1] in ("", "ctsum"):
+                aliases.update(a.asname or a.name for a in node.names if a.name == "_kernels")
+        elif isinstance(node, ast.Import):
+            aliases.update(a.asname or a.name for a in node.names if a.name.endswith("_kernels"))
+    found.update(
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and ast.unparse(node.value) in aliases
+    )
+    return found
+
+
+def test_lu_uses_only_the_layer_kernels():
+    assert kernel_names(PACKAGE / "lu.py") <= LU_KERNELS
+
+
+def test_checker_sees_every_use_of_kernels(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text(
+        "from . import _kernels\nfrom . import _kernels as k\nimport ctsum._kernels\n"
+        "from ._kernels import gru_backward\nfrom ctsum._kernels import Packing as P\n"
+        "_kernels.pack_lengths(n)\nk.gru_forward(a)\nctsum._kernels.bidirectional\n"
+    )
+    assert kernel_names(src) == {
+        "pack_lengths", "gru_forward", "bidirectional", "gru_backward", "Packing"
+    }
 
 
 def format_error_handlers(path):
