@@ -37,7 +37,10 @@ def ctc_forward_ll(log_probs, ext):
     Standard forward recursion over the expanded target, log domain. The
     skip transition s-2 -> s is allowed only between distinct non-blank
     labels, which is equivalent to ext[s] != ext[s-2] since even slots all
-    hold the blank. Returns -inf when no alignment fits in T frames.
+    hold the blank. Returns exactly -inf when no alignment fits in T
+    frames, that is when T is less than L plus the number of adjacent
+    equal labels (each needs a blank between them); this is the one
+    feasibility rule, and no caller counts frames first.
 
     Column s over time is alpha[t] = logaddexp(alpha[t-1], in[t-1]) +
     e[t], with e the emissions of state s and in the log-sum of the

@@ -27,7 +27,7 @@ from .harness import (
     system_config,
     training_items,
 )
-from .lu import load_model, lu_train, save_model
+from .lu import LUConfig, load_model, lu_train, save_model
 from .seqcore import (
     LSEQ_MAGIC,
     FormatError,
@@ -39,6 +39,19 @@ from .seqcore import (
 )
 from .synth import SynthSpec, generate_corpus, kfold_split, load_corpus, load_spec
 
+
+# Each system by its command-line name: p1, e1, e2.
+_SYSTEMS = {system.value.lower(): system for system in SystemId}
+
+# train-lu's LUConfig override flags (field: help), typed like the field's
+# default; unset, each follows crossval's recipe for --mode (harness.system_config).
+_TRAIN_FIELDS = {
+    "epochs": "training epochs (default: crossval's for --mode)",
+    "hidden": "hidden units per direction (default: crossval's)",
+    "layers": "recurrent layers (default: crossval's)",
+    "learning_rate": "Adam step size (default: crossval's for --mode)",
+    "batch_size": "mini-batch size (default: crossval's)",
+}
 
 # crossval's HarnessConfig flags (field: help); each defaults to its field.
 _CROSSVAL_FIELDS = {
@@ -90,17 +103,12 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("train-lu", help="train an intent classifier on a corpus directory")
     p.add_argument("--corpus", required=True, help="corpus directory from `synth`")
-    p.add_argument("--mode", required=True, choices=["p1", "e1", "e2"], help="input construction")
+    p.add_argument("--mode", required=True, choices=_SYSTEMS, help="input construction")
     p.add_argument("--out", required=True, help="output model file (.ctsm)")
     p.add_argument("--seed", type=int, required=True, help="training seed")
-    # Unset, each of these follows crossval's recipe for --mode (harness.system_config).
-    p.add_argument("--epochs", type=int, help="training epochs (default: crossval's for --mode)")
-    p.add_argument("--hidden", type=int, help="hidden units per direction (default: crossval's)")
-    p.add_argument("--layers", type=int, help="recurrent layers (default: crossval's)")
-    p.add_argument(
-        "--learning-rate", type=float, help="Adam step size (default: crossval's for --mode)"
-    )
-    p.add_argument("--batch-size", type=int, help="mini-batch size (default: crossval's)")
+    for name, what in _TRAIN_FIELDS.items():
+        kind = type(getattr(LUConfig, name))
+        p.add_argument("--" + name.replace("_", "-"), type=kind, help=what)
     p.add_argument(
         "--init",
         help="warm-start model (.ctsm) to fine-tune; required for e2, which crossval "
@@ -111,7 +119,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("eval", help="accuracy of a trained model on a corpus")
     p.add_argument("--corpus", required=True, help="corpus directory")
     p.add_argument("--model", required=True, help="model file (.ctsm)")
-    p.add_argument("--system", required=True, choices=["p1", "e1", "e2"], help="system to run")
+    p.add_argument("--system", required=True, choices=_SYSTEMS, help="system to run")
     p.add_argument("--k", type=int, default=5, help="fold count when --fold is used (default 5)")
     p.add_argument("--fold", type=int, help="evaluate one round-robin fold instead of all rows")
     p.set_defaults(func=_cmd_eval)
@@ -119,7 +127,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("bench", help="real-time factor of a system on a corpus")
     p.add_argument("--corpus", required=True, help="corpus directory")
     p.add_argument("--model", required=True, help="model file (.ctsm)")
-    p.add_argument("--system", required=True, choices=["p1", "e1", "e2"], help="system to run")
+    p.add_argument("--system", required=True, choices=_SYSTEMS, help="system to run")
     p.add_argument(
         "--repeats",
         type=int,
@@ -211,12 +219,11 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    if args.mode == "e2" and args.init is None:
+    system = _SYSTEMS[args.mode]
+    if system is SystemId.E2 and args.init is None:
         args.usage_error("--mode e2 needs --init: E2 fine-tunes an E1 model, as in crossval")
     corpus = load_corpus(args.corpus)
-    system = SystemId[args.mode.upper()]
-    flags = ("epochs", "hidden", "layers", "learning_rate", "batch_size")
-    passed = {name: getattr(args, name) for name in flags if getattr(args, name) is not None}
+    passed = {name: value for name in _TRAIN_FIELDS if (value := getattr(args, name)) is not None}
     config = replace(system_config(system, corpus.spec, HarnessConfig(), args.seed), **passed)
     init_model = load_model(args.init) if args.init else None
     items = training_items(system, corpus, range(len(corpus)))
@@ -238,7 +245,7 @@ def _eval_view(args, corpus):
 def _cmd_eval(args) -> int:
     corpus = load_corpus(args.corpus)
     model = load_model(args.model)
-    system = SystemId[args.system.upper()]
+    system = _SYSTEMS[args.system]
     rows, seqs = _eval_view(args, corpus)
     run = run_system(system, model, rows, seqs, corpus.projection, corpus.vocab)
     out = {
@@ -257,7 +264,7 @@ def _cmd_eval(args) -> int:
 def _cmd_bench(args) -> int:
     corpus = load_corpus(args.corpus)
     model = load_model(args.model)
-    system = SystemId[args.system.upper()]
+    system = _SYSTEMS[args.system]
     result = bench_rtf(
         system,
         model,

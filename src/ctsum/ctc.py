@@ -48,12 +48,14 @@ def collapse_path(arg_labels, blank_index: int) -> np.ndarray:
     return runs[runs != blank_index]
 
 
+def _check_vocab(grid: PosteriorGrid, vocab: Vocabulary):
+    if vocab.size != grid.num_labels:
+        raise ValueError(f"vocabulary size {vocab.size} does not match grid V={grid.num_labels}")
+
+
 def greedy_decode(grid: PosteriorGrid, vocab: Vocabulary) -> LabelSequence:
     """Best-path decode; score is the summed floored log of the per-frame maxima."""
-    if vocab.size != grid.num_labels:
-        raise ValueError(
-            f"vocabulary size {vocab.size} does not match grid V={grid.num_labels}"
-        )
+    _check_vocab(grid, vocab)
     labels, scores = _argmax_path(grid.probs)
     score = float(_floored_log(scores).sum())
     return LabelSequence(collapse_path(labels, vocab.blank_index), score)
@@ -65,32 +67,21 @@ def _expanded_target(ids, blank_index):
     return ext
 
 
-def _min_frames(ids):
-    # each label needs a frame; equal adjacent labels need a separating
-    # blank, one per label beyond the number of runs
-    return 2 * ids.size - (segment_path(ids).size - 1) if ids.size else 0
-
-
 def ctc_forward_logprob(
     grid: PosteriorGrid, target: LabelSequence, vocab: Vocabulary
 ) -> float:
     """log P(target | grid) summed over all CTC alignments.
 
-    Infeasible targets (too long for T once repeat-separating blanks are
-    counted) return -inf rather than raising. An empty target scores the
-    all-blank path set.
+    A target that no alignment fits returns -inf rather than raising; the
+    kernel, ``_kernels.ctc_forward_ll``, states when that is. An empty
+    target scores the all-blank path set.
     """
-    if vocab.size != grid.num_labels:
-        raise ValueError(
-            f"vocabulary size {vocab.size} does not match grid V={grid.num_labels}"
-        )
+    _check_vocab(grid, vocab)
     ids = target.ids
     if ids.size and (ids == vocab.blank_index).any():
         raise ValueError("target must not contain the blank label")
     if ids.size and ids.max() >= vocab.size:
         raise ValueError("target id out of vocabulary range")
-    if _min_frames(ids) > grid.num_frames:
-        return float("-inf")
     ext = _expanded_target(ids, vocab.blank_index)
     return float(_kernels.ctc_forward_ll(grid.log_probs, ext))
 

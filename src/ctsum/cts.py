@@ -103,7 +103,7 @@ class SummarizedSequence:
         self.rep_frames = np.asarray(reps, dtype=np.int64)
         self.rep_scores = np.asarray(scores, dtype=np.float64)
         self.source_T = _as_int("source_T", source_T)
-        self.frame_shift_ms = float(frame_shift_ms)
+        self.frame_shift_ms = _frame_shift(frame_shift_ms)
         self._check()
 
     def _check(self):
@@ -221,13 +221,18 @@ _SEG_RECORD = np.dtype(
 _U32_MAX = np.iinfo(np.uint32).max
 
 
-def write_sseq(path, summ: SummarizedSequence):
-    _writable(path, summ._check)
-    s, d = summ.vectors.shape
-    if s == 0:
+def _check_writable(summ: SummarizedSequence):
+    """The summary's own rules, plus what the ``.sseq`` records can hold."""
+    summ._check()
+    if summ.num_segments == 0:
         raise ValueError("refusing to write an empty summary")
     if summ.ends.max() > _U32_MAX or summ.labels.max() > _U32_MAX:
         raise ValueError("segment ends and labels must fit in 32 bits")
+
+
+def write_sseq(path, summ: SummarizedSequence):
+    _writable(path, _check_writable, summ)
+    s, d = summ.vectors.shape
     table = np.empty(s, dtype=_SEG_RECORD)
     for name, col in zip(_SEG_RECORD.names, summ.table):
         table[name] = col

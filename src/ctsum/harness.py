@@ -44,7 +44,7 @@ from ._version import __version__
 from .cts import summarize
 from .ctc import greedy_decode
 from .lu import LUConfig, LUModel, embed_labels, lu_forward, lu_train
-from .seqcore import LatentSequence, ProjectionMatrix, Vocabulary, project_softmax
+from .seqcore import LatentSequence, ProjectionMatrix, Vocabulary, _as_int, project_softmax
 from .synth import Corpus, SynthSpec, build_corpus, kfold_split
 
 FRONTEND_FRAMES_PER_STEP = 4
@@ -82,6 +82,13 @@ STAGES = {
 }
 
 
+def _repeats(name: str, value) -> int:
+    """A timing repeat count: an integer >= 3."""
+    if (repeats := _as_int(name, value)) < 3:
+        raise ValueError(f"{name} must be >= 3")
+    return repeats
+
+
 @dataclass
 class HarnessConfig:
     hidden: int = 32
@@ -95,8 +102,7 @@ class HarnessConfig:
     bench_repeats: int = 3
 
     def __post_init__(self):
-        if self.bench_repeats < 3:
-            raise ValueError("bench_repeats must be >= 3")
+        self.bench_repeats = _repeats("bench_repeats", self.bench_repeats)
 
 
 @dataclass
@@ -200,8 +206,7 @@ def bench_rtf(
     warmup. Every figure comes from one run: the middle by total time,
     the upper middle at an even count. Runs in the caller's BLAS
     configuration: nothing here sets the BLAS thread count."""
-    if repeats < 3:
-        raise ValueError("repeats must be >= 3")
+    repeats = _repeats("repeats", repeats)
     nominal = nominal_audio_seconds(seqs)
     run_system(system, model, rows, seqs, proj, vocab)  # warmup
     runs = [run_system(system, model, rows, seqs, proj, vocab) for _ in range(repeats)]

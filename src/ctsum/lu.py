@@ -253,12 +253,19 @@ def _sample_input(model: LUModel, data) -> np.ndarray:
     return _as_float_seq(model, data) if model.embedding is None else embed_labels(data, model)
 
 
+def _intent(label, num_intents: int) -> int:
+    """An intent label: an integer in [0, num_intents)."""
+    if not 0 <= (label := _as_int("intent label", label)) < num_intents:
+        raise ValueError(f"intent label {label} out of range")
+    return label
+
+
 def _batch_loss_and_grads(model: LUModel, items):
     """Cross-entropy loss and its flat gradient, laid out like
     ``model.params``, each summed over the (input, label) items of one
-    minibatch."""
+    minibatch; each label already checked by ``_intent``."""
     pk, x = _pack([_sample_input(model, data) for data, _ in items])
-    labels = np.array([int(items[i][1]) for i in pk.order])
+    labels = np.array([items[i][1] for i in pk.order])
     top, caches = _bigru_forward(model, pk, x)
     pool, probs = _head_forward(model, pk, top)
     loss = float(_nll(probs, labels).sum())
@@ -288,24 +295,23 @@ class _Adam:
     """Adaptive-moment estimation with bias correction, in place on one
     flat parameter vector."""
 
-    def __init__(self, params, lr, betas=ADAM_BETAS, eps=ADAM_EPS):
+    def __init__(self, params, lr):
         self.params = params
         self.lr = lr
-        self.b1, self.b2 = betas
-        self.eps = eps
         self.t = 0
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)
 
     def step(self, grad):
+        b1, b2 = ADAM_BETAS
         self.t += 1
-        bc1 = 1.0 - self.b1**self.t
-        bc2 = 1.0 - self.b2**self.t
-        self.m *= self.b1
-        self.m += (1.0 - self.b1) * grad
-        self.v *= self.b2
-        self.v += (1.0 - self.b2) * grad * grad
-        self.params -= self.lr * (self.m / bc1) / (np.sqrt(self.v / bc2) + self.eps)
+        bc1 = 1.0 - b1**self.t
+        bc2 = 1.0 - b2**self.t
+        self.m *= b1
+        self.m += (1.0 - b1) * grad
+        self.v *= b2
+        self.v += (1.0 - b2) * grad * grad
+        self.params -= self.lr * (self.m / bc1) / (np.sqrt(self.v / bc2) + ADAM_EPS)
 
 
 def _clone_for_training(init_model: LUModel, config: LUConfig) -> LUModel:
@@ -324,9 +330,7 @@ def lu_train(config: LUConfig, corpus, init_model: LUModel | None = None) -> LUM
     """
     if not corpus:
         raise ValueError("corpus must be non-empty")
-    for _, label in corpus:
-        if not 0 <= int(label) < config.num_intents:
-            raise ValueError(f"intent label {label} out of range")
+    corpus = [(data, _intent(label, config.num_intents)) for data, label in corpus]
     model = lu_init(config) if init_model is None else _clone_for_training(init_model, config)
     opt = _Adam(model.params, config.learning_rate)
     rng = np.random.default_rng(config.seed)
@@ -353,13 +357,13 @@ def gradient_check(config: LUConfig, sample) -> float:
     64-bit mode; cost is two forward passes per scalar parameter.
     """
     data, label = sample
+    label = _intent(label, config.num_intents)
     model = lu_init(config)
-    labels = np.array([int(label)])
 
     def loss_only():
-        return float(_nll(_probs(model, [_sample_input(model, data)]), labels)[0])
+        return float(_nll(_probs(model, [_sample_input(model, data)]), np.array([label]))[0])
 
-    _, grad = _batch_loss_and_grads(model, [sample])
+    _, grad = _batch_loss_and_grads(model, [(data, label)])
     step = 1e-5
     max_rel = 0.0
     flat = model.params

@@ -52,10 +52,16 @@ def _as_seed(value) -> int:
     return seed
 
 
+def _is_real(value) -> bool:
+    """The type rule of every real field: a real number, not a bool (or
+    a string, which is no number)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _as_float(name: str, value) -> float:
     """A real field, e.g. from JSON: a bool, a string, NaN, an infinity or
     an int too large for a float (so beyond the bound) is an error."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool) and abs(value) <= float_info.max:
+    if _is_real(value) and abs(value) <= float_info.max:
         return float(value)
     raise TypeError(f"{name} must be a finite number, got {value!r}")
 
@@ -82,7 +88,10 @@ def _require_finite(name, arr):
 def _frame_shift(value) -> float:
     """``frame_shift_ms`` as a float, positive and finite also as the
     float32 ``.lseq`` and ``.sseq`` store: the bounds are the halfway
-    points that round to 0 and to inf in float32."""
+    points that round to 0 and to inf in float32. A bool or a string is a
+    ``TypeError``, as for every real field (``_is_real``)."""
+    if not _is_real(value):
+        raise TypeError(f"frame_shift_ms must be a number, got {value!r}")
     shift = float(value)
     if not 2.0**-150 < shift < 2.0**128 - 2.0**103:  # NaN fails too
         raise ValueError(f"frame_shift_ms must be positive and finite as float32, got {shift}")
@@ -433,10 +442,11 @@ def _parse(where, what, build, *args):
 
 
 def _writable(path, check, *args):
-    """``check(*args)``, its ``ValueError`` naming the file to be written."""
+    """``check(*args)``; its ``ValueError`` or ``TypeError`` becomes a
+    ``ValueError`` naming the file to be written."""
     try:
         return check(*args)
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 

@@ -89,6 +89,14 @@ class TestUsage:
         assert exc.value.code == 0
         assert "--" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("cmd, flag", [
+        ("train-lu", "--mode"), ("eval", "--system"), ("bench", "--system"),
+    ])
+    def test_system_flags_take_p1_e1_e2(self, cmd, flag):
+        sub = next(a for a in cli._build_parser()._actions if a.dest == "command")
+        action = next(a for a in sub.choices[cmd]._actions if flag in a.option_strings)
+        assert list(action.choices) == ["p1", "e1", "e2"]
+
     def test_unknown_flag_exits_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["synth", "--bogus", "x", "--out", "y", "--seed", "1"])
@@ -188,6 +196,16 @@ class TestSummarizeDecode:
         out = tmp_path / "s.sseq"
         run_json(capsys, args + ["--out", str(out)] + (["--vocab", vocab] if with_vocab else []))
         assert read_sseq(out).labels.tolist() == labels
+
+    def test_empty_summary_refusal_names_the_out_file(self, tmp_path, capsys):
+        # every frame argmaxes to the blank, so dropping blank segments leaves none
+        lseq, proj, out = tmp_path / "x.lseq", tmp_path / "p.proj", tmp_path / "s.sseq"
+        write_lseq(lseq, LatentSequence(np.ones((3, 2))))
+        write_proj(proj, ProjectionMatrix(np.array([[1.0, 1.0], [0.0, 0.0]])))
+        assert main(["summarize", "--in", str(lseq), "--proj", str(proj), "--out", str(out),
+                     "--drop-blank-segments"]) == 2
+        assert f"{out}: refusing to write an empty summary" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_summarize_vocab_of_wrong_size_exits_2(self, blank_two, tmp_path, capsys):
         args, _ = blank_two

@@ -415,6 +415,16 @@ class TestSummarizedSequence:
         with pytest.raises(ValueError):
             self.make(self.VALID, **kwargs)
 
+    @pytest.mark.parametrize("shift", [True, "10"], ids=["bool", "numeric-string"])
+    def test_shift_must_be_a_number(self, shift):
+        # the type rule of every real field: not stored as 1.0 or 10.0
+        with pytest.raises(TypeError, match="frame_shift_ms must be a number"):
+            self.make(self.VALID, shift=shift)
+
+    def test_shift_stored_as_float(self):
+        summ = self.make(self.VALID, shift=np.float32(12.5))
+        assert type(summ.frame_shift_ms) is float and summ.frame_shift_ms == 12.5
+
     @pytest.mark.parametrize("score", [1.5, -0.25, float("nan")])
     def test_rejects_selected_score_outside_unit_interval(self, score):
         with pytest.raises(ValueError, match=r"rep_score in \[0, 1\]"):
@@ -495,6 +505,25 @@ class TestSseqFile:
         )
         with pytest.raises(ValueError):
             write_sseq(tmp_path / "x.sseq", summ)
+
+    def test_32_bit_refusal_names_the_file(self, tmp_path):
+        big = 2**32
+        summ = SummarizedSequence(
+            np.zeros((1, 2), dtype=np.float32), [Segment(0, big, 1, 0, 0.5)], big
+        )
+        path = tmp_path / "wide.sseq"
+        with pytest.raises(ValueError, match="wide.sseq: segment ends and labels must fit in 32 bits"):
+            write_sseq(path, summ)
+        assert not path.exists()
+
+    def test_empty_summary_refusal_names_the_file(self, tmp_path):
+        seq = LatentSequence(np.ones((3, 2), dtype=np.float32))
+        summ = summarize(seq, ProjectionMatrix(np.array([[1.0, 1.0], [0.0, 0.0]])),
+                         drop_blank_segments=True)
+        path = tmp_path / "empty.sseq"
+        with pytest.raises(ValueError, match="empty.sseq: refusing to write an empty summary"):
+            write_sseq(path, summ)
+        assert not path.exists()
 
     def test_detects_corruption(self, tmp_path):
         seq, proj, _ = random_case(7, t=12)

@@ -220,6 +220,15 @@ class TestTiming:
         with pytest.raises(ValueError):
             HarnessConfig(bench_repeats=1)
 
+    @pytest.mark.parametrize("repeats", [3.5, 4.0, True])
+    def test_repeats_must_be_an_integer(self, corpus, models, repeats):
+        # refused at construction, not in range() after a fold has trained
+        with pytest.raises(TypeError, match="bench_repeats must be an integer"):
+            HarnessConfig(bench_repeats=repeats)
+        with pytest.raises(TypeError, match="repeats must be an integer"):
+            bench_rtf(SystemId.E1, models[SystemId.E1], corpus.rows, corpus.sequences,
+                      corpus.projection, corpus.vocab, repeats=repeats)
+
 
 class TestTrainingItems:
     def test_inputs_per_system(self, corpus):

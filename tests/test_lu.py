@@ -463,6 +463,26 @@ class TestTraining:
         with pytest.raises(ValueError):
             lu_train(cfg, [(np.ones((2, 3)), 2)])  # label out of range for K=2
 
+    @pytest.mark.parametrize("label", [1.7, True, "1"], ids=["float", "bool", "string"])
+    def test_intent_must_be_an_integer(self, label):
+        # read through the package's integer rule, not truncated or parsed to 1
+        cfg = tiny_config()
+        with pytest.raises(TypeError, match="intent label must be an integer"):
+            lu_train(cfg, [(np.ones((2, 3)), label)])
+        with pytest.raises(TypeError, match="intent label must be an integer"):
+            gradient_check(cfg, (np.ones((2, 3)), label))
+
+    def test_numpy_integer_intent_is_an_integer(self):
+        cfg = tiny_config(epochs=1)
+        x = np.ones((2, 3))
+        a, b = lu_train(cfg, [(x, np.int64(1))]), lu_train(cfg, [(x, 1)])
+        np.testing.assert_array_equal(a.params, b.params)
+        assert gradient_check(cfg, (x, np.int64(1))) == gradient_check(cfg, (x, 1))
+
+    def test_gradient_check_range_checks_the_intent(self):
+        with pytest.raises(ValueError, match="intent label 2 out of range"):
+            gradient_check(tiny_config(), (np.ones((2, 3)), 2))
+
     def test_fine_tune_from_init_model(self):
         rng = np.random.default_rng(9)
         corpus = [(rng.standard_normal((4, 3)), i % 2) for i in range(8)]

@@ -60,6 +60,20 @@ class TestLatentSequence:
         with pytest.raises(ValueError, match="frame_shift_ms must be positive"):
             LatentSequence(np.ones((2, 2)), frame_shift_ms=shift)
 
+    @pytest.mark.parametrize("shift", [True, "10"], ids=["bool", "numeric-string"])
+    def test_rejects_shift_that_is_not_a_number(self, shift):
+        # the type rule of every real field: not stored as 1.0 or 10.0
+        with pytest.raises(TypeError, match="frame_shift_ms must be a number"):
+            LatentSequence(np.ones((2, 2)), frame_shift_ms=shift)
+
+    def test_writer_names_the_file_for_a_shift_changed_to_a_string(self, tmp_path):
+        seq = LatentSequence(np.ones((2, 2)))
+        seq.frame_shift_ms = "10"
+        path = tmp_path / "x.lseq"
+        with pytest.raises(ValueError, match="x.lseq: frame_shift_ms must be a number"):
+            write_lseq(path, seq)
+        assert not path.exists()
+
 
 class TestVocabulary:
     def test_blank_bounds(self):
