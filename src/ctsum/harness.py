@@ -181,7 +181,7 @@ def evaluate(predictions: dict[str, int], rows: list[dict]) -> float:
         uid = row["id"]
         if uid not in predictions:
             raise ValueError(f"missing prediction for id {uid!r}")
-        correct += int(predictions[uid]) == int(row["intent"])
+        correct += _as_int("prediction", predictions[uid]) == _as_int("intent", row["intent"])
     return 100.0 * correct / len(rows)
 
 

@@ -331,6 +331,16 @@ def lu_train(config: LUConfig, corpus, init_model: LUModel | None = None) -> LUM
     if not corpus:
         raise ValueError("corpus must be non-empty")
     corpus = [(data, _intent(label, config.num_intents)) for data, label in corpus]
+    # An untouched 4 MiB block, freed at once, keeps each minibatch's freed
+    # whole-batch arrays in the heap for the next one instead of letting
+    # glibc trim them and fault them in again. glibc mmaps the block; on
+    # its free the dynamic mmap threshold rises to its size and the trim
+    # threshold to twice that, 8 MiB (mallopt(3)). It does nothing off
+    # glibc, or once MALLOC_TRIM_THRESHOLD_, MALLOC_TOP_PAD_ or
+    # MALLOC_MMAP_THRESHOLD_ is set or mallopt called, which turns the
+    # dynamic threshold off. A process that has trained may keep about
+    # 8 MiB of freed heap resident; batches far above 16 may churn more.
+    np.empty(1 << 22, dtype=np.uint8)
     model = lu_init(config) if init_model is None else _clone_for_training(init_model, config)
     opt = _Adam(model.params, config.learning_rate)
     rng = np.random.default_rng(config.seed)

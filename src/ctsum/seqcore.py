@@ -88,10 +88,13 @@ def _require_finite(name, arr):
 def _frame_shift(value) -> float:
     """``frame_shift_ms`` as a float, positive and finite also as the
     float32 ``.lseq`` and ``.sseq`` store: the bounds are the halfway
-    points that round to 0 and to inf in float32. A bool or a string is a
-    ``TypeError``, as for every real field (``_is_real``)."""
+    points that round to 0 and to inf in float32. A bool, a string or an
+    exact number beyond the float range is a ``TypeError``, as for every
+    real field (``_is_real``, ``_as_float``)."""
     if not _is_real(value):
         raise TypeError(f"frame_shift_ms must be a number, got {value!r}")
+    if isinstance(value, numbers.Rational):  # float() would overflow, naming no field
+        value = _as_float("frame_shift_ms", value)
     shift = float(value)
     if not 2.0**-150 < shift < 2.0**128 - 2.0**103:  # NaN fails too
         raise ValueError(f"frame_shift_ms must be positive and finite as float32, got {shift}")

@@ -170,6 +170,16 @@ class TestEvaluate:
         want = 100.0 * sum(preds[r["id"]] == r["intent"] for r in rows) / len(rows)
         assert evaluate(preds, rows) == pytest.approx(want)
 
+    @pytest.mark.parametrize(
+        "pred, intent, field",
+        [(1.7, 1, "prediction"), (True, 1, "prediction"), (1, 1.0, "intent")],
+        ids=["float-prediction", "bool-prediction", "float-intent"],
+    )
+    def test_non_integer_rejected_not_truncated(self, pred, intent, field):
+        # int() would count 1.7 and True as intent 1
+        with pytest.raises(TypeError, match=f"{field} must be an integer"):
+            evaluate({"a": pred}, [{"id": "a", "intent": intent}])
+
     def test_missing_prediction_rejected(self):
         with pytest.raises(ValueError, match="missing"):
             evaluate({}, [{"id": "u0", "intent": 0}])

@@ -1,5 +1,10 @@
 import json
+import os
+import platform
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -713,3 +718,41 @@ class TestModelFile:
         path = tmp_path / "m.ctsm"
         save_model(path, model)
         assert load_model(path).params.size == 6 * 3 + 2 * 2 + 2
+
+
+_REFAULT_PROBE = """
+import resource
+from dataclasses import replace
+from ctsum.harness import HarnessConfig, SystemId, system_config
+from ctsum.lu import lu_train
+from ctsum.synth import SynthSpec, build_corpus
+
+spec = SynthSpec()
+corpus = build_corpus(spec)
+items = [(seq.frames, row["intent"]) for seq, row in zip(corpus.sequences[:32], corpus.rows)]
+config = replace(system_config(SystemId.E1, spec, HarnessConfig(), seed=3), epochs=2)
+for _ in range(2):
+    lu_train(config, items)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+lu_train(config, items)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(
+    platform.libc_ver()[0] != "glibc",
+    reason="relies on glibc's dynamic mmap and heap-trim thresholds (mallopt(3))",
+)
+def test_training_does_not_refault_its_freed_memory():
+    # A fresh interpreter, so the allocator state is lu_train's own; the
+    # third call has nothing new to allocate and should fault almost
+    # nothing in (thousands when glibc trims the heap between minibatches).
+    env = dict(os.environ)
+    src = str(Path(lu.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    for var in ("MALLOC_TRIM_THRESHOLD_", "MALLOC_TOP_PAD_", "MALLOC_MMAP_THRESHOLD_"):
+        env.pop(var, None)
+    done = subprocess.run(
+        [sys.executable, "-c", _REFAULT_PROBE], env=env, check=True, capture_output=True, text=True
+    )
+    assert int(done.stdout.split()[-1]) < 500

@@ -66,6 +66,11 @@ class TestLatentSequence:
         with pytest.raises(TypeError, match="frame_shift_ms must be a number"):
             LatentSequence(np.ones((2, 2)), frame_shift_ms=shift)
 
+    def test_rejects_shift_int_beyond_the_float_range(self):
+        # float() of it raises a bare OverflowError that names no field
+        with pytest.raises(TypeError, match="frame_shift_ms must be a finite number"):
+            LatentSequence(np.ones((2, 2)), frame_shift_ms=10**400)
+
     def test_writer_names_the_file_for_a_shift_changed_to_a_string(self, tmp_path):
         seq = LatentSequence(np.ones((2, 2)))
         seq.frame_shift_ms = "10"
