@@ -32,6 +32,7 @@ from .seqcore import (
     LSEQ_MAGIC,
     FormatError,
     Vocabulary,
+    _as_int,
     project_softmax,
     read_lseq,
     read_proj,
@@ -236,9 +237,8 @@ def _cmd_train(args) -> int:
 def _eval_view(args, corpus):
     if args.fold is None:
         return corpus.rows, corpus.sequences
-    if not 0 <= args.fold < args.k:
-        raise ValueError(f"fold must be in [0, {args.k})")
-    _, eval_idx = kfold_split(corpus.rows, args.k)[args.fold]
+    fold = _as_int("fold", args.fold, 0, args.k)  # before kfold_split can warn
+    _, eval_idx = kfold_split(corpus.rows, args.k)[fold]
     return [corpus.rows[i] for i in eval_idx], [corpus.sequences[i] for i in eval_idx]
 
 

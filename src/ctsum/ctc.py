@@ -6,6 +6,10 @@ Argmax and run-length encoder are ``seqcore``'s, shared with ``cts``.
 ctc_forward_logprob sums over all alignments with the standard forward
 recursion; enumerate_alignments_logprob brute-forces the same quantity on
 instances small enough to enumerate and exists purely to cross-check it.
+Both check their inputs alike: the grid's width must be the vocabulary
+size (``_check_vocab``) and the target a transcript of the vocabulary,
+its ids labels and none the blank (``Vocabulary.check_transcript``); a
+target that passes and that no alignment fits scores -inf in both.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ class LabelSequence:
 
 def collapse_path(arg_labels, blank_index: int) -> np.ndarray:
     """Collapse consecutive repeats, then delete blanks."""
-    labels = np.asarray(arg_labels, dtype=np.int64)
+    labels = _label_ids(arg_labels)
     if labels.size == 0:
         return labels
     runs = labels[segment_path(labels)[:-1]]
@@ -77,12 +81,8 @@ def ctc_forward_logprob(
     target scores the all-blank path set.
     """
     _check_vocab(grid, vocab)
-    ids = target.ids
-    if ids.size and (ids == vocab.blank_index).any():
-        raise ValueError("target must not contain the blank label")
-    if ids.size and ids.max() >= vocab.size:
-        raise ValueError("target id out of vocabulary range")
-    ext = _expanded_target(ids, vocab.blank_index)
+    vocab.check_transcript(target.ids)
+    ext = _expanded_target(target.ids, vocab.blank_index)
     return float(_kernels.ctc_forward_ll(grid.log_probs, ext))
 
 
@@ -91,14 +91,14 @@ def enumerate_alignments_logprob(
 ) -> float:
     """Brute-force oracle: enumerate every V^T frame path, keep those that
     collapse to the target, and sum their probabilities in float64."""
+    _check_vocab(grid, vocab)
+    vocab.check_transcript(target.ids)
     t, v = grid.probs.shape
     if t > ENUM_MAX_FRAMES or v > ENUM_MAX_LABELS:
         raise ValueError(
             f"instance too large to enumerate: T={t} (max {ENUM_MAX_FRAMES}), "
             f"V={v} (max {ENUM_MAX_LABELS})"
         )
-    if target.ids.size and (target.ids == vocab.blank_index).any():
-        raise ValueError("target must not contain the blank label")
     want = tuple(int(i) for i in target.ids)
     blank = vocab.blank_index
     rows = grid.probs

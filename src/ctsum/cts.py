@@ -40,6 +40,7 @@ from .seqcore import (
     _argmax_path,
     _as_int,
     _frame_shift,
+    _label_ids,
     _parse,
     _read_header,
     _read_payload,
@@ -97,10 +98,10 @@ class SummarizedSequence:
             table = tuple(zip(*rows)) if rows else ((),) * 5
         starts, ends, labels, reps, scores = table
         self.vectors = np.ascontiguousarray(vectors, dtype=np.float32)
-        self.starts = np.asarray(starts, dtype=np.int64)
-        self.ends = np.asarray(ends, dtype=np.int64)
-        self.labels = np.asarray(labels, dtype=np.int64)
-        self.rep_frames = np.asarray(reps, dtype=np.int64)
+        self.starts = _label_ids(starts, "starts")
+        self.ends = _label_ids(ends, "ends")
+        self.labels = _label_ids(labels, "labels")
+        self.rep_frames = _label_ids(reps, "rep_frames")
         self.rep_scores = np.asarray(scores, dtype=np.float64)
         self.source_T = _as_int("source_T", source_T)
         self.frame_shift_ms = _frame_shift(frame_shift_ms)

@@ -44,7 +44,15 @@ from ._version import __version__
 from .cts import summarize
 from .ctc import greedy_decode
 from .lu import LUConfig, LUModel, embed_labels, lu_forward, lu_train
-from .seqcore import LatentSequence, ProjectionMatrix, Vocabulary, _as_int, project_softmax
+from .seqcore import (
+    LatentSequence,
+    ProjectionMatrix,
+    Vocabulary,
+    _as_int,
+    _as_rate,
+    _label_ids,
+    project_softmax,
+)
 from .synth import Corpus, SynthSpec, build_corpus, kfold_split
 
 FRONTEND_FRAMES_PER_STEP = 4
@@ -82,13 +90,6 @@ STAGES = {
 }
 
 
-def _repeats(name: str, value) -> int:
-    """A timing repeat count: an integer >= 3."""
-    if (repeats := _as_int(name, value)) < 3:
-        raise ValueError(f"{name} must be >= 3")
-    return repeats
-
-
 @dataclass
 class HarnessConfig:
     hidden: int = 32
@@ -102,7 +103,11 @@ class HarnessConfig:
     bench_repeats: int = 3
 
     def __post_init__(self):
-        self.bench_repeats = _repeats("bench_repeats", self.bench_repeats)
+        for name in ("hidden", "layers", "epochs", "fine_tune_epochs", "text_epochs", "batch_size"):
+            setattr(self, name, _as_int(name, getattr(self, name), 1))
+        self.bench_repeats = _as_int("bench_repeats", self.bench_repeats, 3)
+        self.learning_rate = _as_rate("learning_rate", self.learning_rate)
+        self.fine_tune_lr = _as_rate("fine_tune_lr", self.fine_tune_lr)
 
 
 @dataclass
@@ -206,7 +211,7 @@ def bench_rtf(
     warmup. Every figure comes from one run: the middle by total time,
     the upper middle at an even count. Runs in the caller's BLAS
     configuration: nothing here sets the BLAS thread count."""
-    repeats = _repeats("repeats", repeats)
+    repeats = _as_int("repeats", repeats, 3)
     nominal = nominal_audio_seconds(seqs)
     run_system(system, model, rows, seqs, proj, vocab)  # warmup
     runs = [run_system(system, model, rows, seqs, proj, vocab) for _ in range(repeats)]
@@ -226,7 +231,7 @@ def training_items(system: SystemId, corpus: Corpus, idx) -> list[tuple]:
     label ids, which ``lu_train`` embeds."""
     rows = [corpus.rows[i] for i in idx]
     if system is SystemId.P1:
-        inputs = [np.asarray(row["labels"], dtype=np.int64) for row in rows]
+        inputs = [_label_ids(row["labels"]) for row in rows]
     elif system is SystemId.E1:
         inputs = [corpus.sequences[i].frames for i in idx]
     else:

@@ -46,7 +46,7 @@ from .seqcore import (
     FormatError,
     _as_float,
     _as_int,
-    _as_seed,
+    _as_rate,
     _decode_json,
     _floored_log,
     _label_ids,
@@ -76,21 +76,13 @@ class LUConfig:
     vocab_size: int | None = None  # set for the label-embedding (pipeline) flavor
 
     def __post_init__(self):
-        for name in ("input_dim", "num_intents", "hidden", "layers", "epochs", "batch_size"):
-            value = _as_int(name, getattr(self, name))
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1")
-            setattr(self, name, value)
-        if self.num_intents < 2:
-            raise ValueError("num_intents must be >= 2")
-        self.learning_rate = _as_float("learning_rate", self.learning_rate)
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be positive")
-        self.seed = _as_seed(self.seed)
+        for name in ("input_dim", "hidden", "layers", "epochs", "batch_size"):
+            setattr(self, name, _as_int(name, getattr(self, name), 1))
+        self.num_intents = _as_int("num_intents", self.num_intents, 2)
+        self.learning_rate = _as_rate("learning_rate", self.learning_rate)
+        self.seed = _as_int("seed", self.seed, 0)
         if self.vocab_size is not None:
-            self.vocab_size = _as_int("vocab_size", self.vocab_size)
-            if self.vocab_size < 1:
-                raise ValueError("vocab_size must be >= 1 when set")
+            self.vocab_size = _as_int("vocab_size", self.vocab_size, 1)
 
 
 @dataclass
@@ -253,17 +245,10 @@ def _sample_input(model: LUModel, data) -> np.ndarray:
     return _as_float_seq(model, data) if model.embedding is None else embed_labels(data, model)
 
 
-def _intent(label, num_intents: int) -> int:
-    """An intent label: an integer in [0, num_intents)."""
-    if not 0 <= (label := _as_int("intent label", label)) < num_intents:
-        raise ValueError(f"intent label {label} out of range")
-    return label
-
-
 def _batch_loss_and_grads(model: LUModel, items):
     """Cross-entropy loss and its flat gradient, laid out like
     ``model.params``, each summed over the (input, label) items of one
-    minibatch; each label already checked by ``_intent``."""
+    minibatch; each label already checked by ``lu_train``."""
     pk, x = _pack([_sample_input(model, data) for data, _ in items])
     labels = np.array([items[i][1] for i in pk.order])
     top, caches = _bigru_forward(model, pk, x)
@@ -330,7 +315,7 @@ def lu_train(config: LUConfig, corpus, init_model: LUModel | None = None) -> LUM
     """
     if not corpus:
         raise ValueError("corpus must be non-empty")
-    corpus = [(data, _intent(label, config.num_intents)) for data, label in corpus]
+    corpus = [(data, _as_int("intent label", label, 0, config.num_intents)) for data, label in corpus]
     # An untouched 4 MiB block, freed at once, keeps each minibatch's freed
     # whole-batch arrays in the heap for the next one instead of letting
     # glibc trim them and fault them in again. glibc mmaps the block; on
@@ -367,7 +352,7 @@ def gradient_check(config: LUConfig, sample) -> float:
     64-bit mode; cost is two forward passes per scalar parameter.
     """
     data, label = sample
-    label = _intent(label, config.num_intents)
+    label = _as_int("intent label", label, 0, config.num_intents)
     model = lu_init(config)
 
     def loss_only():

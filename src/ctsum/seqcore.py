@@ -18,38 +18,44 @@ PROB_FLOOR = 1e-30
 FORMAT_VERSION = 1
 LSEQ_MAGIC = b"CTSQ"
 PROJ_MAGIC = b"CTSP"
+_INT64 = np.dtype(np.int64)
 
 
 class FormatError(ValueError):
     """A binary or JSON artifact on disk is malformed."""
 
 
-def _as_int(name: str, value) -> int:
+def _as_int(name: str, value, lo=None, hi=None) -> int:
     """An integer field, e.g. from JSON: a float or bool is an error, not
-    truncated."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise TypeError(f"{name} must be an integer, got {value!r}")
+    truncated. With ``lo`` it must be >= lo; with ``hi`` too, in [lo, hi).
+    The one code that turns a caller's scalar into an integer."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        value = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if hi is not None and not lo <= value < hi:
+        raise ValueError(f"{name} {value} out of range: {name} must be in [{lo}, {hi})")
+    if lo is not None and value < lo:
+        raise ValueError(f"{name} must be >= {lo}, got {value}")
+    return value
 
 
-def _label_ids(ids) -> np.ndarray:
-    """Label ids as a 1-d int64 array, not copied when already one; float,
-    bool and string ids are an error, not truncated or parsed."""
+def _label_ids(ids, name="label ids") -> np.ndarray:
+    """Integer ids as a 1-d int64 array, not copied when already one; float,
+    bool and string ids are an error, not truncated or parsed. The one code
+    that turns a caller's array into integers."""
+    if type(ids) is np.ndarray and ids.dtype is _INT64 and ids.ndim == 1:
+        return ids  # what numpy's argmax, nonzero and sorts return, as is
     arr = np.asarray(ids)
     if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
-        raise ValueError(f"label ids must be a 1-d integer sequence, got {arr.dtype} {arr.shape}")
+        raise ValueError(f"{name} must be a 1-d integer sequence, got {arr.dtype} {arr.shape}")
+    # numpy casts a bool among ints to int64, so a sequence, not yet an
+    # array, is searched for one; an array is not searched
+    if arr is not ids and any(isinstance(i, (bool, np.bool_)) for i in ids):
+        raise ValueError(f"{name} must be a 1-d integer sequence, got a bool in {ids!r}")
     return arr.astype(np.int64, copy=False)
-
-
-def _as_seed(value) -> int:
-    """A random seed: an integer >= 0, as numpy's ``SeedSequence`` takes."""
-    seed = _as_int("seed", value)
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    return seed
 
 
 def _is_real(value) -> bool:
@@ -64,6 +70,13 @@ def _as_float(name: str, value) -> float:
     if _is_real(value) and abs(value) <= float_info.max:
         return float(value)
     raise TypeError(f"{name} must be a finite number, got {value!r}")
+
+
+def _as_rate(name: str, value) -> float:
+    """A step size: a finite number > 0."""
+    if (rate := _as_float(name, value)) > 0:
+        return rate
+    raise ValueError(f"{name} must be positive")
 
 
 def _floored_log(probs: np.ndarray) -> np.ndarray:
@@ -142,9 +155,7 @@ class Vocabulary:
             raise ValueError("labels must be non-empty strings")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("labels must be unique")
-        self.blank_index = _as_int("blank_index", self.blank_index)
-        if not 0 <= self.blank_index < len(self.labels):
-            raise ValueError(f"blank_index {self.blank_index} out of range")
+        self.blank_index = _as_int("blank_index", self.blank_index, 0, len(self.labels))
 
     @property
     def size(self):
@@ -153,6 +164,17 @@ class Vocabulary:
     @property
     def blank_label(self):
         return self.labels[self.blank_index]
+
+    def check_transcript(self, ids):
+        """The transcript rule, e.g. of a CTC target: ``ids`` (integer, as
+        ``_label_ids`` takes them) are labels of this vocabulary, none of
+        them the blank. The first id that is not is named."""
+        ids = _label_ids(ids)
+        bad = (ids < 0) | (ids >= self.size) | (ids == self.blank_index)
+        if np.count_nonzero(bad):
+            lab = int(ids[bad.argmax()])
+            what = "the blank" if lab == self.blank_index else f"outside [0, {self.size})"
+            raise ValueError(f"label {lab} is {what}")
 
 
 @dataclass
@@ -236,10 +258,10 @@ class FramePath:
     arg_scores: np.ndarray
 
     def __post_init__(self):
-        self.arg_labels = np.ascontiguousarray(self.arg_labels, dtype=np.int64)
+        self.arg_labels = np.ascontiguousarray(_label_ids(self.arg_labels, "arg_labels"))
         self.arg_scores = np.ascontiguousarray(self.arg_scores, dtype=np.float64)
-        if self.arg_labels.ndim != 1 or self.arg_labels.shape[0] < 1:
-            raise ValueError("arg_labels must be a non-empty 1-d array")
+        if self.arg_labels.size == 0:
+            raise ValueError("arg_labels must be non-empty")
         if self.arg_scores.shape != self.arg_labels.shape:
             raise ValueError("arg_scores must match arg_labels in length")
         if self.arg_labels.min() < 0:

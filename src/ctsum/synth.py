@@ -35,7 +35,6 @@ from .seqcore import (
     Vocabulary,
     _as_float,
     _as_int,
-    _as_seed,
     _decode_json,
     _parse,
     read_lseq,
@@ -81,32 +80,21 @@ class SynthSpec:
     seed: int = 42
 
     def __post_init__(self):
-        for name in (
-            "num_intents",
-            "vocab_size",
-            "latent_dim",
-            "templates_per_intent",
-            "utterances_per_intent",
-        ):
-            setattr(self, name, _as_int(name, getattr(self, name)))
-        self.seed = _as_seed(self.seed)
-        if self.num_intents < 2:
-            raise ValueError("num_intents must be >= 2")
-        if self.vocab_size < self.num_intents:
-            raise ValueError("vocab_size must be >= num_intents")
-        if self.latent_dim < 1 or self.templates_per_intent < 1:
-            raise ValueError("latent_dim and templates_per_intent must be >= 1")
-        if self.utterances_per_intent < 1:
-            raise ValueError("utterances_per_intent must be >= 1")
+        self.num_intents = _as_int("num_intents", self.num_intents, 2)
+        self.vocab_size = _as_int("vocab_size", self.vocab_size, self.num_intents)
+        for name in ("latent_dim", "templates_per_intent", "utterances_per_intent"):
+            setattr(self, name, _as_int(name, getattr(self, name), 1))
+        self.seed = _as_int("seed", self.seed, 0)
         for name, lo_min in (
             ("template_len_range", 1),
             ("run_len_range", 1),
             ("gap_len_range", 0),
         ):
-            rng = tuple(_as_int(name, v) for v in getattr(self, name))
-            if len(rng) != 2 or rng[0] > rng[1] or rng[0] < lo_min:
+            pair = tuple(getattr(self, name))
+            if len(pair) != 2:
                 raise ValueError(f"{name} must be (lo, hi) with {lo_min} <= lo <= hi")
-            setattr(self, name, rng)
+            lo = _as_int(name, pair[0], lo_min)
+            setattr(self, name, (lo, _as_int(name, pair[1], lo)))
         self.logit_scale = _as_float("logit_scale", self.logit_scale)
         self.noise_sigma = _as_float("noise_sigma", self.noise_sigma)
         if self.logit_scale < 0 or self.noise_sigma < 0:
@@ -228,9 +216,7 @@ def generate_utterance(
     labels. Noise is isotropic Gaussian scaled so the expected
     noise-vector norm is about noise_sigma, commensurate with the
     unit-norm embeddings."""
-    if not 0 <= intent < spec.num_intents:
-        raise ValueError(f"intent {intent} out of range")
-    group = templates[intent]
+    group = templates[_as_int("intent", intent, 0, spec.num_intents)]
     labels = group[int(rng.integers(len(group)))]
     scale = spec.noise_sigma / math.sqrt(spec.latent_dim)
     gap_lo, gap_hi = spec.gap_len_range
@@ -292,15 +278,11 @@ def _manifest_row(row, ids, spec: SynthSpec, vocab: Vocabulary, inside: Path) ->
             raise ValueError(f"{key} must be a non-empty string, got {row[key]!r}")
     if row["id"] in ids:
         raise ValueError(f"duplicate id {row['id']!r}")
-    intent = _as_int("intent", row["intent"])
-    if not 0 <= intent < spec.num_intents:
-        raise ValueError(f"intent {intent} is outside [0, {spec.num_intents})")
+    intent = _as_int("intent", row["intent"], 0, spec.num_intents)
     labels = [_as_int("label", lab) for lab in row["labels"]]
     if not labels:
         raise ValueError("labels must be non-empty")
-    for lab in labels:
-        if not 0 <= lab < spec.vocab_size or lab == vocab.blank_index:
-            raise ValueError(f"label {lab} is the blank or outside [0, {spec.vocab_size})")
+    vocab.check_transcript(labels)
     # realpath, not Path.resolve: a symlink loop must not raise RuntimeError
     if not Path(os.path.realpath(inside / row["lseq"])).is_relative_to(inside):
         raise ValueError(f"lseq {row['lseq']!r} lies outside the corpus directory")
@@ -348,8 +330,7 @@ def load_corpus(corpus_dir) -> Corpus:
 def kfold_split(rows, k: int = 5) -> list[tuple[list[int], list[int]]]:
     """Round-robin folds: fold f evaluates on rows with index = f mod k
     and trains on the rest. Folds partition the row indices."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
+    k = _as_int("k", k, 2)
     n = len(rows)
     if n < k:
         raise ValueError(f"need at least k={k} rows, got {n}")

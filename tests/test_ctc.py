@@ -43,6 +43,11 @@ class TestCollapse:
     def test_all_blank(self):
         assert collapse_path([0, 0, 0], blank_index=0).tolist() == []
 
+    def test_non_integer_path_rejected(self):
+        # refused, not truncated to the path [1, 1, 0, 1]
+        with pytest.raises(ValueError, match="label ids must be a 1-d integer sequence"):
+            collapse_path([1.7, 1.2, 0.4, True], 0)
+
     def test_empty_path_collapses_to_empty(self):
         out = collapse_path([], blank_index=0)
         assert out.dtype == np.int64 and out.shape == (0,)
@@ -234,6 +239,20 @@ class TestForwardScoring:
         with pytest.raises(ValueError):
             ctc_forward_logprob(grid, LabelSequence([2]), vocab_of(2))
 
+    @pytest.mark.parametrize("score", [ctc_forward_logprob, enumerate_alignments_logprob],
+                             ids=["forward", "oracle"])
+    @pytest.mark.parametrize(
+        "ids, v, match",
+        [([1, 0], 3, "label 0 is the blank"),
+         ([1, 3], 3, r"label 3 is outside \[0, 3\)"),
+         ([1], 2, "vocabulary size 2 does not match grid V=3")],
+        ids=["blank", "past-vocab", "size-mismatch"],
+    )
+    def test_forward_and_oracle_refuse_the_same_inputs(self, score, ids, v, match):
+        grid = random_grid(np.random.default_rng(2), 3, 3)
+        with pytest.raises(ValueError, match=match):
+            score(grid, LabelSequence(ids), vocab_of(v))
+
     def test_projected_grid_scores_as_validated_grid(self):
         # project_softmax skips the public constructor's checks and
         # computes log_probs lazily; CTC scoring must not notice either
@@ -328,8 +347,10 @@ class TestLabelSequence:
     def test_len(self):
         assert len(LabelSequence([3, 4])) == 2
 
-    @pytest.mark.parametrize("ids", [[1.7, 2.2], np.array([1.5]), [True], ["1"]],
-                             ids=["float-list", "float-array", "bool", "string"])
+    @pytest.mark.parametrize("ids", [[1.7, 2.2], np.array([1.5]), [True], ["1"], [1, True],
+                                     (2, np.True_)],
+                             ids=["float-list", "float-array", "bool", "string",
+                                  "bool-among-ints", "numpy-bool-among-ints"])
     def test_rejects_non_integer_ids(self, ids):
         # embed_labels' rule: refused, not truncated or parsed, so a target
         # that ctc_forward_logprob scores is one the classifier can embed

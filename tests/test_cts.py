@@ -394,6 +394,14 @@ class TestSummarizedSequence:
         with pytest.raises(ValueError):
             [Segment(*row) for row in zip(*table)]
 
+    @pytest.mark.parametrize("column, name", enumerate(["starts", "ends", "labels", "rep_frames"]))
+    def test_integer_columns_refuse_floats(self, column, name):
+        # refused, not truncated: [2.7] would be stored as end 2
+        table = [[0], [2], [1], [1], [0.5]]
+        table[column] = [table[column][0] + 0.7]
+        with pytest.raises(ValueError, match=f"{name} must be a 1-d integer sequence"):
+            SummarizedSequence(np.ones((1, 2), np.float32), tuple(table), 3)
+
     def test_unselected_representative_rejected(self):
         # Segment's default rep_frame of -1 means "not selected yet"; a
         # summary takes selected segments only

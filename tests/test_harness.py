@@ -240,6 +240,28 @@ class TestTiming:
                       corpus.projection, corpus.vocab, repeats=repeats)
 
 
+class TestHarnessConfig:
+    @pytest.mark.parametrize(
+        "field, bad, error",
+        [
+            *((f, 0, ValueError) for f in ("hidden", "layers", "epochs", "fine_tune_epochs",
+                                           "text_epochs", "batch_size")),
+            *((f, 2.0, TypeError) for f in ("hidden", "text_epochs", "batch_size")),
+            *((f, bad, error) for f in ("learning_rate", "fine_tune_lr")
+              for bad, error in ((float("nan"), TypeError), (0.0, ValueError),
+                                 (-1e-3, ValueError), (True, TypeError))),
+        ],
+    )
+    def test_every_field_checked_at_construction(self, field, bad, error):
+        # named when the config is built, not by LUConfig after a fold has trained
+        with pytest.raises(error, match=f"^{field} must be"):
+            HarnessConfig(**{field: bad})
+
+    def test_fields_take_their_types(self):
+        cfg = HarnessConfig(epochs=np.int64(4), fine_tune_lr=1)
+        assert type(cfg.epochs) is int and type(cfg.fine_tune_lr) is float
+
+
 class TestTrainingItems:
     def test_inputs_per_system(self, corpus):
         idx = [4, 0, 7]
@@ -252,6 +274,13 @@ class TestTrainingItems:
             np.testing.assert_array_equal(x, summarize(corpus.sequences[i], corpus.projection).vectors)
         for (x, _), i in zip(training_items(SystemId.P1, corpus, idx), idx):
             assert x.dtype == np.int64 and x.tolist() == corpus.rows[i]["labels"]
+
+    def test_gold_labels_refuse_floats(self, corpus):
+        # refused, not truncated to the labels [1, 2]
+        bad = copy.copy(corpus)
+        bad.rows = [dict(corpus.rows[0], labels=[1.5, 2.0])]
+        with pytest.raises(ValueError, match="label ids must be a 1-d integer sequence"):
+            training_items(SystemId.P1, bad, [0])
 
     def test_e2_matches_serve_input(self, corpus, models, monkeypatch):
         # E2 trains on exactly what its classify stage sees when serving

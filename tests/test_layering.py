@@ -3,8 +3,9 @@ summarizer (``cts``), the classifier (``lu``) and the corpus generator
 (``synth``) import nothing from the package but the shared ``seqcore``
 and ``_kernels``. The classifier reaches the BiGRU layer only through
 ``_kernels.bigru_layer`` and its backward pass, which own the layer's
-layout. And one helper, ``seqcore._parse``, turns a reader's errors into
-``FormatError``."""
+layout. One helper, ``seqcore._parse``, turns a reader's errors into
+``FormatError``. And ``seqcore`` alone turns a caller's value into an
+integer (``_as_int``, ``_label_ids``), so no other module truncates one."""
 
 import ast
 import pathlib
@@ -139,3 +140,56 @@ def test_checker_sees_every_form_of_the_raise(tmp_path):
         "    raise FormatError('not in a handler')\n"
     )
     assert format_error_handlers(src) == ["a", "b"]
+
+
+INTEGER_DTYPES = {"np.int64", "numpy.int64", "'int64'", "int"}
+CONVERTERS = {
+    f"{module}.{name}" for module in ("np", "numpy") for name in ("asarray", "array", "ascontiguousarray")
+}
+
+
+def integer_conversions(path):
+    """The lines of a source file that turn a value into an integer
+    themselves: ``operator.index``, an ``isinstance(..., bool)`` test, or an
+    int64 dtype passed to ``np.asarray``, ``np.array``,
+    ``np.ascontiguousarray`` or ``.astype``. Allocations do not count."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.module == "operator":
+            hit = any(alias.name == "index" for alias in node.names)
+        elif not isinstance(node, ast.Call):
+            continue
+        elif (func := ast.unparse(node.func)) == "operator.index":
+            hit = True
+        elif func == "isinstance" and len(node.args) == 2:
+            hit = any(getattr(n, "id", None) == "bool" for n in ast.walk(node.args[1]))
+        else:
+            if func in CONVERTERS:
+                dtypes = node.args[1:2]
+            elif isinstance(node.func, ast.Attribute) and node.func.attr == "astype":
+                dtypes = node.args[:1]
+            else:
+                continue
+            dtypes += [kw.value for kw in node.keywords if kw.arg == "dtype"]
+            hit = any(ast.unparse(d) in INTEGER_DTYPES for d in dtypes)
+        if hit:
+            found.append(node.lineno)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("module", ["ctc", "cts", "lu", "synth", "harness", "cli"])
+def test_only_seqcore_turns_values_into_integers(module):
+    assert integer_conversions(PACKAGE / f"{module}.py") == []
+
+
+def test_checker_sees_every_integer_conversion(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text(
+        "import operator\nfrom operator import index\noperator.index(v)\n"
+        "isinstance(v, bool)\nisinstance(v, (int, bool))\nnp.asarray(x, dtype=np.int64)\n"
+        "np.array(x, np.int64)\nnumpy.ascontiguousarray(x, dtype='int64')\n"
+        "x.astype(np.int64)\nx.astype(dtype=int, copy=False)\n"
+        "np.empty(3, dtype=np.int64)\nnp.full(3, 0, np.int64)\nisinstance(v, int)\n"
+        "x.astype(np.float64)\nnp.asarray(x, dtype=np.float32)\n"
+    )
+    assert integer_conversions(src) == list(range(2, 11))

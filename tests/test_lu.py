@@ -342,8 +342,8 @@ class TestEmbedLabels:
         with pytest.raises(ValueError):
             embed_labels([0], model)
 
-    @pytest.mark.parametrize("ids", [[1.0, 2.0], np.array([1.5]), [[1, 2]]],
-                             ids=["float-list", "float-array", "2-d"])
+    @pytest.mark.parametrize("ids", [[1.0, 2.0], np.array([1.5]), [[1, 2]], [1, True]],
+                             ids=["float-list", "float-array", "2-d", "bool-among-ints"])
     def test_non_integer_ids_rejected(self, ids):
         model = lu_init(tiny_config(vocab_size=6))
         with pytest.raises(ValueError, match="label ids must be a 1-d integer sequence"):

@@ -424,6 +424,11 @@ class TestFramePathValidation:
         with pytest.raises(ValueError):
             FramePath(np.array([0, 1]), np.array([0.5]))
 
+    def test_non_integer_labels_rejected(self):
+        # refused, not truncated to [0, 1]
+        with pytest.raises(ValueError, match="arg_labels must be a 1-d integer sequence"):
+            FramePath([0.5, 1.7], [0.2, 0.3])
+
 
 def _summary(n):
     idx = np.arange(n)

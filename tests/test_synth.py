@@ -407,6 +407,12 @@ class TestKFold:
         with pytest.raises(ValueError):
             kfold_split([{}] * 4, k=1)
 
+    @pytest.mark.parametrize("k", [2.5, 2.0, True])
+    def test_k_must_be_an_integer(self, k):
+        # refused by name, not by range() with a bare TypeError
+        with pytest.raises(TypeError, match="k must be an integer"):
+            kfold_split([{}] * 4, k)
+
     def test_warns_when_fold_strands_an_intent(self):
         # intents cycle i % 3, so k=3 pins each intent to a single fold
         rows = [{"id": f"u{i}", "intent": i % 3} for i in range(12)]
