@@ -71,10 +71,12 @@ class Segment:
     rep_score: float = np.nan
 
     def __post_init__(self):
-        if not 0 <= self.start < self.end:
+        self.start = _as_int("start", self.start, 0)
+        self.end = _as_int("end", self.end)
+        self.label = _as_int("label", self.label, 0)
+        self.rep_frame = _as_int("rep_frame", self.rep_frame)
+        if self.end <= self.start:
             raise ValueError(f"bad segment span [{self.start}, {self.end})")
-        if self.label < 0:
-            raise ValueError("segment label must be non-negative")
         if self.rep_frame != -1 and not self.start <= self.rep_frame < self.end:
             raise ValueError("rep_frame must lie inside the segment span")
 

@@ -127,6 +127,8 @@ class LUModel:
     w_out: np.ndarray = field(init=False, repr=False)  # (K, 2H)
     b_out: np.ndarray = field(init=False, repr=False)  # (K,)
     embedding: np.ndarray | None = field(init=False, repr=False)  # (vocab_size, input_dim)
+    # per layer, the scratch ``_kernels.bigru_layer`` keeps between calls
+    scratch: list[dict] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.params.shape != (_num_params(self.config),):
@@ -152,6 +154,7 @@ class LUModel:
         ]
         self.w_out, self.b_out, *table = views[n:]
         self.embedding = table[0] if table else None
+        self.scratch = [{} for _ in self.stacked]
 
     def param_arrays(self) -> list[np.ndarray]:
         """All parameters in canonical order, as views into ``params``."""
@@ -209,8 +212,8 @@ def _bigru_forward(model: LUModel, pk: _kernels.Packing, x):
     """Run all layers; returns the top layer's packed output and each
     layer's cache for the backward pass."""
     caches = []
-    for st in model.stacked:
-        x, cache = _kernels.bigru_layer(x, st.w, st.u, st.b, pk)
+    for st, scratch in zip(model.stacked, model.scratch):
+        x, cache = _kernels.bigru_layer(x, st.w, st.u, st.b, pk, scratch)
         caches.append(cache)
     return x, caches
 

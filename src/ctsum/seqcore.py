@@ -66,9 +66,16 @@ def _is_real(value) -> bool:
 
 def _as_float(name: str, value) -> float:
     """A real field, e.g. from JSON: a bool, a string, NaN, an infinity or
-    an int too large for a float (so beyond the bound) is an error."""
-    if _is_real(value) and abs(value) <= float_info.max:
-        return float(value)
+    an int too large for a float (so beyond the bound) is an error.
+
+    An exact number (an int, a numpy integer, a fraction) is held to the
+    bound before ``float()`` sees it; any other real is converted first,
+    since numpy would compare a float32 with the bound cast to float32,
+    which overflows. No ``abs``: it overflows on int8's -128."""
+    if _is_real(value):
+        x = value if isinstance(value, numbers.Rational) else float(value)
+        if -float_info.max <= x <= float_info.max:
+            return float(x)
     raise TypeError(f"{name} must be a finite number, got {value!r}")
 
 

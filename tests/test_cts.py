@@ -359,6 +359,21 @@ class TestSegmentValidation:
         with pytest.raises(ValueError):
             Segment(0, 2, 0, rep_frame=2)
 
+    @pytest.mark.parametrize(
+        "args, name",
+        [((0.0, 2, 1), "start"), ((0, 2.5, 1.5), "end"), ((0, 2, 1.0), "label"),
+         ((0, 2, 1, 1.0), "rep_frame"), ((0, 2, True), "label")],
+    )
+    def test_integer_fields_refuse_floats_and_bools(self, args, name):
+        # refused, not kept: Segment(0, 2.5, 1.5) used to build
+        with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+            Segment(*args)
+
+    def test_numpy_integer_fields_become_ints(self):
+        seg = Segment(np.int64(1), np.int32(4), np.uint8(2), np.int16(3))
+        assert seg == Segment(1, 4, 2, 3)
+        assert all(type(v) is int for v in (seg.start, seg.end, seg.label, seg.rep_frame))
+
 
 class TestSummarizedSequence:
     VALID = ([0, 2], [2, 5], [1, 0], [1, 4], [0.5, 0.25])

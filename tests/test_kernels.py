@@ -188,7 +188,7 @@ class TestGruKernels:
         shapes = [(7, 2, 7, 1, 5), (6,), (1, 1), (3, 9, 4, 9)]
         for seed, lengths in enumerate(shapes * 3):
             xs, pk, x, stacked, (fw, bw) = self.two_directions(seed, lengths)
-            out, _ = bigru_layer(x, *stacked, pk)
+            out, _ = bigru_layer(x, *stacked, pk, {})
             hidden = stacked[1].shape[2]
             assert out.shape == (x.shape[0], 2 * hidden)
             for xi, rows in zip(xs, sequence_rows(pk)):
@@ -211,7 +211,7 @@ class TestGruKernels:
         w = rng.standard_normal((2, 3 * hidden, din))
         u = rng.standard_normal((2, 3 * hidden, hidden))
         b = rng.standard_normal((2, 3 * hidden))
-        out, (xs, ag, h) = bigru_layer(x, w, u, b, pk)
+        out, (xs, ag, h) = bigru_layer(x, w, u, b, pk, {})
         np.testing.assert_array_equal(xs[0], x)
         np.testing.assert_array_equal(xs[1], x[pk.rev])
         ag = ag.reshape(n, 6 * hidden)
@@ -227,7 +227,7 @@ class TestGruKernels:
             for arr in other:
                 arr[1 - d] = rng.standard_normal(arr[1 - d].shape)
             own = slice(d * hidden, (d + 1) * hidden)
-            np.testing.assert_array_equal(bigru_layer(x, *other, pk)[0][:, own], out[:, own])
+            np.testing.assert_array_equal(bigru_layer(x, *other, pk, {})[0][:, own], out[:, own])
 
     def test_layer_backward_close_to_python(self):
         # each direction against the per-sequence reference, the backward
@@ -236,7 +236,7 @@ class TestGruKernels:
         shapes = [(7, 2, 7, 1, 5), (6,), (1, 1), (3, 9, 4, 9)]
         for seed, lengths in enumerate(shapes * 2):
             xs, pk, x, stacked, (fw, bw) = self.two_directions(seed, lengths)
-            out, cache = bigru_layer(x, *stacked, pk)
+            out, cache = bigru_layer(x, *stacked, pk, {})
             dout = np.random.default_rng(seed + 100).standard_normal(out.shape)
             dw, du, db, dx = bigru_layer_backward(cache, stacked[0], stacked[1], pk, dout)
             hidden = stacked[1].shape[2]

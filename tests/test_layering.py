@@ -3,7 +3,8 @@ summarizer (``cts``), the classifier (``lu``) and the corpus generator
 (``synth``) import nothing from the package but the shared ``seqcore``
 and ``_kernels``. The classifier reaches the BiGRU layer only through
 ``_kernels.bigru_layer`` and its backward pass, which own the layer's
-layout. One helper, ``seqcore._parse``, turns a reader's errors into
+layout, and within ``_kernels`` the gate equations have one copy,
+``_cell``. One helper, ``seqcore._parse``, turns a reader's errors into
 ``FormatError``. And ``seqcore`` alone turns a caller's value into an
 integer (``_as_int``, ``_label_ids``), so no other module truncates one."""
 
@@ -93,6 +94,62 @@ def test_checker_sees_every_use_of_kernels(tmp_path):
     assert kernel_names(src) == {
         "pack_lengths", "gru_forward", "bidirectional", "gru_backward", "Packing"
     }
+
+
+GATE_FUNCTIONS = {"exp", "tanh"}
+GATE_MODULES = {"np", "numpy", "math"}
+
+
+def gate_function_uses(path):
+    """(function, name) of each use of ``exp`` or ``tanh`` in a source
+    file, in source order: read from numpy or math as an attribute, or
+    imported from them by name."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module in GATE_MODULES
+        for alias in node.names
+        if alias.name in GATE_FUNCTIONS
+    }
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                visit(child, getattr(child, "name", "<lambda>"))
+                continue
+            if (
+                isinstance(child, ast.Attribute)
+                and child.attr in GATE_FUNCTIONS
+                and ast.unparse(child.value) in GATE_MODULES
+            ):
+                found.append((function, child.attr))
+            elif isinstance(child, ast.Name) and child.id in imported:
+                found.append((function, imported[child.id]))
+            visit(child, function)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_gate_equations_have_one_copy():
+    assert gate_function_uses(PACKAGE / "_kernels.py") == [("_cell", "exp"), ("_cell", "tanh")]
+
+
+def test_checker_sees_a_second_copy_of_the_cell(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text(
+        "import math\nimport numpy as np\nfrom numpy import tanh as th\n"
+        "def _cell(a):\n    return np.exp(a), np.tanh(a)\n"
+        "def step_one_row(a):\n    return 1.0 / (1.0 + numpy.exp(-a)), th(a)\n"
+        "def scalar(a):\n    f = np.exp\n    return math.tanh(a)\n"
+        "SIGMOID = lambda a: 1.0 / (1.0 + np.exp(-a))\nnp.log(2)\n"
+    )
+    assert gate_function_uses(src) == [
+        ("_cell", "exp"), ("_cell", "tanh"), ("step_one_row", "exp"), ("step_one_row", "tanh"),
+        ("scalar", "exp"), ("scalar", "tanh"), ("<lambda>", "exp"),
+    ]
 
 
 def format_error_handlers(path):

@@ -4,6 +4,7 @@ import platform
 import struct
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -199,6 +200,59 @@ class TestParamBuffer:
             after = lu_forward(model, x)
             assert np.abs(after - before).max() > 1e-6, name
             np.testing.assert_allclose(after, rebuilt(), rtol=1e-12, err_msg=name)
+
+    def test_recurrent_buffer_follows_live_weights_exactly(self):
+        # the layer's kept recurrent matrix is refreshed from u on every
+        # call: one poked entry shows at once, bit for bit
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((5, 3))
+        cfg = tiny_config(hidden=3)
+        for layer, direction, entry in [(0, 0, (4, 1)), (1, 1, (8, 2)), (1, 0, (0, 0))]:
+            model = lu_init(cfg)
+            lu_forward(model, x)
+            model.layers[layer][direction].u[entry] += 0.75
+            fresh = lu_forward(LUModel(cfg, model.params.copy()), x)
+            np.testing.assert_array_equal(lu_forward(model, x), fresh)
+
+    def test_models_served_alternately_keep_their_own_weights(self):
+        rng = np.random.default_rng(7)
+        xs = [rng.standard_normal((t, 3)) for t in (4, 1, 6)]
+        models = [lu_init(tiny_config(hidden=3, seed=s)) for s in (1, 2)]
+        alone = [[lu_forward(LUModel(m.config, m.params.copy()), x) for x in xs] for m in models]
+        for i, x in enumerate(xs):
+            for m, want in zip(models, alone):
+                np.testing.assert_array_equal(lu_forward(m, x), want[i])
+
+    def test_threads_sharing_fresh_models_match_serial_calls(self):
+        # six threads on two cores, three per model, race for each new
+        # model's first call, which allocates its recurrent matrices, and
+        # then keep refreshing them
+        rng = np.random.default_rng(8)
+        xs = [rng.standard_normal((t, 3)) for t in (1, 3, 5, 8, 2, 6)]
+        configs = [tiny_config(hidden=3, seed=s) for s in (1, 2)]
+        want = [[lu_forward(lu_init(cfg), x) for x in xs] for cfg in configs]
+        got, threads = [], []
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                models, barrier = [lu_init(cfg) for cfg in configs], threading.Barrier(6)
+
+                def serve(m, order, models=models, barrier=barrier):
+                    barrier.wait(timeout=30)
+                    got.extend((m, i, lu_forward(models[m], xs[i])) for i in order)
+
+                for k in range(6):
+                    threads.append(threading.Thread(target=serve, args=(k % 2, np.roll(range(6), k))))
+                    threads[-1].start()
+                for t in threads[-6:]:
+                    t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert len(got) == 10 * 6 * 6
+        for m, i, probs in got:
+            np.testing.assert_array_equal(probs, want[m][i])
 
     def test_wrong_size_rejected(self):
         cfg = tiny_config()

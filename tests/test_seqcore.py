@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from ctsum.cli import main
 from ctsum.cts import SummarizedSequence, read_sseq, summarize, write_sseq
+from ctsum.harness import HarnessConfig
 from ctsum.lu import LUConfig, load_model, lu_init, save_model
 from ctsum.seqcore import (
     PROB_FLOOR,
@@ -20,6 +21,7 @@ from ctsum.seqcore import (
     PosteriorGrid,
     ProjectionMatrix,
     Vocabulary,
+    _as_float,
     frame_argmax,
     project_softmax,
     read_lseq,
@@ -132,6 +134,26 @@ def test_float_field_rejects_int_too_large_for_a_float(make):
     with pytest.raises(TypeError, match="must be a finite number"):
         make(10**400)
     make(10**300)  # an int a float holds is a number like any other
+
+
+@pytest.mark.parametrize(
+    "make, read",
+    [
+        (lambda v: SynthSpec(noise_sigma=v), lambda c: c.noise_sigma),
+        (lambda v: LUConfig(3, 2, learning_rate=v), lambda c: c.learning_rate),
+        (lambda v: HarnessConfig(fine_tune_lr=v), lambda c: c.fine_tune_lr),
+    ],
+    ids=["SynthSpec.noise_sigma", "LUConfig.learning_rate", "HarnessConfig.fine_tune_lr"],
+)
+@pytest.mark.parametrize("dtype", [np.float32, np.float16])
+def test_float_field_takes_a_narrow_numpy_float(make, read, dtype):
+    # the float bound is not cast down to the value's type, which overflows
+    value = read(make(dtype(0.4)))
+    assert type(value) is float and value == float(dtype(0.4))
+
+
+def test_float_field_takes_the_most_negative_int8():
+    assert _as_float("x", np.int8(-128)) == -128.0  # abs() would overflow
 
 
 class TestProjectSoftmax:
