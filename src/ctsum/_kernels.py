@@ -74,6 +74,7 @@ class Packing(NamedTuple):
     order). Step t owns the packed rows ``offsets[t]:offsets[t] +
     active[t]``, one per sequence still running, in rank order, so the
     sequences running at step t + 1 are a prefix of those at step t.
+    ``pack_lengths`` alone builds one, so ``starts`` and ``prev`` match the rest.
     """
 
     order: np.ndarray  # (B,) input index of each rank
@@ -82,6 +83,8 @@ class Packing(NamedTuple):
     active: list[int]  # (T_max,) sequences running at each step
     rows: np.ndarray  # (N,) packed row of each frame, ranks concatenated
     rev: np.ndarray  # (N,) packed row of the same sequence at step len-1-t
+    starts: np.ndarray  # (B,) first frame of each rank among the concatenated frames, for pooling
+    prev: np.ndarray  # (N - active[0],) row one step earlier in the same sequence, of rows from step 1
 
 
 def pack_lengths(lengths) -> Packing:
@@ -94,20 +97,21 @@ def pack_lengths(lengths) -> Packing:
     lengths = np.asarray(lengths, dtype=np.int64)
     if lengths.size == 1:  # one sequence: one row per step, in time order
         rows = np.arange(lengths[0])
-        return Packing(
-            np.zeros(1, dtype=np.int64), lengths, rows.tolist(), [1] * rows.size, rows, rows[::-1]
-        )
+        zero = np.zeros(1, dtype=np.int64)  # the one rank's input index and first frame
+        return Packing(zero, lengths, rows.tolist(), [1] * rows.size, rows, rows[::-1], zero, rows[:-1])
     order = np.argsort(-lengths, kind="stable")
     ranked = lengths[order]
     steps = np.arange(ranked[0])
     active = np.searchsorted(-ranked, -steps, side="left")
     offsets = np.concatenate(([0], np.cumsum(active)[:-1]))
     rank = np.repeat(np.arange(ranked.size), ranked)
-    step = np.arange(rank.size) - np.repeat(np.cumsum(ranked) - ranked, ranked)
+    starts = np.cumsum(ranked) - ranked
+    step = np.arange(rank.size) - np.repeat(starts, ranked)
     rows = offsets[step] + rank
     rev = np.empty_like(rows)
     rev[rows] = offsets[ranked[rank] - 1 - step] + rank
-    return Packing(order, ranked, offsets.tolist(), active.tolist(), rows, rev)
+    prev = np.arange(active[0], rows.size) - np.repeat(active[:-1], active[1:])
+    return Packing(order, ranked, offsets.tolist(), active.tolist(), rows, rev, starts, prev)
 
 
 def _cell(nzr, an, v):
@@ -162,17 +166,6 @@ def gru_forward(a, ut, pk: Packing):
     return h
 
 
-def _previous_states(h, pk: Packing):
-    """h_prev of every packed row: zero at step 0, else the same
-    sequence's row of the step before."""
-    active = np.asarray(pk.active)
-    first = pk.active[0]
-    prev = np.zeros_like(h)
-    back = np.repeat(active[:-1], active[1:])
-    prev[first:] = h[np.arange(first, h.shape[0]) - back]
-    return prev
-
-
 def gru_backward(x, a, h, w, u, pk: Packing, dh_out):
     """Backward pass of one direction.
 
@@ -188,7 +181,8 @@ def gru_backward(x, a, h, w, u, pk: Packing, dh_out):
     dx packed like x for stacking layers.
     """
     H = u.shape[1]
-    h_prev = _previous_states(h, pk)
+    h_prev = np.zeros_like(h)  # zero at step 0
+    h_prev[pk.active[0] :] = h[pk.prev]
     v = h_prev @ u.T
     a = a.reshape(-1, 3, H)
     z, r, n = _cell((-a[:, :2]).reshape(-1, 2 * H), a[:, 2], v)

@@ -21,7 +21,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .seqcore import PosteriorGrid, Vocabulary, _argmax_path, _floored_log, _label_ids, segment_path
+from .seqcore import (
+    PosteriorGrid,
+    Vocabulary,
+    _argmax_path,
+    _as_int,
+    _floored_log,
+    _label_ids,
+    segment_path,
+)
 
 ENUM_MAX_FRAMES = 10
 ENUM_MAX_LABELS = 5
@@ -46,6 +54,7 @@ class LabelSequence:
 def collapse_path(arg_labels, blank_index: int) -> np.ndarray:
     """Collapse consecutive repeats, then delete blanks."""
     labels = _label_ids(arg_labels)
+    blank_index = _as_int("blank_index", blank_index, 0)
     if labels.size == 0:
         return labels
     runs = labels[segment_path(labels)[:-1]]

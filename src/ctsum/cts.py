@@ -154,13 +154,14 @@ class SummarizedSequence:
 def select_representatives(bounds: np.ndarray, scores: np.ndarray) -> np.ndarray:
     """Each segment's maximal-score frame, the earliest on ties.
 
-    ``bounds`` must rise strictly from 0 to len(scores), as from
-    ``segment_path``. A stable sort of the frames by (segment, -score)
-    puts each segment's representative first among its frames, at the
-    position of the segment's start.
+    ``bounds`` must be integers rising strictly from 0 to len(scores), as
+    from ``segment_path``, and the scores finite. A stable sort of the
+    frames by (segment, -score) puts each segment's representative first
+    among its frames, at the position of the segment's start.
     """
-    bounds = np.asarray(bounds)
+    bounds = _label_ids(bounds, "segment bounds")
     scores = np.asarray(scores, dtype=np.float64)
+    _require_finite("scores", scores)
     lengths = bounds[1:] - bounds[:-1]
     if (
         bounds.size < 2
@@ -189,6 +190,7 @@ def summarize(
     only; the summary then no longer tiles the source and greedy decodes
     are no longer guaranteed to be preserved).
     """
+    blank_index = _as_int("blank_index", blank_index, 0, proj.num_labels)
     probs = _softmax_probs(seq, proj)
     path, scores = _argmax_path(probs)
     bounds = segment_path(path)

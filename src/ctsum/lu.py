@@ -54,6 +54,7 @@ from .seqcore import (
     _read_exact,
     _read_header,
     _read_payload,
+    _require_finite,
     _softmax_rows,
     _write_container,
 )
@@ -177,10 +178,11 @@ def lu_init(config: LUConfig) -> LUModel:
 
 
 def _as_float_seq(model: LUModel, seq) -> np.ndarray:
-    """A sequence as float64 input, checked against the model's input width."""
+    """A sequence as float64 input, checked to be finite and of the model's input width."""
     x = np.ascontiguousarray(seq, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] != model.config.input_dim:
         raise ValueError(f"input dimensions must be (T>=1, D={model.config.input_dim}), got {x.shape}")
+    _require_finite("input sequence", x)
     return x
 
 
@@ -221,8 +223,7 @@ def _bigru_forward(model: LUModel, pk: _kernels.Packing, x):
 def _head_forward(model: LUModel, pk: _kernels.Packing, top):
     """Mean-pool each sequence's top-layer rows, then linear + softmax;
     returns (pool, probs), one row per rank."""
-    starts = np.cumsum(pk.lengths) - pk.lengths
-    pool = np.add.reduceat(top[pk.rows], starts, axis=0) / pk.lengths[:, None]
+    pool = np.add.reduceat(top[pk.rows], pk.starts, axis=0) / pk.lengths[:, None]
     return pool, _softmax_rows(pool @ model.w_out.T + model.b_out)
 
 

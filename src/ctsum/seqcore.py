@@ -267,6 +267,7 @@ class FramePath:
     def __post_init__(self):
         self.arg_labels = np.ascontiguousarray(_label_ids(self.arg_labels, "arg_labels"))
         self.arg_scores = np.ascontiguousarray(self.arg_scores, dtype=np.float64)
+        _require_finite("arg_scores", self.arg_scores)
         if self.arg_labels.size == 0:
             raise ValueError("arg_labels must be non-empty")
         if self.arg_scores.shape != self.arg_labels.shape:

@@ -48,6 +48,16 @@ class TestCollapse:
         with pytest.raises(ValueError, match="label ids must be a 1-d integer sequence"):
             collapse_path([1.7, 1.2, 0.4, True], 0)
 
+    @pytest.mark.parametrize("blank", [True, 1.0, np.float64(0.0), "0"])
+    def test_non_integer_blank_rejected(self, blank):
+        # refused, not read as label 1 (True) or compared as a float
+        with pytest.raises(TypeError, match="blank_index must be an integer"):
+            collapse_path([0, 1, 1, 0, 2], blank)
+
+    def test_negative_blank_rejected(self):
+        with pytest.raises(ValueError, match="blank_index must be >= 0"):
+            collapse_path([0, 1, 1, 0, 2], -1)
+
     def test_empty_path_collapses_to_empty(self):
         out = collapse_path([], blank_index=0)
         assert out.dtype == np.int64 and out.shape == (0,)

@@ -128,6 +128,17 @@ class TestSelectRepresentatives:
         with pytest.raises(ValueError):
             select_representatives(segment_path(np.array([0, 0])), np.full(3, 0.5))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        # a NaN sorts last, so its segment would silently get its runner-up
+        with pytest.raises(ValueError, match="scores contains NaN or Inf"):
+            select_representatives(np.array([0, 3]), [bad, 0.2, 0.3])
+
+    @pytest.mark.parametrize("bounds", [[0, True, 3], [0.0, 1.0, 3.0], np.array([0.0, 3.0])])
+    def test_non_integer_bounds_rejected(self, bounds):
+        with pytest.raises(ValueError, match="segment bounds must be a 1-d integer sequence"):
+            select_representatives(bounds, np.full(3, 0.5))
+
     def test_non_tiling_segments_rejected(self):
         # late start, short, an empty segment, backwards, no segment, no bounds
         for bounds in ([1, 4], [0, 2], [0, 2, 2, 4], [0, 3, 2, 4], [0], []):
@@ -211,6 +222,22 @@ class TestSummarize:
         dropped = summarize(seq, proj, drop_blank_segments=True)
         assert all(s.label != 0 for s in dropped.segments)
         assert dropped.num_segments == sum(1 for s in kept.segments if s.label != 0)
+
+    @pytest.mark.parametrize("blank", [2, np.int64(4)])
+    def test_drop_blank_segments_of_another_blank(self, blank):
+        seq, proj, _ = random_case(123, t=40)
+        kept = summarize(seq, proj)
+        dropped = summarize(seq, proj, drop_blank_segments=True, blank_index=blank)
+        assert dropped.labels.tolist() == [label for label in kept.labels.tolist() if label != blank]
+
+    @pytest.mark.parametrize(
+        "blank, error", [(True, TypeError), (1.5, TypeError), (99, ValueError), (-1, ValueError)]
+    )
+    def test_blank_index_rejected(self, blank, error):
+        # refused, not read as label 1 (True) or matching no label at all
+        seq, proj, _ = random_case(123, t=40)
+        with pytest.raises(error, match="blank_index"):
+            summarize(seq, proj, drop_blank_segments=True, blank_index=blank)
 
     def test_drop_blank_segments_can_leave_nothing(self):
         seq = LatentSequence(np.ones((3, 2), dtype=np.float32))

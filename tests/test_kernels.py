@@ -14,6 +14,8 @@ recurrence of any width: single-direction tests run it at width H, and
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctsum._kernels import (
     bigru_layer,
@@ -142,6 +144,19 @@ class TestPacking:
             np.testing.assert_array_equal(xr[rows], xi[::-1])
         np.testing.assert_array_equal(pk.rev[pk.rev], np.arange(pk.rev.size))
 
+    @settings(deadline=None, max_examples=150)
+    @given(lengths=st.lists(st.integers(1, 40), min_size=1, max_size=20))
+    def test_starts_and_prev_follow_the_layout(self, lengths):
+        # starts: the exclusive cumulative sum of the ranked lengths;
+        # prev: each sequence's own rows, one step earlier
+        pk = pack_lengths(lengths)
+        assert pk.starts.dtype == pk.prev.dtype == np.int64
+        np.testing.assert_array_equal(pk.starts, np.cumsum(pk.lengths) - pk.lengths)
+        first = pk.active[0]
+        assert pk.prev.shape == (pk.rows.size - first,)
+        for rows in sequence_rows(pk):
+            np.testing.assert_array_equal(pk.prev[rows[1:] - first], rows[:-1])
+
     @pytest.mark.parametrize("t", [1, 2, 7, 54])
     def test_single_sequence_layout(self, t):
         # the general construction for B = 1: rank 0 owns the one row of
@@ -153,6 +168,8 @@ class TestPacking:
             "active": [1] * t,
             "rows": np.arange(t, dtype=np.int64),
             "rev": np.arange(t - 1, -1, -1, dtype=np.int64),
+            "starts": np.zeros(1, dtype=np.int64),
+            "prev": np.arange(t - 1, dtype=np.int64),
         }
         pk = pack_lengths([t])
         for name, want in expected.items():

@@ -4,9 +4,10 @@ summarizer (``cts``), the classifier (``lu``) and the corpus generator
 and ``_kernels``. The classifier reaches the BiGRU layer only through
 ``_kernels.bigru_layer`` and its backward pass, which own the layer's
 layout, and within ``_kernels`` the gate equations have one copy,
-``_cell``. One helper, ``seqcore._parse``, turns a reader's errors into
-``FormatError``. And ``seqcore`` alone turns a caller's value into an
-integer (``_as_int``, ``_label_ids``), so no other module truncates one."""
+``_cell``, and ``pack_lengths`` alone builds a ``Packing``. One helper,
+``seqcore._parse``, turns a reader's errors into ``FormatError``. And
+``seqcore`` alone turns a caller's value into an integer (``_as_int``,
+``_label_ids``), so no other module truncates one."""
 
 import ast
 import pathlib
@@ -96,6 +97,70 @@ def test_checker_sees_every_use_of_kernels(tmp_path):
     }
 
 
+def nodes_by_function(tree):
+    """(function, node) for each node of a syntax tree below the functions
+    themselves, in source order; function is the name of the innermost
+    function around the node, ``<lambda>`` or ``<module>``."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                visit(child, getattr(child, "name", "<lambda>"))
+                continue
+            found.append((function, child))
+            visit(child, function)
+
+    visit(tree, "<module>")
+    return found
+
+
+def packing_constructions(path):
+    """The function around each construction of a ``Packing`` in a source
+    file: a call of the class under any name it is imported as or read as
+    an attribute, or of its ``_make`` or an instance's ``_replace``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = {"Packing"} | {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name == "Packing"
+    }
+
+    def builds(func):
+        if isinstance(func, ast.Name):
+            return func.id in names
+        return isinstance(func, ast.Attribute) and func.attr in {"Packing", "_make", "_replace"}
+
+    return [f for f, node in nodes_by_function(tree) if isinstance(node, ast.Call) and builds(node.func)]
+
+
+def test_one_function_builds_a_packing():
+    # starts and prev are derived from the other fields: a second builder
+    # could leave them inconsistent with the layout
+    found = {
+        f"{path.stem}.{function}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for function in packing_constructions(path)
+    }
+    assert found == {"_kernels.pack_lengths"}
+
+
+def test_checker_sees_every_construction_of_a_packing(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text(
+        "from ._kernels import Packing as P\nfrom . import _kernels\n"
+        "def a(n):\n    return P(n)\n"
+        "def b(n):\n    return _kernels.Packing(n)\n"
+        "def c(pk):\n    return pk._replace(prev=None)\n"
+        "def d(f):\n    return _kernels.Packing._make(f)\n"
+        "def e(pk):\n    return pk.rows, isinstance(pk, P), _kernels.pack_lengths(pk)\n"
+        "Packing(1)\n"
+    )
+    assert packing_constructions(src) == ["a", "b", "c", "d", "<module>"]
+
+
 GATE_FUNCTIONS = {"exp", "tanh"}
 GATE_MODULES = {"np", "numpy", "math"}
 
@@ -113,23 +178,15 @@ def gate_function_uses(path):
         if alias.name in GATE_FUNCTIONS
     }
     found = []
-
-    def visit(node, function):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                visit(child, getattr(child, "name", "<lambda>"))
-                continue
-            if (
-                isinstance(child, ast.Attribute)
-                and child.attr in GATE_FUNCTIONS
-                and ast.unparse(child.value) in GATE_MODULES
-            ):
-                found.append((function, child.attr))
-            elif isinstance(child, ast.Name) and child.id in imported:
-                found.append((function, imported[child.id]))
-            visit(child, function)
-
-    visit(tree, "<module>")
+    for function, node in nodes_by_function(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr in GATE_FUNCTIONS
+            and ast.unparse(node.value) in GATE_MODULES
+        ):
+            found.append((function, node.attr))
+        elif isinstance(node, ast.Name) and node.id in imported:
+            found.append((function, imported[node.id]))
     return found
 
 
@@ -155,26 +212,20 @@ def test_checker_sees_a_second_copy_of_the_cell(tmp_path):
 def format_error_handlers(path):
     """The function around each ``except`` handler in a source file whose
     body raises ``FormatError``."""
-    found = []
 
     def raises_format_error(node):
         exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
         return getattr(exc, "id", getattr(exc, "attr", None)) == "FormatError"
 
-    def visit(node, function):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                visit(child, getattr(child, "name", "<lambda>"))
-                continue
-            if isinstance(child, ast.ExceptHandler) and any(
-                isinstance(n, ast.Raise) and n.exc is not None and raises_format_error(n)
-                for n in ast.walk(child)
-            ):
-                found.append(function)
-            visit(child, function)
-
-    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
-    return found
+    return [
+        function
+        for function, node in nodes_by_function(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ExceptHandler)
+        and any(
+            isinstance(n, ast.Raise) and n.exc is not None and raises_format_error(n)
+            for n in ast.walk(node)
+        )
+    ]
 
 
 def test_one_helper_turns_errors_into_format_error():

@@ -426,6 +426,21 @@ class TestInputDispatch:
         with pytest.raises(ValueError, match="label ids must be a 1-d integer sequence"):
             gradient_check(cfg, (data, 0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_frames_rejected(self, bad):
+        # refused by name, not turned into NaN probabilities, finite ones
+        # (an inf frame), or a model whose every parameter is NaN
+        cfg = LUConfig(3, 2, hidden=4, layers=1, seed=9, epochs=1)
+        frames = np.ones((4, 3))
+        frames[2, 1] = bad
+        match = "input sequence contains NaN or Inf"
+        with pytest.raises(ValueError, match=match):
+            lu_forward(lu_init(cfg), frames)
+        with pytest.raises(ValueError, match=match):
+            lu_train(cfg, [(np.ones((3, 3)), 0), (frames, 1)])
+        with pytest.raises(ValueError, match=match):
+            gradient_check(cfg, (frames, 1))
+
 
 class TestGradients:
     def test_random_tiny_instance(self):

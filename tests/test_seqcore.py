@@ -451,6 +451,12 @@ class TestFramePathValidation:
         with pytest.raises(ValueError, match="arg_labels must be a 1-d integer sequence"):
             FramePath([0.5, 1.7], [0.2, 0.3])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        # a NaN passes both comparisons of the [0, 1] check
+        with pytest.raises(ValueError, match="arg_scores contains NaN or Inf"):
+            FramePath([0, 1], [bad, 0.5])
+
 
 def _summary(n):
     idx = np.arange(n)
