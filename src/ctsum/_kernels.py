@@ -74,7 +74,7 @@ class Packing(NamedTuple):
     order). Step t owns the packed rows ``offsets[t]:offsets[t] +
     active[t]``, one per sequence still running, in rank order, so the
     sequences running at step t + 1 are a prefix of those at step t.
-    ``pack_lengths`` alone builds one, so ``starts`` and ``prev`` match the rest.
+    ``pack`` alone builds one, so ``starts`` and ``prev`` match the rest.
     """
 
     order: np.ndarray  # (B,) input index of each rank
@@ -87,18 +87,18 @@ class Packing(NamedTuple):
     prev: np.ndarray  # (N - active[0],) row one step earlier in the same sequence, of rows from step 1
 
 
-def pack_lengths(lengths) -> Packing:
-    """Packing for sequences of the given lengths (each >= 1).
-
-    ``x[rows] = concatenate(seqs[i] for i in order)`` packs frames, and
-    ``x[rev]`` reverses each sequence within the same layout, which is
-    how the backward direction of a bidirectional layer is run.
+def pack(xs) -> tuple[Packing, np.ndarray]:
+    """Packing of the sequences xs (arrays of T_i >= 1 rows of one shape)
+    and their packed rows ``packed[rows] = concatenate(xs[i] for i in
+    order)``, of the input's dtype; ``packed[rev]`` reverses each sequence
+    within the same layout, which is how the backward direction of a
+    bidirectional layer is run.
     """
-    lengths = np.asarray(lengths, dtype=np.int64)
-    if lengths.size == 1:  # one sequence: one row per step, in time order
+    lengths = np.array([x.shape[0] for x in xs], dtype=np.int64)
+    if lengths.size == 1:  # one sequence: one row per step, in time order, packed as it is
         rows = np.arange(lengths[0])
         zero = np.zeros(1, dtype=np.int64)  # the one rank's input index and first frame
-        return Packing(zero, lengths, rows.tolist(), [1] * rows.size, rows, rows[::-1], zero, rows[:-1])
+        return Packing(zero, lengths, rows.tolist(), [1] * rows.size, rows, rows[::-1], zero, rows[:-1]), xs[0]
     order = np.argsort(-lengths, kind="stable")
     ranked = lengths[order]
     steps = np.arange(ranked[0])
@@ -111,7 +111,9 @@ def pack_lengths(lengths) -> Packing:
     rev = np.empty_like(rows)
     rev[rows] = offsets[ranked[rank] - 1 - step] + rank
     prev = np.arange(active[0], rows.size) - np.repeat(active[:-1], active[1:])
-    return Packing(order, ranked, offsets.tolist(), active.tolist(), rows, rev, starts, prev)
+    packed = np.empty((rows.size, *xs[0].shape[1:]), xs[0].dtype)
+    packed[rows] = np.concatenate([xs[i] for i in order])
+    return Packing(order, ranked, offsets.tolist(), active.tolist(), rows, rev, starts, prev), packed
 
 
 def _cell(nzr, an, v):

@@ -39,6 +39,7 @@ from .seqcore import (
     ProjectionMatrix,
     _argmax_path,
     _as_int,
+    _as_reals,
     _frame_shift,
     _label_ids,
     _parse,
@@ -99,12 +100,12 @@ class SummarizedSequence:
             rows = [(g.start, g.end, g.label, g.rep_frame, g.rep_score) for g in table]
             table = tuple(zip(*rows)) if rows else ((),) * 5
         starts, ends, labels, reps, scores = table
-        self.vectors = np.ascontiguousarray(vectors, dtype=np.float32)
+        self.vectors = _as_reals("vectors", vectors, np.float32)
         self.starts = _label_ids(starts, "starts")
         self.ends = _label_ids(ends, "ends")
         self.labels = _label_ids(labels, "labels")
         self.rep_frames = _label_ids(reps, "rep_frames")
-        self.rep_scores = np.asarray(scores, dtype=np.float64)
+        self.rep_scores = _as_reals("rep_scores", scores, np.float64)
         self.source_T = _as_int("source_T", source_T)
         self.frame_shift_ms = _frame_shift(frame_shift_ms)
         self._check()
@@ -160,7 +161,7 @@ def select_representatives(bounds: np.ndarray, scores: np.ndarray) -> np.ndarray
     among its frames, at the position of the segment's start.
     """
     bounds = _label_ids(bounds, "segment bounds")
-    scores = np.asarray(scores, dtype=np.float64)
+    scores = _as_reals("scores", scores, np.float64)
     _require_finite("scores", scores)
     lengths = bounds[1:] - bounds[:-1]
     if (

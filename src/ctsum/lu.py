@@ -9,7 +9,7 @@ between flavors.
 
 Everything runs in float64. Training computes one loss and gradient per
 minibatch: the batch is packed time-major without padding
-(``_kernels.pack_lengths``), and each layer runs both directions forward
+(``_kernels.pack``), and each layer runs both directions forward
 and backward through ``_kernels.bigru_layer`` and
 ``_kernels.bigru_layer_backward``, whose docstrings describe the layer's
 layout. Inference is the same path with a batch of one. Gradients are
@@ -47,6 +47,7 @@ from .seqcore import (
     _as_float,
     _as_int,
     _as_rate,
+    _as_reals,
     _decode_json,
     _floored_log,
     _label_ids,
@@ -56,6 +57,7 @@ from .seqcore import (
     _read_payload,
     _require_finite,
     _softmax_rows,
+    _writable,
     _write_container,
 )
 
@@ -179,7 +181,7 @@ def lu_init(config: LUConfig) -> LUModel:
 
 def _as_float_seq(model: LUModel, seq) -> np.ndarray:
     """A sequence as float64 input, checked to be finite and of the model's input width."""
-    x = np.ascontiguousarray(seq, dtype=np.float64)
+    x = _as_reals("input sequence", seq, np.float64)
     if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] != model.config.input_dim:
         raise ValueError(f"input dimensions must be (T>=1, D={model.config.input_dim}), got {x.shape}")
     _require_finite("input sequence", x)
@@ -198,16 +200,6 @@ def embed_labels(ids, model: LUModel) -> np.ndarray:
     if ids.min() < 0 or ids.max() >= model.embedding.shape[0]:
         raise ValueError("label id out of embedding range")
     return model.embedding[ids]
-
-
-def _pack(xs):
-    """Packing of (T_i, D) inputs and the packed (N, D) input rows."""
-    pk = _kernels.pack_lengths([x.shape[0] for x in xs])
-    if len(xs) == 1:  # one sequence is already in packed order
-        return pk, xs[0]
-    packed = np.empty((pk.rows.size, xs[0].shape[1]))
-    packed[pk.rows] = np.concatenate([xs[i] for i in pk.order])
-    return pk, packed
 
 
 def _bigru_forward(model: LUModel, pk: _kernels.Packing, x):
@@ -229,7 +221,7 @@ def _head_forward(model: LUModel, pk: _kernels.Packing, top):
 
 def _probs(model: LUModel, xs) -> np.ndarray:
     """Class probabilities of each input, one row per rank."""
-    pk, x = _pack(xs)
+    pk, x = _kernels.pack(xs)
     top, _ = _bigru_forward(model, pk, x)
     return _head_forward(model, pk, top)[1]
 
@@ -253,7 +245,7 @@ def _batch_loss_and_grads(model: LUModel, items):
     """Cross-entropy loss and its flat gradient, laid out like
     ``model.params``, each summed over the (input, label) items of one
     minibatch; each label already checked by ``lu_train``."""
-    pk, x = _pack([_sample_input(model, data) for data, _ in items])
+    pk, x = _kernels.pack([_sample_input(model, data) for data, _ in items])
     labels = np.array([items[i][1] for i in pk.order])
     top, caches = _bigru_forward(model, pk, x)
     pool, probs = _head_forward(model, pk, top)
@@ -381,9 +373,7 @@ def gradient_check(config: LUConfig, sample) -> float:
 
 def save_model(path, model: LUModel):
     """Write the .ctsm container; parameters in canonical order as f32."""
-    losses = [float(x) for x in model.train_losses]
-    if not all(map(math.isfinite, losses)):
-        raise ValueError(f"{path}: refusing to write non-finite train_losses")
+    losses = _writable(path, lambda: [_as_float("train_losses", x) for x in model.train_losses])
     meta = {"config": asdict(model.config), "train_losses": losses}
     header = json.dumps(meta, sort_keys=True, allow_nan=False).encode("utf-8")
     _write_container(path, MODEL_MAGIC, "I", (len(header),), header, model.params)

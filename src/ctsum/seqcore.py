@@ -51,11 +51,24 @@ def _label_ids(ids, name="label ids") -> np.ndarray:
     arr = np.asarray(ids)
     if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
         raise ValueError(f"{name} must be a 1-d integer sequence, got {arr.dtype} {arr.shape}")
+    # the cast below wraps a uint64 id above the int64 range to a negative one
+    if arr.dtype.kind == "u" and arr.dtype.itemsize == 8 and arr.size and arr.max() >= 2**63:
+        raise ValueError(f"{name} must fit in int64, got {arr.max()}")
     # numpy casts a bool among ints to int64, so a sequence, not yet an
     # array, is searched for one; an array is not searched
     if arr is not ids and any(isinstance(i, (bool, np.bool_)) for i in ids):
         raise ValueError(f"{name} must be a 1-d integer sequence, got a bool in {ids!r}")
     return arr.astype(np.int64, copy=False)
+
+
+def _as_reals(name: str, values, dtype) -> np.ndarray:
+    """A caller's real-valued array as a C-contiguous ``dtype`` array; bool,
+    complex, string and object arrays are an error, not cast or parsed. The
+    one code that turns a caller's array into floats."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "fiu":
+        raise ValueError(f"{name} must be real numbers, got {arr.dtype}")
+    return np.ascontiguousarray(arr, dtype=dtype)
 
 
 def _is_real(value) -> bool:
@@ -129,7 +142,7 @@ class LatentSequence:
     frame_shift_ms: float = 10.0
 
     def __post_init__(self):
-        self.frames = np.ascontiguousarray(self.frames, dtype=np.float32)
+        self.frames = _as_reals("frames", self.frames, np.float32)
         if self.frames.ndim != 2 or self.frames.shape[0] < 1 or self.frames.shape[1] < 1:
             raise ValueError(f"frames must be (T>=1, D>=1), got {self.frames.shape}")
         _require_finite("frames", self.frames)
@@ -192,12 +205,12 @@ class ProjectionMatrix:
     bias: np.ndarray | None = None
 
     def __post_init__(self):
-        self.weights = np.ascontiguousarray(self.weights, dtype=np.float32)
+        self.weights = _as_reals("weights", self.weights, np.float32)
         if self.weights.ndim != 2 or min(self.weights.shape) < 1:
             raise ValueError(f"weights must be (V>=1, D>=1), got {self.weights.shape}")
         if self.bias is None:
             self.bias = np.zeros(self.weights.shape[0], dtype=np.float32)
-        self.bias = np.ascontiguousarray(self.bias, dtype=np.float32)
+        self.bias = _as_reals("bias", self.bias, np.float32)
         if self.bias.shape != (self.weights.shape[0],):
             raise ValueError(
                 f"bias shape {self.bias.shape} does not match V={self.weights.shape[0]}"
@@ -226,7 +239,7 @@ class PosteriorGrid:
     probs: np.ndarray
 
     def __post_init__(self):
-        self.probs = np.ascontiguousarray(self.probs, dtype=np.float64)
+        self.probs = _as_reals("probs", self.probs, np.float64)
         if self.probs.ndim != 2 or min(self.probs.shape) < 1:
             raise ValueError(f"probs must be (T>=1, V>=1), got {self.probs.shape}")
         _require_finite("probs", self.probs)
@@ -266,7 +279,7 @@ class FramePath:
 
     def __post_init__(self):
         self.arg_labels = np.ascontiguousarray(_label_ids(self.arg_labels, "arg_labels"))
-        self.arg_scores = np.ascontiguousarray(self.arg_scores, dtype=np.float64)
+        self.arg_scores = _as_reals("arg_scores", self.arg_scores, np.float64)
         _require_finite("arg_scores", self.arg_scores)
         if self.arg_labels.size == 0:
             raise ValueError("arg_labels must be non-empty")

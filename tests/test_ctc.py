@@ -48,6 +48,15 @@ class TestCollapse:
         with pytest.raises(ValueError, match="label ids must be a 1-d integer sequence"):
             collapse_path([1.7, 1.2, 0.4, True], 0)
 
+    @pytest.mark.parametrize(
+        "path", [[2**63, 2**63], np.array([2**64 - 1], dtype=np.uint64)], ids=["list", "uint64-array"]
+    )
+    def test_unsigned_ids_beyond_int64_rejected(self, path):
+        # refused, not wrapped to the negative ids -2**63 and -1
+        with pytest.raises(ValueError, match="label ids must fit in int64"):
+            collapse_path(path, 0)
+        assert collapse_path(np.array([2**63 - 1, 0], dtype=np.uint64), 0).tolist() == [2**63 - 1]
+
     @pytest.mark.parametrize("blank", [True, 1.0, np.float64(0.0), "0"])
     def test_non_integer_blank_rejected(self, blank):
         # refused, not read as label 1 (True) or compared as a float

@@ -23,7 +23,7 @@ from ctsum._kernels import (
     ctc_forward_ll,
     gru_backward,
     gru_forward,
-    pack_lengths,
+    pack,
 )
 from ctsum.ctc import _expanded_target
 from ctc_reference import ctc_forward_ll_py
@@ -47,10 +47,13 @@ def random_gru_instance(seed, lengths=(7, 2, 7, 1, 5), din=5, h=4):
     w = rng.standard_normal((3 * h, din)) * 0.4
     u = rng.standard_normal((3 * h, h)) * 0.4
     b = rng.standard_normal(3 * h) * 0.1
-    pk = pack_lengths(lengths)
-    x = np.empty((pk.rows.size, din))
-    x[pk.rows] = np.concatenate([xs[i] for i in pk.order])
+    pk, x = pack(xs)
     return xs, w, u, b, pk, x
+
+
+def packing(lengths):
+    """The layout ``pack`` gives sequences of these lengths."""
+    return pack([np.zeros(t) for t in lengths])[0]
 
 
 def sequence_rows(pk):
@@ -128,7 +131,7 @@ class TestCtcKernel:
 
 class TestPacking:
     def test_layout(self):
-        pk = pack_lengths([2, 3, 1, 3])
+        pk = packing([2, 3, 1, 3])
         np.testing.assert_array_equal(pk.order, [1, 3, 0, 2])
         np.testing.assert_array_equal(pk.lengths, [3, 3, 2, 1])
         assert pk.active == [4, 3, 2]
@@ -149,13 +152,31 @@ class TestPacking:
     def test_starts_and_prev_follow_the_layout(self, lengths):
         # starts: the exclusive cumulative sum of the ranked lengths;
         # prev: each sequence's own rows, one step earlier
-        pk = pack_lengths(lengths)
+        pk = packing(lengths)
         assert pk.starts.dtype == pk.prev.dtype == np.int64
         np.testing.assert_array_equal(pk.starts, np.cumsum(pk.lengths) - pk.lengths)
         first = pk.active[0]
         assert pk.prev.shape == (pk.rows.size - first,)
         for rows in sequence_rows(pk):
             np.testing.assert_array_equal(pk.prev[rows[1:] - first], rows[:-1])
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        lengths=st.lists(st.integers(1, 40), min_size=1, max_size=20),
+        ids=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_pack_scatters_ranked_rows(self, lengths, ids, seed):
+        # (T, D) frames or (T,) int64 label ids: packed[rows] is the ranked
+        # concatenation, in the input's row shape and dtype, and one
+        # sequence is packed as it is
+        rng = np.random.default_rng(seed)
+        xs = [rng.integers(0, 50, t) if ids else rng.standard_normal((t, 3)) for t in lengths]
+        pk, packed = pack(xs)
+        assert packed.dtype == xs[0].dtype
+        assert packed.shape == (sum(lengths), *xs[0].shape[1:])
+        np.testing.assert_array_equal(packed[pk.rows], np.concatenate([xs[i] for i in pk.order]))
+        assert (packed is xs[0]) == (len(xs) == 1)
 
     @pytest.mark.parametrize("t", [1, 2, 7, 54])
     def test_single_sequence_layout(self, t):
@@ -171,7 +192,7 @@ class TestPacking:
             "starts": np.zeros(1, dtype=np.int64),
             "prev": np.arange(t - 1, dtype=np.int64),
         }
-        pk = pack_lengths([t])
+        pk = packing([t])
         for name, want in expected.items():
             got = getattr(pk, name)
             if isinstance(want, list):
@@ -222,7 +243,7 @@ class TestGruKernels:
         # its half of out bit-identical
         hidden, din = 3, 5
         rng = np.random.default_rng(9)
-        pk = pack_lengths([3, 1, 2])
+        pk = packing([3, 1, 2])
         n = pk.rows.size
         x = rng.standard_normal((n, din))
         w = rng.standard_normal((2, 3 * hidden, din))

@@ -4,10 +4,12 @@ summarizer (``cts``), the classifier (``lu``) and the corpus generator
 and ``_kernels``. The classifier reaches the BiGRU layer only through
 ``_kernels.bigru_layer`` and its backward pass, which own the layer's
 layout, and within ``_kernels`` the gate equations have one copy,
-``_cell``, and ``pack_lengths`` alone builds a ``Packing``. One helper,
+``_cell``, and ``pack`` alone builds a ``Packing``. One helper,
 ``seqcore._parse``, turns a reader's errors into ``FormatError``. And
 ``seqcore`` alone turns a caller's value into an integer (``_as_int``,
-``_label_ids``), so no other module truncates one."""
+``_label_ids``), so no other module truncates one, and a caller's array
+into floats (``_as_reals``), so no other module casts bools or parses
+strings."""
 
 import ast
 import pathlib
@@ -56,7 +58,7 @@ def test_checker_sees_relative_and_absolute_imports(tmp_path):
     assert package_imports(src) == {"_kernels", "lu", "ctc", "harness", "synth", "seqcore"}
 
 
-LU_KERNELS = {"Packing", "pack_lengths", "bigru_layer", "bigru_layer_backward"}
+LU_KERNELS = {"Packing", "pack", "bigru_layer", "bigru_layer_backward"}
 
 
 def kernel_names(path):
@@ -90,10 +92,10 @@ def test_checker_sees_every_use_of_kernels(tmp_path):
     src.write_text(
         "from . import _kernels\nfrom . import _kernels as k\nimport ctsum._kernels\n"
         "from ._kernels import gru_backward\nfrom ctsum._kernels import Packing as P\n"
-        "_kernels.pack_lengths(n)\nk.gru_forward(a)\nctsum._kernels.bidirectional\n"
+        "_kernels.pack(xs)\nk.gru_forward(a)\nctsum._kernels.bidirectional\n"
     )
     assert kernel_names(src) == {
-        "pack_lengths", "gru_forward", "bidirectional", "gru_backward", "Packing"
+        "pack", "gru_forward", "bidirectional", "gru_backward", "Packing"
     }
 
 
@@ -144,7 +146,7 @@ def test_one_function_builds_a_packing():
         for path in sorted(PACKAGE.glob("*.py"))
         for function in packing_constructions(path)
     }
-    assert found == {"_kernels.pack_lengths"}
+    assert found == {"_kernels.pack"}
 
 
 def test_checker_sees_every_construction_of_a_packing(tmp_path):
@@ -155,7 +157,7 @@ def test_checker_sees_every_construction_of_a_packing(tmp_path):
         "def b(n):\n    return _kernels.Packing(n)\n"
         "def c(pk):\n    return pk._replace(prev=None)\n"
         "def d(f):\n    return _kernels.Packing._make(f)\n"
-        "def e(pk):\n    return pk.rows, isinstance(pk, P), _kernels.pack_lengths(pk)\n"
+        "def e(pk):\n    return pk.rows, isinstance(pk, P), _kernels.pack(pk)\n"
         "Packing(1)\n"
     )
     assert packing_constructions(src) == ["a", "b", "c", "d", "<module>"]
@@ -272,17 +274,23 @@ def integer_conversions(path):
         elif func == "isinstance" and len(node.args) == 2:
             hit = any(getattr(n, "id", None) == "bool" for n in ast.walk(node.args[1]))
         else:
-            if func in CONVERTERS:
-                dtypes = node.args[1:2]
-            elif isinstance(node.func, ast.Attribute) and node.func.attr == "astype":
-                dtypes = node.args[:1]
-            else:
-                continue
-            dtypes += [kw.value for kw in node.keywords if kw.arg == "dtype"]
-            hit = any(ast.unparse(d) in INTEGER_DTYPES for d in dtypes)
+            hit = not INTEGER_DTYPES.isdisjoint(dtype_arguments(node, astype=True))
         if hit:
             found.append(node.lineno)
     return sorted(found)
+
+
+def dtype_arguments(call, astype=False):
+    """The dtypes, as source text, that a call passes to ``np.asarray``,
+    ``np.array`` or ``np.ascontiguousarray`` (with ``astype``, to
+    ``.astype`` too); none for any other call."""
+    if ast.unparse(call.func) in CONVERTERS:
+        dtypes = call.args[1:2]
+    elif astype and isinstance(call.func, ast.Attribute) and call.func.attr == "astype":
+        dtypes = call.args[:1]
+    else:
+        return set()
+    return {ast.unparse(d) for d in dtypes + [kw.value for kw in call.keywords if kw.arg == "dtype"]}
 
 
 @pytest.mark.parametrize("module", ["ctc", "cts", "lu", "synth", "harness", "cli"])
@@ -301,3 +309,37 @@ def test_checker_sees_every_integer_conversion(tmp_path):
         "x.astype(np.float64)\nnp.asarray(x, dtype=np.float32)\n"
     )
     assert integer_conversions(src) == list(range(2, 11))
+
+
+FLOAT_DTYPES = {
+    f"{m}.{t}" for m in ("np", "numpy") for t in ("float64", "float32", "float16", "double")
+} | {"float", "'float64'", "'float32'", "'f8'", "'f4'", "'<f8'", "'<f4'", "'d'", "'f'"}
+
+
+def float_conversions(path):
+    """The lines of a source file that turn a value into floats themselves:
+    a float dtype passed to ``np.asarray``, ``np.array`` or
+    ``np.ascontiguousarray``. ``.astype`` of arrays the module made (file
+    bytes, float32 frames) and allocations do not count."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and not FLOAT_DTYPES.isdisjoint(dtype_arguments(node))
+    )
+
+
+@pytest.mark.parametrize("module", ["ctc", "cts", "lu", "synth", "harness", "cli"])
+def test_only_seqcore_turns_arrays_into_floats(module):
+    # seqcore._as_reals refuses bool, complex, string and object arrays
+    assert float_conversions(PACKAGE / f"{module}.py") == []
+
+
+def test_checker_sees_every_float_conversion(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text(
+        "np.asarray(x, dtype=np.float64)\nnp.array(x, np.float32)\n"
+        "numpy.ascontiguousarray(x, dtype='f4')\nnp.asarray(x, float)\n"
+        "x.astype(np.float64)\nnp.empty(3, dtype=np.float64)\nnp.asarray(x)\n"
+        "np.asarray(x, dtype=np.int64)\n_as_reals('x', x, np.float64)\n"
+    )
+    assert float_conversions(src) == [1, 2, 3, 4]

@@ -13,13 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctsum import lu
+from ctsum._kernels import pack
 from ctsum.lu import (
     LUConfig,
     LUModel,
     _Adam,
     _batch_loss_and_grads,
     _clone_for_training,
-    _pack,
     embed_labels,
     gradient_check,
     load_model,
@@ -641,7 +641,7 @@ class TestBatchedTraining:
         # 17 rows at batch size 16: each epoch ends on a one-row
         # minibatch, which is packed without a copy
         items = ragged_frames(5, [1 + (7 * i) % 11 for i in range(17)])
-        assert _pack([items[0][0]])[1] is items[0][0]
+        assert pack([items[0][0]])[1] is items[0][0]
         cfg = LUConfig(input_dim=3, num_intents=3, hidden=4, layers=2, seed=12, epochs=2)
         assert cfg.batch_size == 16
         self.assert_matches_per_sample_loop(cfg, items)
@@ -719,15 +719,21 @@ class TestModelFile:
         with pytest.raises(FormatError, match="header declares"):
             load_model(tmp_path / "long.ctsm")
 
-    @pytest.mark.parametrize("loss", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "loss", [float("nan"), float("inf"), "1.5", True, 10**400],
+        ids=["nan", "inf", "numeric-string", "bool", "int-beyond-float"],
+    )
     def test_save_refuses_non_finite_loss(self, tmp_path, loss):
+        # load_model's rule for a loss: not written as 1.5 or 1.0, nor a
+        # bare OverflowError; the error names the file, the file is untouched
         path = tmp_path / "m.ctsm"
         save_model(path, lu_init(tiny_config()))
         before = path.read_bytes()
         model = lu_init(tiny_config())
         model.train_losses = [1.0, loss]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="train_losses") as info:
             save_model(path, model)
+        assert str(path) in str(info.value)
         assert path.read_bytes() == before
 
     def test_rejects_non_finite_parameters(self, tmp_path):

@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctsum.cli import main
-from ctsum.cts import SummarizedSequence, read_sseq, summarize, write_sseq
+from ctsum.cts import SummarizedSequence, read_sseq, select_representatives, summarize, write_sseq
 from ctsum.harness import HarnessConfig
-from ctsum.lu import LUConfig, load_model, lu_init, save_model
+from ctsum.lu import LUConfig, load_model, lu_forward, lu_init, save_model
 from ctsum.seqcore import (
     PROB_FLOOR,
     FormatError,
@@ -154,6 +154,42 @@ def test_float_field_takes_a_narrow_numpy_float(make, read, dtype):
 
 def test_float_field_takes_the_most_negative_int8():
     assert _as_float("x", np.int8(-128)) == -128.0  # abs() would overflow
+
+
+# (name, entry, a valid value): every place a caller's array becomes floats
+REAL_ARRAYS = {
+    "frames": (LatentSequence, [[0.5, 1.0]]),
+    "weights": (ProjectionMatrix, [[0.5, 1.0]]),
+    "bias": (lambda v: ProjectionMatrix(np.ones((2, 1)), v), [0.5, 1.0]),
+    "probs": (PosteriorGrid, [[0.25, 0.75]]),
+    "arg_scores": (lambda v: FramePath([0, 1], v), [0.5, 1.0]),
+    "vectors": (lambda v: SummarizedSequence(v, ([0], [1], [0], [0], [0.5]), 1), [[0.5, 1.0]]),
+    "rep_scores": (
+        lambda v: SummarizedSequence(np.ones((2, 1)), ([0, 1], [1, 2], [0, 1], [0, 1], v), 2),
+        [0.5, 1.0],
+    ),
+    "scores": (lambda v: select_representatives([0, 2], v), [0.5, 1.0]),
+    "input sequence": (lambda v: lu_forward(lu_init(LUConfig(2, 2, hidden=2, layers=1)), v), [[0.5, 1.0]]),
+}
+
+
+@pytest.mark.parametrize("name", REAL_ARRAYS)
+@pytest.mark.parametrize(
+    "convert",
+    [
+        lambda a: a.astype(bool),
+        lambda a: a.astype(str),
+        lambda a: a + 1j,
+        lambda a: a.astype(object),
+    ],
+    ids=["bool", "string", "complex", "object"],
+)
+def test_real_array_refuses_non_real_values(name, convert):
+    # refused, not cast to ones, parsed or stripped of the imaginary part
+    make, valid = REAL_ARRAYS[name]
+    make(np.array(valid))
+    with pytest.raises(ValueError, match=f"{name} must be real numbers"):
+        make(convert(np.array(valid)))
 
 
 class TestProjectSoftmax:
