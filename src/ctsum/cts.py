@@ -39,6 +39,7 @@ from .seqcore import (
     ProjectionMatrix,
     _argmax_path,
     _as_int,
+    _as_real,
     _as_reals,
     _frame_shift,
     _label_ids,
@@ -76,6 +77,7 @@ class Segment:
         self.end = _as_int("end", self.end)
         self.label = _as_int("label", self.label, 0)
         self.rep_frame = _as_int("rep_frame", self.rep_frame)
+        self.rep_score = _as_real("rep_score", self.rep_score)  # NaN, the unset default, stays
         if self.end <= self.start:
             raise ValueError(f"bad segment span [{self.start}, {self.end})")
         if self.rep_frame != -1 and not self.start <= self.rep_frame < self.end:

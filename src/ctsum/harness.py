@@ -334,7 +334,7 @@ def run_crossval(spec: SynthSpec, k: int = 5, cfg: HarnessConfig | None = None) 
 
 
 def _schema() -> dict:
-    text = resources.files("ctsum").joinpath("report_schema.json").read_text(encoding="utf-8")
+    text = resources.files(__package__).joinpath("report_schema.json").read_text(encoding="utf-8")
     return json.loads(text)
 
 

@@ -12,9 +12,9 @@ minibatch: the batch is packed time-major without padding
 (``_kernels.pack``), and each layer runs both directions forward
 and backward through ``_kernels.bigru_layer`` and
 ``_kernels.bigru_layer_backward``, whose docstrings describe the layer's
-layout. Inference is the same path with a batch of one. Gradients are
-fully hand-derived and verified against central finite differences by
-``gradient_check``.
+layout. ``_forward`` is the one forward pass; inference runs it on a
+batch of one. Gradients are fully hand-derived and verified against
+central finite differences by ``gradient_check``.
 
 Parameters: every array lives in one flat float64 buffer,
 ``LUModel.params``, which the optimizer, the gradient, the gradient check
@@ -202,28 +202,18 @@ def embed_labels(ids, model: LUModel) -> np.ndarray:
     return model.embedding[ids]
 
 
-def _bigru_forward(model: LUModel, pk: _kernels.Packing, x):
-    """Run all layers; returns the top layer's packed output and each
-    layer's cache for the backward pass."""
+def _forward(model: LUModel, xs):
+    """The classifier on the sequences xs, one row per rank: pack them,
+    run each layer, mean-pool each sequence's top-layer rows, then linear
+    + softmax. Returns (packing, each layer's cache for the backward pass,
+    the top layer's packed output, pool, probs)."""
+    pk, x = _kernels.pack(xs)
     caches = []
     for st, scratch in zip(model.stacked, model.scratch):
         x, cache = _kernels.bigru_layer(x, st.w, st.u, st.b, pk, scratch)
         caches.append(cache)
-    return x, caches
-
-
-def _head_forward(model: LUModel, pk: _kernels.Packing, top):
-    """Mean-pool each sequence's top-layer rows, then linear + softmax;
-    returns (pool, probs), one row per rank."""
-    pool = np.add.reduceat(top[pk.rows], pk.starts, axis=0) / pk.lengths[:, None]
-    return pool, _softmax_rows(pool @ model.w_out.T + model.b_out)
-
-
-def _probs(model: LUModel, xs) -> np.ndarray:
-    """Class probabilities of each input, one row per rank."""
-    pk, x = _kernels.pack(xs)
-    top, _ = _bigru_forward(model, pk, x)
-    return _head_forward(model, pk, top)[1]
+    pool = np.add.reduceat(x[pk.rows], pk.starts, axis=0) / pk.lengths[:, None]
+    return pk, caches, x, pool, _softmax_rows(pool @ model.w_out.T + model.b_out)
 
 
 def _nll(probs, labels) -> np.ndarray:
@@ -232,7 +222,7 @@ def _nll(probs, labels) -> np.ndarray:
 
 def lu_forward(model: LUModel, seq) -> np.ndarray:
     """Class probability vector for one sequence of D-dim vectors."""
-    return _probs(model, [_as_float_seq(model, seq)])[0]
+    return _forward(model, [_as_float_seq(model, seq)])[-1][0]
 
 
 def _sample_input(model: LUModel, data) -> np.ndarray:
@@ -245,10 +235,8 @@ def _batch_loss_and_grads(model: LUModel, items):
     """Cross-entropy loss and its flat gradient, laid out like
     ``model.params``, each summed over the (input, label) items of one
     minibatch; each label already checked by ``lu_train``."""
-    pk, x = _kernels.pack([_sample_input(model, data) for data, _ in items])
+    pk, caches, top, pool, probs = _forward(model, [_sample_input(model, data) for data, _ in items])
     labels = np.array([items[i][1] for i in pk.order])
-    top, caches = _bigru_forward(model, pk, x)
-    pool, probs = _head_forward(model, pk, top)
     loss = float(_nll(probs, labels).sum())
 
     grad = LUModel(model.config, np.zeros_like(model.params))
@@ -352,7 +340,7 @@ def gradient_check(config: LUConfig, sample) -> float:
     model = lu_init(config)
 
     def loss_only():
-        return float(_nll(_probs(model, [_sample_input(model, data)]), np.array([label]))[0])
+        return float(_nll(_forward(model, [_sample_input(model, data)])[-1], np.array([label]))[0])
 
     _, grad = _batch_loss_and_grads(model, [(data, label)])
     step = 1e-5

@@ -63,12 +63,30 @@ def _label_ids(ids, name="label ids") -> np.ndarray:
 
 def _as_reals(name: str, values, dtype) -> np.ndarray:
     """A caller's real-valued array as a C-contiguous ``dtype`` array; bool,
-    complex, string and object arrays are an error, not cast or parsed. The
-    one code that turns a caller's array into floats."""
-    arr = np.asarray(values)
+    complex, string and object arrays, ragged nestings and values of a
+    wider float beyond ``dtype``'s range are an error, not cast, parsed or
+    turned into infinities. The one code that turns a caller's array into
+    floats."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # numpy's "inhomogeneous shape", which names no input
+        raise ValueError(f"{name} must be real numbers, got a ragged sequence") from None
     if arr.dtype.kind not in "fiu":
         raise ValueError(f"{name} must be real numbers, got {arr.dtype}")
-    return np.ascontiguousarray(arr, dtype=dtype)
+    try:
+        return _cast(arr, dtype, over="raise")
+    except FloatingPointError:
+        raise ValueError(f"{name} holds a value beyond the {np.dtype(dtype)} range") from None
+
+
+def _cast(arr: np.ndarray, dtype, over: str) -> np.ndarray:
+    """``arr`` as a C-contiguous ``dtype`` array. A narrowing float cast,
+    whose overflow numpy would warn of and turn into an infinity, runs
+    under ``np.errstate(over=over)``; no other cast pays for that."""
+    if arr.dtype <= dtype or arr.dtype.kind != "f":  # the same or a safe cast, or from integers
+        return np.ascontiguousarray(arr, dtype=dtype)
+    with np.errstate(over=over):
+        return np.ascontiguousarray(arr, dtype=dtype)
 
 
 def _is_real(value) -> bool:
@@ -118,17 +136,22 @@ def _require_finite(name, arr):
         raise ValueError(f"{name} contains NaN or Inf")
 
 
-def _frame_shift(value) -> float:
-    """``frame_shift_ms`` as a float, positive and finite also as the
-    float32 ``.lseq`` and ``.sseq`` store: the bounds are the halfway
-    points that round to 0 and to inf in float32. A bool, a string or an
-    exact number beyond the float range is a ``TypeError``, as for every
-    real field (``_is_real``, ``_as_float``)."""
+def _as_real(name: str, value) -> float:
+    """A real field as a float, NaN and the infinities included: a bool, a
+    string or an exact number beyond the float range is a ``TypeError``,
+    as for every real field (``_is_real``, ``_as_float``)."""
     if not _is_real(value):
-        raise TypeError(f"frame_shift_ms must be a number, got {value!r}")
+        raise TypeError(f"{name} must be a number, got {value!r}")
     if isinstance(value, numbers.Rational):  # float() would overflow, naming no field
-        value = _as_float("frame_shift_ms", value)
-    shift = float(value)
+        return _as_float(name, value)
+    return float(value)
+
+
+def _frame_shift(value) -> float:
+    """``frame_shift_ms`` as a float (``_as_real``), positive and finite
+    also as the float32 ``.lseq`` and ``.sseq`` store: the bounds are the
+    halfway points that round to 0 and to inf in float32."""
+    shift = _as_real("frame_shift_ms", value)
     if not 2.0**-150 < shift < 2.0**128 - 2.0**103:  # NaN fails too
         raise ValueError(f"frame_shift_ms must be positive and finite as float32, got {shift}")
     return shift
@@ -447,7 +470,8 @@ def _write_container(path, magic, fields, values, *payloads):
     format comment above gives, so that no reader accepts a file whose
     writer died part-way (an OS crash is another matter, see there).
     """
-    payloads = [p if isinstance(p, bytes) else p.astype("<f4", order="C") for p in payloads]
+    # a float64 beyond the float32 range becomes inf, refused below
+    payloads = [p if isinstance(p, bytes) else _cast(p, "<f4", over="ignore") for p in payloads]
     if not all(isinstance(p, bytes) or np.isfinite(p).all() for p in payloads):
         raise ValueError(f"{path}: refusing to write non-finite float32 values")
     header = struct.pack("<4sH" + fields, bytes(len(magic)), FORMAT_VERSION, *values)

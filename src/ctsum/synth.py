@@ -234,7 +234,7 @@ def generate_utterance(
                 chunks.append(emit(0, gap))
         run = int(rng.integers(run_lo, run_hi + 1))
         chunks.append(emit(label, run))
-    return labels, LatentSequence(np.concatenate(chunks, axis=0))
+    return labels, LatentSequence(np.concatenate(chunks, axis=0, dtype=np.float32))
 
 
 def build_corpus(spec: SynthSpec) -> Corpus:

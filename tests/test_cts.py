@@ -389,17 +389,28 @@ class TestSegmentValidation:
     @pytest.mark.parametrize(
         "args, name",
         [((0.0, 2, 1), "start"), ((0, 2.5, 1.5), "end"), ((0, 2, 1.0), "label"),
-         ((0, 2, 1, 1.0), "rep_frame"), ((0, 2, True), "label")],
+         ((0, 2, 1, 1.0), "rep_frame"), ((0, 2, True), "label"),
+         ((0, 1, 0, 0, "0.5"), "rep_score"), ((0, 1, 0, 0, True), "rep_score")],
     )
     def test_integer_fields_refuse_floats_and_bools(self, args, name):
-        # refused, not kept: Segment(0, 2.5, 1.5) used to build
-        with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+        # refused, not kept: Segment(0, 2.5, 1.5) used to build; rep_score,
+        # the one real field, refuses a string or a bool the same way
+        kind = "a number" if name == "rep_score" else "an integer"
+        with pytest.raises(TypeError, match=f"^{name} must be {kind}"):
             Segment(*args)
 
     def test_numpy_integer_fields_become_ints(self):
         seg = Segment(np.int64(1), np.int32(4), np.uint8(2), np.int16(3))
         assert seg == Segment(1, 4, 2, 3)
         assert all(type(v) is int for v in (seg.start, seg.end, seg.label, seg.rep_frame))
+
+    def test_rep_score_is_held_as_a_float(self):
+        for score in (1, np.float32(0.25), np.int64(0), 0.5):
+            seg = Segment(0, 1, 0, 0, score)
+            assert type(seg.rep_score) is float and seg.rep_score == score
+        assert np.isnan(Segment(0, 1, 0).rep_score)
+        with pytest.raises(TypeError, match="^rep_score must be a finite number"):
+            Segment(0, 1, 0, 0, 10**400)  # float() would overflow, naming no field
 
 
 class TestSummarizedSequence:

@@ -1,4 +1,10 @@
 import copy
+import json
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
 
 import jsonschema
 import numpy as np
@@ -406,6 +412,23 @@ class TestCrossval:
         del bad["seed"]
         with pytest.raises(jsonschema.ValidationError):
             validate_report(bad)
+
+    def test_schema_is_read_through_the_package_name(self, tmp_path):
+        # a copy of the package under another name (an A/B instrument loads
+        # two) reads its own schema, not one of a package named ctsum
+        copy_dir = tmp_path / "ctsum_b"
+        shutil.copytree(pathlib.Path(harness.__file__).parent, copy_dir,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        schema = json.loads((copy_dir / "report_schema.json").read_text(encoding="utf-8"))
+        schema["$comment"] = "the copy's own schema"
+        (copy_dir / "report_schema.json").write_text(json.dumps(schema), encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-c", "import json, ctsum_b.harness as h; print(json.dumps(h._schema()))"],
+            cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(tmp_path)},
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == schema
 
     def test_exactly_three_systems_defined(self):
         assert {s.value for s in SystemId} == {"P1", "E1", "E2"}

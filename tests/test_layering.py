@@ -61,26 +61,32 @@ def test_checker_sees_relative_and_absolute_imports(tmp_path):
 LU_KERNELS = {"Packing", "pack", "bigru_layer", "bigru_layer_backward"}
 
 
-def kernel_names(path):
-    """The ``_kernels`` names a source file uses: imported from it, or read
-    as attributes of the module under any name it is bound to."""
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    aliases, found = {"_kernels"}, set()
+def kernel_bindings(tree):
+    """The names a syntax tree binds to the ``_kernels`` module, and the
+    names it imports from the module, each mapped to the name it imports."""
+    aliases, imported = {"_kernels"}, {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             module = (node.module or "").split(".")
             if module[-1] == "_kernels":
-                found.update(alias.name for alias in node.names)
+                imported.update({alias.asname or alias.name: alias.name for alias in node.names})
             elif module[-1] in ("", "ctsum"):
                 aliases.update(a.asname or a.name for a in node.names if a.name == "_kernels")
         elif isinstance(node, ast.Import):
             aliases.update(a.asname or a.name for a in node.names if a.name.endswith("_kernels"))
-    found.update(
+    return aliases, imported
+
+
+def kernel_names(path):
+    """The ``_kernels`` names a source file uses: imported from it, or read
+    as attributes of the module under any name it is bound to."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    aliases, imported = kernel_bindings(tree)
+    return set(imported.values()) | {
         node.attr
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and ast.unparse(node.value) in aliases
-    )
-    return found
+    }
 
 
 def test_lu_uses_only_the_layer_kernels():
@@ -161,6 +167,46 @@ def test_checker_sees_every_construction_of_a_packing(tmp_path):
         "Packing(1)\n"
     )
     assert packing_constructions(src) == ["a", "b", "c", "d", "<module>"]
+
+
+def kernel_uses(path):
+    """(function, name) of each use of a ``_kernels`` name in a source
+    file, in source order, called or not: read as an attribute of the
+    module under any name it is bound to, or by a name imported from it."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    aliases, imported = kernel_bindings(tree)
+    found = []
+    for function, node in nodes_by_function(tree):
+        if isinstance(node, ast.Attribute) and ast.unparse(node.value) in aliases:
+            found.append((function, node.attr))
+        elif isinstance(node, ast.Name) and node.id in imported:
+            found.append((function, imported[node.id]))
+    return found
+
+
+def test_one_forward_pass_in_lu():
+    # inference, training and the gradient check share _forward, so the
+    # classifier they run cannot drift apart
+    assert kernel_uses(PACKAGE / "lu.py") == [
+        ("_forward", "pack"), ("_forward", "bigru_layer"),
+        ("_batch_loss_and_grads", "bigru_layer_backward"),
+    ]
+
+
+def test_checker_sees_a_second_forward_pass(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text(
+        "from . import _kernels\nfrom . import _kernels as k\n"
+        "from ._kernels import bigru_layer as layer\n"
+        "def _forward(model, xs):\n    return _kernels.pack(xs), _kernels.bigru_layer(xs)\n"
+        "def _probs(model, xs):\n    pk, x = k.pack(xs)\n    return layer(x, pk)\n"
+        "def train(cache):\n    step = _kernels.bigru_layer_backward\n    return step(cache)\n"
+        "HEAD = lambda x: _kernels.pack(x)\n"
+    )
+    assert kernel_uses(src) == [
+        ("_forward", "pack"), ("_forward", "bigru_layer"), ("_probs", "pack"),
+        ("_probs", "bigru_layer"), ("train", "bigru_layer_backward"), ("<lambda>", "pack"),
+    ]
 
 
 GATE_FUNCTIONS = {"exp", "tanh"}

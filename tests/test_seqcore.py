@@ -181,15 +181,31 @@ REAL_ARRAYS = {
         lambda a: a.astype(str),
         lambda a: a + 1j,
         lambda a: a.astype(object),
+        lambda a: [*a.tolist(), [1.0]],
     ],
-    ids=["bool", "string", "complex", "object"],
+    ids=["bool", "string", "complex", "object", "ragged"],
 )
 def test_real_array_refuses_non_real_values(name, convert):
-    # refused, not cast to ones, parsed or stripped of the imaginary part
+    # refused, not cast to ones, parsed or stripped of the imaginary part;
+    # a ragged nesting is named, not left to numpy's "inhomogeneous shape"
     make, valid = REAL_ARRAYS[name]
     make(np.array(valid))
     with pytest.raises(ValueError, match=f"{name} must be real numbers"):
         make(convert(np.array(valid)))
+
+
+@pytest.mark.parametrize("name", ["frames", "weights", "bias", "vectors"])
+@pytest.mark.parametrize("value", [1e39, -1e300])
+def test_float32_array_refuses_a_finite_value_beyond_its_range(name, value):
+    # refused by name, with no overflow warning (an error under the suite's
+    # filterwarnings), not cast to an infinity and called "NaN or Inf"
+    make, valid = REAL_ARRAYS[name]
+    values = np.array(valid, dtype=np.float64)
+    values.flat[-1] = value
+    with pytest.raises(ValueError, match=f"^{name} holds a value beyond the float32 range$"):
+        make(values)
+    values.flat[-1] = np.finfo(np.float32).max
+    make(values)
 
 
 class TestProjectSoftmax:
@@ -617,7 +633,6 @@ class TestContainerRewrite:
             assert main(_cli_reading(fmt, bad, tiny_corpus, tmp_path)) == 2
             assert bad.name in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
     @pytest.mark.parametrize(
         "fmt, attr, value, message",
         [
