@@ -24,6 +24,12 @@ import numpy as np
 # No kernel is compiled; kept because benchmark reports record the flag.
 USE_NUMBA = False
 
+# The GRU step's 1, as a read-only 0-d float64 array: numpy converts a
+# Python float operand on every call, so ``1.0 - z`` cost 0.64 us against
+# 0.45 us with this operand (k = 1, K = 64, numpy 2.4).
+_ONE = np.ones(())
+_ONE.flags.writeable = False
+
 
 def ctc_forward_ll(log_probs, ext):
     """Total log-probability of all alignments of an expanded CTC target.
@@ -117,21 +123,21 @@ def pack(xs) -> tuple[Packing, np.ndarray]:
 
 
 def _cell(nzr, an, v):
-    """Gates (z, r, n) of K units from the negated update and reset
-    projections nzr = -[a_z | a_r], (..., 2K), the candidate projection
-    an = a_n, (..., K), and the recurrent products v = [v_z | v_r | v_n],
-    (..., 3K). The one copy of the gate equations.
+    """Gates (z, r, n) of K units in k rows from the negated update and
+    reset projections nzr = -[a_z | a_r], (k, 2K), the candidate
+    projection an = a_n, (k, K), and the recurrent products v = [v_z |
+    v_r | v_n], (k, 3K). The one copy of the gate equations.
 
     (-a) - v equals -(a + v) exactly, so the sigmoid's argument costs no
     negation here, and it is computed in place on its own temporary.
     """
-    K = an.shape[-1]
-    zr = nzr - v[..., : 2 * K]
+    K = an.shape[1]
+    zr = nzr - v[:, : 2 * K]
     np.exp(zr, out=zr)
-    zr += 1.0
-    np.divide(1.0, zr, out=zr)
-    r = zr[..., K:]
-    return zr[..., :K], r, np.tanh(an + r * v[..., 2 * K :])
+    zr += _ONE
+    np.reciprocal(zr, out=zr)
+    r = zr[:, K:]
+    return zr[:, :K], r, np.tanh(an + r * v[:, 2 * K :])
 
 
 def gru_forward(a, ut, pk: Packing):
@@ -164,7 +170,7 @@ def gru_forward(a, ut, pk: Packing):
         hp = h_prev[:k]
         z, _, n = _cell(nzr[lo : lo + k], an[lo : lo + k], hp.dot(ut))
         h_prev = h[lo : lo + k]
-        np.add((1.0 - z) * n, z * hp, out=h_prev)
+        np.add((_ONE - z) * n, z * hp, out=h_prev)
     return h
 
 

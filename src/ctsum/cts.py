@@ -93,8 +93,10 @@ class SummarizedSequence:
 
     ``table`` is five length-S arrays ``(starts, ends, labels,
     rep_frames, rep_scores)``, or a list of ``Segment`` records, each with
-    its representative selected. ``_check`` holds every rule of the type;
-    construction runs it, and ``write_sseq`` runs it again.
+    its representative selected. ``_check`` holds every rule of the type:
+    construction runs it, as ``read_sseq`` constructs, and ``write_sseq``
+    runs it again. ``summarize`` builds its summary through ``_of_table``
+    without re-running it, as ``project_softmax`` builds its grid.
     """
 
     def __init__(self, vectors, table, source_T: int, frame_shift_ms: float = 10.0):
@@ -111,6 +113,22 @@ class SummarizedSequence:
         self.source_T = _as_int("source_T", source_T)
         self.frame_shift_ms = _frame_shift(frame_shift_ms)
         self._check()
+
+    @classmethod
+    def _of_table(cls, vectors, table, source_T: int, frame_shift_ms) -> SummarizedSequence:
+        """Wrap what ``summarize`` derives, which holds ``_check``'s rules
+        by construction: int64 columns from ``nonzero``, ``argmax`` and
+        ``lexsort``, float64 softmax scores in [0, 1], and a ``take`` of
+        frames the softmax found finite. What is copied from the input and
+        not derived is still converted and checked: the vectors' type (a
+        frames array replaced after construction may not be float32) and
+        the frame shift."""
+        summ = cls.__new__(cls)
+        summ.vectors = _as_reals("vectors", vectors, np.float32)
+        summ.starts, summ.ends, summ.labels, summ.rep_frames, summ.rep_scores = table
+        summ.source_T = source_T
+        summ.frame_shift_ms = _frame_shift(frame_shift_ms)
+        return summ
 
     def _check(self):
         """Raise ``ValueError`` unless the summary holds its invariants."""
@@ -205,7 +223,7 @@ def summarize(
         starts, ends, labels, reps = starts[keep], ends[keep], labels[keep], reps[keep]
     table = (starts, ends, labels, reps, scores[reps])
     vectors = seq.frames.take(reps, axis=0)
-    return SummarizedSequence(vectors, table, seq.num_frames, seq.frame_shift_ms)
+    return SummarizedSequence._of_table(vectors, table, seq.num_frames, seq.frame_shift_ms)
 
 
 # ---------------------------------------------------------------------------

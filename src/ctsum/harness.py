@@ -173,7 +173,8 @@ def run_system(
                 ratios.append(seq.num_frames / len(x))
         predictions[row["id"]] = int(np.argmax(x))
     total_ms = (time.perf_counter() - loop_start) * 1e3
-    compression = float(np.mean(ratios)) if ratios else None
+    # np.mean's own sum and divide, without its wrapper, paid once per call
+    compression = float(np.add.reduce(np.array(ratios)) / len(ratios)) if ratios else None
     return SystemRun(system, predictions, stage_ms, total_ms, compression)
 
 

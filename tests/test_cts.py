@@ -333,6 +333,56 @@ class TestAgainstReference:
             assert reps.tolist() == [s.rep_frame for s in want]
 
 
+class TestTrustedTable:
+    """``summarize`` builds its summary through ``_of_table``, without
+    re-running ``_check`` or converting its table columns: what it builds must
+    hold the rules and equal what the checked constructor makes of the
+    same arrays, dtype, shape and layout included."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        seed=st.integers(0, 2**31),
+        pool_size=st.integers(1, 4),
+        picks=st.lists(st.integers(0, 3), min_size=1, max_size=40),
+        blank_bias=st.sampled_from([0.0, 50.0]),  # 50 makes every frame blank: S = 0 on drop
+        drop=st.booleans(),
+    )
+    def test_equals_the_checked_construction(self, seed, pool_size, picks, blank_bias, drop):
+        seq, proj = pooled_case(seed, picks, pool_size)
+        bias = proj.bias.copy()
+        bias[0] += blank_bias
+        got = summarize(seq, ProjectionMatrix(proj.weights, bias), drop_blank_segments=drop)
+        got._check()
+        want = SummarizedSequence(got.vectors, got.table, got.source_T, got.frame_shift_ms)
+        for name in ("vectors", "starts", "ends", "labels", "rep_frames", "rep_scores"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a.dtype, a.shape, a.flags.c_contiguous) == (b.dtype, b.shape, b.flags.c_contiguous)
+            assert a.tobytes() == b.tobytes()
+        for name in ("source_T", "frame_shift_ms"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (type(a), a) == (type(b), b)
+        if blank_bias and drop:
+            assert got.num_segments == 0
+
+    def test_frames_replaced_after_construction_give_float32_vectors(self):
+        seq, proj, _ = random_case(6)
+        frames = seq.frames.astype(np.float64) + 1e-9  # not float32 values
+        seq.frames = frames
+        got = summarize(seq, proj)
+        assert got.vectors.dtype == np.float32 and got.vectors.flags.c_contiguous
+        assert got.vectors.tobytes() == frames[got.rep_frames].astype(np.float32).tobytes()
+        seq.frames = np.full_like(frames, 1e39)  # finite in float64, beyond float32
+        with pytest.raises(ValueError, match="vectors holds a value beyond the float32 range"):
+            summarize(seq, proj)
+
+    @pytest.mark.parametrize("drop", [False, True])
+    def test_shift_changed_after_construction_is_refused(self, drop):
+        seq, proj, _ = random_case(5)
+        seq.frame_shift_ms = -1
+        with pytest.raises(ValueError, match="frame_shift_ms must be positive"):
+            summarize(seq, proj, drop_blank_segments=drop)
+
+
 class TestBenchmarkSeams:
     """perfbench patches these module attributes to trace summarize's
     steps; a refactor that stops looking them up would zero its spans."""

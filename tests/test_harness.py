@@ -115,6 +115,18 @@ class TestRunSystem:
             else:
                 assert run.compression is None
 
+    def test_compression_is_the_mean_bit_for_bit(self, corpus, models):
+        # run_system sums and divides without np.mean's wrapper; the figure
+        # must stay np.mean's to the last bit. Over the corpus three times,
+        # np.mean's pairwise sum and a running sum differ in the last bits.
+        rows, seqs = corpus.rows * 3, corpus.sequences * 3
+        run = run_system(SystemId.E2, models[SystemId.E2], rows, seqs, corpus.projection,
+                         corpus.vocab)
+        ratios = [seq.num_frames / summarize(seq, corpus.projection).num_segments for seq in seqs]
+        assert sum(ratios) / len(ratios) != np.mean(ratios)
+        assert type(run.compression) is float
+        assert run.compression.hex() == float(np.mean(ratios)).hex()
+
     def test_single_frame_utterances_make_e1_e2_agree(self, corpus, models):
         # a one-frame sequence summarizes to its own single frame, so the
         # same classifier must produce identical predictions either way

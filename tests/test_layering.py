@@ -4,7 +4,10 @@ summarizer (``cts``), the classifier (``lu``) and the corpus generator
 and ``_kernels``. The classifier reaches the BiGRU layer only through
 ``_kernels.bigru_layer`` and its backward pass, which own the layer's
 layout, and within ``_kernels`` the gate equations have one copy,
-``_cell``, and ``pack`` alone builds a ``Packing``. One helper,
+``_cell``, whose constant 1 (``_ONE``) is read-only, and ``pack`` alone
+builds a ``Packing``. The types that skip their checks when built from a
+derived value, ``SummarizedSequence`` and ``PosteriorGrid``, are built
+without ``__init__`` only by their ``_of_*`` classmethods. One helper,
 ``seqcore._parse``, turns a reader's errors into ``FormatError``. And
 ``seqcore`` alone turns a caller's value into an integer (``_as_int``,
 ``_label_ids``), so no other module truncates one, and a caller's array
@@ -14,9 +17,11 @@ strings."""
 import ast
 import pathlib
 
+import numpy as np
 import pytest
 
 import ctsum
+from ctsum import _kernels
 
 PACKAGE = pathlib.Path(ctsum.__file__).parent
 ALLOWED = {"seqcore", "_kernels"}
@@ -254,6 +259,91 @@ def test_checker_sees_a_second_copy_of_the_cell(tmp_path):
     assert gate_function_uses(src) == [
         ("_cell", "exp"), ("_cell", "tanh"), ("step_one_row", "exp"), ("step_one_row", "tanh"),
         ("scalar", "exp"), ("scalar", "tanh"), ("<lambda>", "exp"),
+    ]
+
+
+def test_gate_constant_is_read_only():
+    # every GRU step reads it: a write would change every gate silently
+    one = _kernels._ONE
+    assert (one.shape, one.dtype, float(one)) == ((), np.float64, 1.0)
+    with pytest.raises(ValueError, match="read-only"):
+        one[...] = 2.0
+    with pytest.raises(ValueError, match="read-only"):
+        np.add(one, one, out=one)
+
+
+TRUSTED = {"SummarizedSequence", "PosteriorGrid"}
+
+
+def trusted_constructions(path):
+    """(function, class) of each ``__new__`` call on a ``TRUSTED`` class in
+    a source file, under any name the class is imported as: called on the
+    class, on ``cls`` inside one of its methods, or on ``object`` or
+    ``super()`` with it as the argument; function is ``Class.method``
+    inside a class, ``<lambda>`` or ``<module>``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = {name: name for name in TRUSTED} | {
+        alias.asname: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name in TRUSTED and alias.asname
+    }
+    found = []
+
+    def visit(node, cls, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name, function)
+                continue
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                name = getattr(child, "name", "<lambda>")
+                visit(child, cls, f"{cls}.{name}" if cls else name)
+                continue
+            if isinstance(child, ast.Call) and getattr(child.func, "attr", None) == "__new__":
+                target = child.func.value
+                if ast.unparse(target) in {"object", "super()"} and child.args:
+                    target = child.args[0]
+                name = ast.unparse(target).rpartition(".")[2]
+                name = cls if name == "cls" else names.get(name)
+                if name in TRUSTED:
+                    found.append((function, name))
+            visit(child, cls, function)
+
+    visit(tree, None, "<module>")
+    return found
+
+
+def test_trusted_types_are_built_unchecked_only_by_their_wrappers():
+    # _of_table and _of_softmax wrap values that hold the rules by
+    # construction; a __new__ anywhere else would skip the checks on a
+    # value that does not
+    found = {
+        (path.stem, *call)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for call in trusted_constructions(path)
+    }
+    assert found == {
+        ("cts", "SummarizedSequence._of_table", "SummarizedSequence"),
+        ("seqcore", "PosteriorGrid._of_softmax", "PosteriorGrid"),
+    }
+
+
+def test_checker_sees_every_unchecked_construction(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text(
+        "from .cts import SummarizedSequence as S\nfrom . import seqcore\n"
+        "class PosteriorGrid:\n    @classmethod\n    def _of_softmax(cls, p):\n"
+        "        return cls.__new__(cls)\n"
+        "class Other:\n    def make(cls):\n        return cls.__new__(cls)\n"
+        "def a():\n    return S.__new__(S)\n"
+        "def b():\n    return object.__new__(seqcore.PosteriorGrid)\n"
+        "def c():\n    return seqcore.PosteriorGrid.__new__(seqcore.PosteriorGrid)\n"
+        "TRUST = lambda: super().__new__(S)\n"
+    )
+    assert trusted_constructions(src) == [
+        ("PosteriorGrid._of_softmax", "PosteriorGrid"), ("a", "SummarizedSequence"),
+        ("b", "PosteriorGrid"), ("c", "PosteriorGrid"), ("<lambda>", "SummarizedSequence"),
     ]
 
 
