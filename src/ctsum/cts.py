@@ -97,6 +97,11 @@ class SummarizedSequence:
     construction runs it, as ``read_sseq`` constructs, and ``write_sseq``
     runs it again. ``summarize`` builds its summary through ``_of_table``
     without re-running it, as ``project_softmax`` builds its grid.
+
+    Unlike the frozen inputs (``LatentSequence``, ``ProjectionMatrix``),
+    a summary stays mutable: the benchmark under ``perfbench/`` writes into
+    a served summary's vectors to check that its checks catch it, which is
+    also why ``write_sseq`` runs ``_check`` again.
     """
 
     def __init__(self, vectors, table, source_T: int, frame_shift_ms: float = 10.0):
@@ -118,16 +123,14 @@ class SummarizedSequence:
     def _of_table(cls, vectors, table, source_T: int, frame_shift_ms) -> SummarizedSequence:
         """Wrap what ``summarize`` derives, which holds ``_check``'s rules
         by construction: int64 columns from ``nonzero``, ``argmax`` and
-        ``lexsort``, float64 softmax scores in [0, 1], and a ``take`` of
-        frames the softmax found finite. What is copied from the input and
-        not derived is still converted and checked: the vectors' type (a
-        frames array replaced after construction may not be float32) and
-        the frame shift."""
+        ``lexsort``, float64 softmax scores in [0, 1], a float32 ``take``
+        of the frames, and the shift, both from a frozen
+        ``LatentSequence`` that checked them when it was built."""
         summ = cls.__new__(cls)
-        summ.vectors = _as_reals("vectors", vectors, np.float32)
+        summ.vectors = vectors
         summ.starts, summ.ends, summ.labels, summ.rep_frames, summ.rep_scores = table
         summ.source_T = source_T
-        summ.frame_shift_ms = _frame_shift(frame_shift_ms)
+        summ.frame_shift_ms = frame_shift_ms
         return summ
 
     def _check(self):

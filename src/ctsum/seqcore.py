@@ -9,7 +9,6 @@ import os
 import stat
 import struct
 from dataclasses import dataclass
-from functools import cached_property
 from sys import float_info
 
 import numpy as np
@@ -157,19 +156,37 @@ def _frame_shift(value) -> float:
     return shift
 
 
-@dataclass
+def _sealed(name: str, values) -> np.ndarray:
+    """``values`` as ``_as_reals`` makes it float32, finite, read-only and
+    written by nothing else: copied once, unless the conversion made a new
+    array or it views immutable ``bytes`` (a reader's ``np.frombuffer``)."""
+    arr = owner = _as_reals(name, values, np.float32)
+    _require_finite(name, arr)
+    while isinstance(owner, np.ndarray) and owner.base is not None:
+        owner = owner.base
+    if not isinstance(owner, bytes) and (owner is not arr or arr is values):
+        arr = arr.copy()
+    arr.flags.writeable = False
+    return arr
+
+
+@dataclass(frozen=True)
 class LatentSequence:
-    """A T x D matrix of per-frame encoder activations."""
+    """A T x D matrix of per-frame encoder activations.
+
+    Frozen, over a read-only float32 array of its own: construction checks
+    it once, and no later assignment or write can break what was checked.
+    """
 
     frames: np.ndarray
     frame_shift_ms: float = 10.0
 
     def __post_init__(self):
-        self.frames = _as_reals("frames", self.frames, np.float32)
-        if self.frames.ndim != 2 or self.frames.shape[0] < 1 or self.frames.shape[1] < 1:
-            raise ValueError(f"frames must be (T>=1, D>=1), got {self.frames.shape}")
-        _require_finite("frames", self.frames)
-        self.frame_shift_ms = _frame_shift(self.frame_shift_ms)
+        frames = _sealed("frames", self.frames)
+        if frames.ndim != 2 or frames.shape[0] < 1 or frames.shape[1] < 1:
+            raise ValueError(f"frames must be (T>=1, D>=1), got {frames.shape}")
+        object.__setattr__(self, "frames", frames)
+        object.__setattr__(self, "frame_shift_ms", _frame_shift(self.frame_shift_ms))
 
     @property
     def num_frames(self):
@@ -220,26 +237,23 @@ class Vocabulary:
             raise ValueError(f"label {lab} is {what}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProjectionMatrix:
-    """The V x D linear map from latent space to label logits."""
+    """The V x D linear map from latent space to label logits; frozen over
+    read-only float32 arrays of its own, as ``LatentSequence`` is."""
 
     weights: np.ndarray
     bias: np.ndarray | None = None
 
     def __post_init__(self):
-        self.weights = _as_reals("weights", self.weights, np.float32)
-        if self.weights.ndim != 2 or min(self.weights.shape) < 1:
-            raise ValueError(f"weights must be (V>=1, D>=1), got {self.weights.shape}")
-        if self.bias is None:
-            self.bias = np.zeros(self.weights.shape[0], dtype=np.float32)
-        self.bias = _as_reals("bias", self.bias, np.float32)
-        if self.bias.shape != (self.weights.shape[0],):
-            raise ValueError(
-                f"bias shape {self.bias.shape} does not match V={self.weights.shape[0]}"
-            )
-        _require_finite("weights", self.weights)
-        _require_finite("bias", self.bias)
+        weights = _sealed("weights", self.weights)
+        if weights.ndim != 2 or min(weights.shape) < 1:
+            raise ValueError(f"weights must be (V>=1, D>=1), got {weights.shape}")
+        bias = _sealed("bias", np.zeros(len(weights)) if self.bias is None else self.bias)
+        if bias.shape != (len(weights),):
+            raise ValueError(f"bias shape {bias.shape} does not match V={len(weights)}")
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "bias", bias)
 
     @property
     def num_labels(self):
@@ -254,9 +268,10 @@ class ProjectionMatrix:
 class PosteriorGrid:
     """T x V row-stochastic per-frame label posteriors.
 
-    ``log_probs`` is computed on first use and kept: the logs are floored
-    at PROB_FLOOR so that -inf never enters downstream forward sums, and
-    only CTC scoring reads the whole grid.
+    ``log_probs`` is computed on each access, from the ``probs`` of that
+    moment: the logs are floored at PROB_FLOOR so that -inf never enters
+    downstream forward sums, and only CTC scoring reads the whole grid,
+    once per call.
     """
 
     probs: np.ndarray
@@ -280,7 +295,7 @@ class PosteriorGrid:
         grid.probs = probs
         return grid
 
-    @cached_property
+    @property
     def log_probs(self) -> np.ndarray:
         return _floored_log(self.probs)
 
@@ -321,20 +336,16 @@ class FramePath:
 def _softmax_probs(seq: LatentSequence, proj: ProjectionMatrix) -> np.ndarray:
     """The (T, V) float64 softmax of weights @ frame + bias, per frame.
 
-    Finite float32 inputs keep the float64 logits finite, so a non-finite
-    logit means an input changed after construction; the NaN or Inf one
-    is named, else a float64 overflow is reported. The row maximum is
-    subtracted before exp, so logits up to ~1e4 stay stable."""
+    Both inputs are frozen over finite float32 arrays, so every float64
+    logit is finite: at most D * (3.4e38)**2 + 3.4e38, about D * 1.2e77.
+    The row maximum is subtracted before exp, so logits up to ~1e4 stay
+    stable."""
     if proj.dim != seq.dim:
         raise ValueError(
             f"dimension mismatch: projection expects D={proj.dim}, sequence has D={seq.dim}"
         )
     logits = seq.frames.astype(np.float64) @ proj.weights.T.astype(np.float64)
     logits += proj.bias.astype(np.float64)
-    if not np.isfinite(logits).all():
-        for name, arr in (("frames", seq.frames), ("weights", proj.weights), ("bias", proj.bias)):
-            _require_finite(name, arr)
-        raise ValueError("logits overflow float64")
     return _softmax_rows(logits)
 
 
@@ -376,10 +387,14 @@ def frame_argmax(grid: PosteriorGrid) -> FramePath:
 # and ``_read_payload`` are the only code that frames one.
 #
 # Each in-memory type validates itself at construction. A reader only
-# frames and constructs through ``_parse``. A writer refuses what its
-# reader would reject before it opens the file (``_write_container`` a
-# float payload not finite as f32), so any file a ctsum writer produces
-# loads. (``load_model`` checks the parameters, which ``LUModel`` does not.)
+# frames and constructs through ``_parse``. ``LatentSequence`` and
+# ``ProjectionMatrix`` are frozen over read-only arrays, so they hold
+# when written what they held when built, and ``write_lseq`` checks no
+# field again. A writer refuses what its reader would reject before it
+# opens the file (``write_sseq`` a summary that fails its rules, as
+# ``SummarizedSequence`` is mutable; ``_write_container`` any float
+# payload not finite as f32), so any file a ctsum writer produces loads.
+# (``load_model`` checks the parameters, which ``LUModel`` does not.)
 #
 # .lseq : "CTSQ" | u16 version | u32 T | u32 D | f32 frame_shift_ms | f32[T*D]
 # .proj : "CTSP" | u16 version | u32 V | u32 D | f32[V*D] weights | f32[V] bias
@@ -526,8 +541,7 @@ def _decode_json(data: bytes, where, what="JSON"):
 
 
 def write_lseq(path, seq: LatentSequence):
-    shift = _writable(path, _frame_shift, seq.frame_shift_ms)
-    _write_container(path, LSEQ_MAGIC, "IIf", (*seq.frames.shape, shift), seq.frames)
+    _write_container(path, LSEQ_MAGIC, "IIf", (*seq.frames.shape, seq.frame_shift_ms), seq.frames)
 
 
 def read_lseq(path) -> LatentSequence:

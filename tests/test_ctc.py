@@ -274,7 +274,7 @@ class TestForwardScoring:
 
     def test_projected_grid_scores_as_validated_grid(self):
         # project_softmax skips the public constructor's checks and
-        # computes log_probs lazily; CTC scoring must not notice either
+        # computes log_probs on access; CTC scoring must not notice either
         rng = np.random.default_rng(8)
         for _ in range(20):
             t, v, d = int(rng.integers(1, 12)), int(rng.integers(2, 6)), 3
@@ -285,6 +285,18 @@ class TestForwardScoring:
             assert ctc_forward_logprob(grid, target, vocab) == ctc_forward_logprob(
                 PosteriorGrid(grid.probs), target, vocab
             )
+
+    def test_log_probs_follow_replaced_probs(self):
+        # a grid stays mutable, and its logs are read from the probs of the
+        # moment: logs kept from an earlier read would score the old grid
+        rng = np.random.default_rng(4)
+        grid, other = random_grid(rng, 5, 3), random_grid(rng, 5, 3)
+        target, vocab = LabelSequence([1, 2]), vocab_of(3)
+        before = ctc_forward_logprob(grid, target, vocab)
+        grid.probs = other.probs
+        after = ctc_forward_logprob(grid, target, vocab)
+        assert after == ctc_forward_logprob(PosteriorGrid(other.probs), target, vocab)
+        assert after != before
 
     def test_matches_enumeration_on_random_instances(self):
         rng = np.random.default_rng(21)

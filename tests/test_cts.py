@@ -1,4 +1,5 @@
 import struct
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -364,23 +365,33 @@ class TestTrustedTable:
         if blank_bias and drop:
             assert got.num_segments == 0
 
-    def test_frames_replaced_after_construction_give_float32_vectors(self):
+    def test_frames_cannot_be_replaced_after_construction(self):
+        # _of_table takes the vectors unconverted: they are a take of the
+        # float32 frames as built, which nothing can replace or write
         seq, proj, _ = random_case(6)
         frames = seq.frames.astype(np.float64) + 1e-9  # not float32 values
-        seq.frames = frames
-        got = summarize(seq, proj)
+        built = LatentSequence(frames)
+        want = frames.astype(np.float32)
+        with pytest.raises(FrozenInstanceError, match="frames"):
+            built.frames = frames
+        with pytest.raises(ValueError, match="read-only"):
+            built.frames[...] = 0.0
+        frames[...] = np.nan  # the caller's array
+        got = summarize(built, proj)
         assert got.vectors.dtype == np.float32 and got.vectors.flags.c_contiguous
-        assert got.vectors.tobytes() == frames[got.rep_frames].astype(np.float32).tobytes()
-        seq.frames = np.full_like(frames, 1e39)  # finite in float64, beyond float32
-        with pytest.raises(ValueError, match="vectors holds a value beyond the float32 range"):
-            summarize(seq, proj)
+        assert got.vectors.tobytes() == want[got.rep_frames].tobytes()
+        with pytest.raises(ValueError, match="frames holds a value beyond the float32 range"):
+            LatentSequence(np.full_like(frames, 1e39))  # finite in float64, beyond float32
 
     @pytest.mark.parametrize("drop", [False, True])
     def test_shift_changed_after_construction_is_refused(self, drop):
+        # _of_table takes the shift unchecked from the frozen sequence
         seq, proj, _ = random_case(5)
-        seq.frame_shift_ms = -1
-        with pytest.raises(ValueError, match="frame_shift_ms must be positive"):
-            summarize(seq, proj, drop_blank_segments=drop)
+        with pytest.raises(FrozenInstanceError, match="frame_shift_ms"):
+            seq.frame_shift_ms = -1
+        summ = summarize(seq, proj, drop_blank_segments=drop)
+        summ._check()
+        assert type(summ.frame_shift_ms) is float and summ.frame_shift_ms == 10.0
 
 
 class TestBenchmarkSeams:

@@ -7,7 +7,11 @@ layout, and within ``_kernels`` the gate equations have one copy,
 ``_cell``, whose constant 1 (``_ONE``) is read-only, and ``pack`` alone
 builds a ``Packing``. The types that skip their checks when built from a
 derived value, ``SummarizedSequence`` and ``PosteriorGrid``, are built
-without ``__init__`` only by their ``_of_*`` classmethods. One helper,
+without ``__init__`` only by their ``_of_*`` classmethods. The frozen
+inputs, ``LatentSequence`` and ``ProjectionMatrix``, are written past
+their freeze (``__setattr__``, ``__dict__``, ``vars``) only by their own
+``__post_init__``, and no module makes an array writeable again, so the
+fields they checked at construction stay as checked. One helper,
 ``seqcore._parse``, turns a reader's errors into ``FormatError``. And
 ``seqcore`` alone turns a caller's value into an integer (``_as_int``,
 ``_label_ids``), so no other module truncates one, and a caller's array
@@ -112,19 +116,25 @@ def test_checker_sees_every_use_of_kernels(tmp_path):
 
 def nodes_by_function(tree):
     """(function, node) for each node of a syntax tree below the functions
-    themselves, in source order; function is the name of the innermost
-    function around the node, ``<lambda>`` or ``<module>``."""
+    and classes themselves, in source order; function is the name of the
+    innermost function around the node, ``<lambda>`` or ``<module>``, as
+    ``Class.name`` inside a class (its methods and the functions nested in
+    them)."""
     found = []
 
-    def visit(node, function):
+    def visit(node, cls, function):
         for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name, function)
+                continue
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                visit(child, getattr(child, "name", "<lambda>"))
+                name = getattr(child, "name", "<lambda>")
+                visit(child, cls, f"{cls}.{name}" if cls else name)
                 continue
             found.append((function, child))
-            visit(child, function)
+            visit(child, cls, function)
 
-    visit(tree, "<module>")
+    visit(tree, None, "<module>")
     return found
 
 
@@ -279,8 +289,8 @@ def trusted_constructions(path):
     """(function, class) of each ``__new__`` call on a ``TRUSTED`` class in
     a source file, under any name the class is imported as: called on the
     class, on ``cls`` inside one of its methods, or on ``object`` or
-    ``super()`` with it as the argument; function is ``Class.method``
-    inside a class, ``<lambda>`` or ``<module>``."""
+    ``super()`` with it as the argument; function is as
+    ``nodes_by_function`` names it."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     names = {name: name for name in TRUSTED} | {
         alias.asname: alias.name
@@ -290,27 +300,16 @@ def trusted_constructions(path):
         if alias.name in TRUSTED and alias.asname
     }
     found = []
-
-    def visit(node, cls, function):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.ClassDef):
-                visit(child, child.name, function)
-                continue
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                name = getattr(child, "name", "<lambda>")
-                visit(child, cls, f"{cls}.{name}" if cls else name)
-                continue
-            if isinstance(child, ast.Call) and getattr(child.func, "attr", None) == "__new__":
-                target = child.func.value
-                if ast.unparse(target) in {"object", "super()"} and child.args:
-                    target = child.args[0]
-                name = ast.unparse(target).rpartition(".")[2]
-                name = cls if name == "cls" else names.get(name)
-                if name in TRUSTED:
-                    found.append((function, name))
-            visit(child, cls, function)
-
-    visit(tree, None, "<module>")
+    for function, node in nodes_by_function(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "__new__":
+            target = node.func.value
+            if ast.unparse(target) in {"object", "super()"} and node.args:
+                target = node.args[0]
+            name = ast.unparse(target).rpartition(".")[2]
+            cls, in_class, _ = function.partition(".")
+            name = cls if name == "cls" and in_class else names.get(name)
+            if name in TRUSTED:
+                found.append((function, name))
     return found
 
 
@@ -335,6 +334,7 @@ def test_checker_sees_every_unchecked_construction(tmp_path):
         "from .cts import SummarizedSequence as S\nfrom . import seqcore\n"
         "class PosteriorGrid:\n    @classmethod\n    def _of_softmax(cls, p):\n"
         "        return cls.__new__(cls)\n"
+        "        def again():\n            return cls.__new__(cls)\n"
         "class Other:\n    def make(cls):\n        return cls.__new__(cls)\n"
         "def a():\n    return S.__new__(S)\n"
         "def b():\n    return object.__new__(seqcore.PosteriorGrid)\n"
@@ -342,9 +342,105 @@ def test_checker_sees_every_unchecked_construction(tmp_path):
         "TRUST = lambda: super().__new__(S)\n"
     )
     assert trusted_constructions(src) == [
-        ("PosteriorGrid._of_softmax", "PosteriorGrid"), ("a", "SummarizedSequence"),
-        ("b", "PosteriorGrid"), ("c", "PosteriorGrid"), ("<lambda>", "SummarizedSequence"),
+        ("PosteriorGrid._of_softmax", "PosteriorGrid"), ("PosteriorGrid.again", "PosteriorGrid"),
+        ("a", "SummarizedSequence"), ("b", "PosteriorGrid"), ("c", "PosteriorGrid"),
+        ("<lambda>", "SummarizedSequence"),
     ]
+
+
+BYPASSES = {"__setattr__", "__dict__"}
+
+
+def freeze_bypasses(path):
+    """The function around each use in a source file of what writes a
+    field past a frozen dataclass's ``__setattr__``: a ``__setattr__`` or
+    ``__dict__`` attribute on any receiver (``object``, ``super()``, an
+    instance), called or not, or a call of ``vars``."""
+    return [
+        function
+        for function, node in nodes_by_function(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Attribute) and node.attr in BYPASSES)
+        or (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "vars")
+    ]
+
+
+def test_frozen_inputs_set_their_fields_only_at_construction():
+    # the softmax, the summarizer and the .lseq writer use their fields
+    # unchecked: a write past the freeze anywhere else could break them
+    found = {
+        f"{path.stem}.{function}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for function in freeze_bypasses(path)
+    }
+    assert found == {"seqcore.LatentSequence.__post_init__", "seqcore.ProjectionMatrix.__post_init__"}
+
+
+def test_checker_sees_every_write_past_a_freeze(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text(
+        "class LatentSequence:\n    def __post_init__(self):\n"
+        "        object.__setattr__(self, 'frames', 1)\n"
+        "        def inner():\n            return vars(self)\n"
+        "def a(seq):\n    seq.__dict__['frames'] = 0\n"
+        "def b(seq):\n    put = super().__setattr__\n    put('frames', 0)\n"
+        "c = lambda seq: type(seq).__setattr__(seq, 'bias', 0)\n"
+        "setattr(seq, 'frames', 0)\n"
+    )
+    assert freeze_bypasses(src) == [
+        "LatentSequence.__post_init__", "LatentSequence.inner", "a", "b", "<lambda>"
+    ]
+
+
+def writeable_grants(path):
+    """The lines of a source file that may make an array writeable: an
+    assignment of anything but ``False`` to a ``writeable`` attribute or to
+    ``flags["WRITEABLE"]`` or ``flags["W"]``, or a ``setflags`` call whose
+    ``write`` argument is anything but ``False``."""
+
+    def names_the_flag(target):
+        if isinstance(target, ast.Attribute):
+            return target.attr == "writeable"
+        return isinstance(target, ast.Subscript) and ast.unparse(target.slice) in {"'WRITEABLE'", "'W'"}
+
+    def grants(value):
+        return not (isinstance(value, ast.Constant) and value.value is False)
+
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            flag = any(names_the_flag(n) for t in targets for n in ast.walk(t))
+            hit = flag and grants(node.value)
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "setflags":
+            write = node.args[:1] + [kw.value for kw in node.keywords if kw.arg == "write"]
+            hit = any(grants(w) for w in write)
+        else:
+            continue
+        if hit:
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_no_module_makes_an_array_writeable():
+    # the frozen inputs' arrays, and _kernels._ONE, are read-only
+    found = {
+        (path.stem, line)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line in writeable_grants(path)
+    }
+    assert found == set()
+
+
+def test_checker_sees_every_writeable_grant(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text(
+        "a.flags.writeable = True\nseq.frames.flags['WRITEABLE'] = 1\n"
+        "a.setflags(write=True)\na.setflags(True)\nf = a.flags\nf.writeable = flag\n"
+        "a.flags.writeable, b = True, 1\n"
+        "a.flags.writeable = False\na.setflags(write=False)\na.setflags(align=True)\n"
+        "writeable = True\n"
+    )
+    assert writeable_grants(src) == [1, 2, 3, 4, 6, 7]
 
 
 def format_error_handlers(path):

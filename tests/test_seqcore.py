@@ -3,6 +3,8 @@ import json
 import os
 import struct
 import threading
+import warnings
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -73,13 +75,94 @@ class TestLatentSequence:
         with pytest.raises(TypeError, match="frame_shift_ms must be a finite number"):
             LatentSequence(np.ones((2, 2)), frame_shift_ms=10**400)
 
-    def test_writer_names_the_file_for_a_shift_changed_to_a_string(self, tmp_path):
+    def test_shift_cannot_be_changed_before_writing(self, tmp_path):
+        # the writer takes the shift unchecked: a string can never reach it
         seq = LatentSequence(np.ones((2, 2)))
-        seq.frame_shift_ms = "10"
+        with pytest.raises(FrozenInstanceError, match="frame_shift_ms"):
+            seq.frame_shift_ms = "10"
         path = tmp_path / "x.lseq"
-        with pytest.raises(ValueError, match="x.lseq: frame_shift_ms must be a number"):
-            write_lseq(path, seq)
-        assert not path.exists()
+        write_lseq(path, seq)
+        assert read_lseq(path).frame_shift_ms == 10.0
+
+
+ARRAY_FIELDS = [("seq", "frames"), ("proj", "weights"), ("proj", "bias")]
+
+
+def _inputs():
+    return {
+        "seq": LatentSequence(np.arange(6.0).reshape(3, 2), frame_shift_ms=12.5),
+        "proj": ProjectionMatrix(np.ones((4, 2)), np.arange(4)),
+    }
+
+
+class TestFrozenInputs:
+    """``LatentSequence`` and ``ProjectionMatrix`` are checked once, at
+    construction, and nothing can change them afterwards: the softmax, the
+    summarizer and the ``.lseq`` writer use their fields unchecked."""
+
+    @pytest.mark.parametrize(
+        "owner, field",
+        [("seq", "frames"), ("seq", "frame_shift_ms"), ("proj", "weights"), ("proj", "bias")],
+    )
+    def test_fields_cannot_be_assigned_or_deleted(self, owner, field):
+        obj = _inputs()[owner]
+        value = getattr(obj, field)
+        with pytest.raises(FrozenInstanceError, match=field):
+            setattr(obj, field, value)
+        with pytest.raises(FrozenInstanceError, match=field):
+            delattr(obj, field)
+        assert getattr(obj, field) is value
+
+    @pytest.mark.parametrize("owner, field", ARRAY_FIELDS)
+    def test_arrays_are_read_only(self, owner, field):
+        arr = getattr(_inputs()[owner], field)
+        assert arr.dtype == np.float32 and arr.flags.c_contiguous
+        before = arr.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = np.nan
+        with pytest.raises(ValueError, match="read-only"):
+            np.add(arr, 1.0, out=arr)
+        with pytest.raises(ValueError, match="read-only"):
+            arr.flat[0] = np.inf
+        assert arr.tobytes() == before
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda a: a,  # float32 and C-contiguous: kept by the conversion
+            lambda a: np.asfortranarray(a),
+            lambda a: a.astype(np.float64),
+            lambda a: np.stack([a, a])[1],  # a view
+        ],
+        ids=["float32", "fortran", "float64", "view"],
+    )
+    @pytest.mark.parametrize("owner, field", ARRAY_FIELDS)
+    def test_a_later_write_to_the_callers_array_changes_nothing(self, make, owner, field):
+        rng = np.random.default_rng(5)
+        frames = rng.normal(size=(3, 2)).astype(np.float32)
+        weights = rng.normal(size=(4, 2)).astype(np.float32)
+        bias = rng.normal(size=4).astype(np.float32)
+        given = {"frames": make(frames), "weights": make(weights), "bias": make(bias)}
+        obj = {
+            "seq": lambda: LatentSequence(given["frames"]),
+            "proj": lambda: ProjectionMatrix(given["weights"], given["bias"]),
+        }[owner]()
+        want = getattr(obj, field).tobytes()
+        given[field][...] = np.nan
+        assert getattr(obj, field).tobytes() == want
+        assert np.isfinite(getattr(obj, field)).all()
+
+    def test_a_readers_bytes_are_kept_uncopied(self, tmp_path):
+        # np.frombuffer views immutable bytes, which no one can write: the
+        # one case where construction keeps the array it is given
+        frames = np.frombuffer(np.arange(6, dtype="<f4").tobytes(), "<f4").reshape(3, 2)
+        assert LatentSequence(frames).frames is frames
+        path = tmp_path / "x.lseq"
+        write_lseq(path, _inputs()["seq"])
+        back = read_lseq(path).frames
+        assert not back.flags.writeable and not back.flags.owndata
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            back.flags.writeable = True
 
 
 class TestVocabulary:
@@ -291,30 +374,54 @@ class TestProjectSoftmax:
         assert grid.log_probs.tobytes() == want.tobytes()
         assert PosteriorGrid(grid.probs).log_probs.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize(
-        "owner, attr", [("seq", "frames"), ("proj", "weights"), ("proj", "bias")]
-    )
+    @pytest.mark.parametrize("owner, attr", ARRAY_FIELDS)
     def test_nan_set_after_construction_rejected(self, owner, attr):
-        parts = {
-            "seq": LatentSequence(np.ones((3, 2), dtype=np.float32)),
-            "proj": ProjectionMatrix(np.ones((4, 2)), np.zeros(4)),
-        }
+        # neither an array swapped in nor a write into the array gets a NaN
+        # past construction, so the softmax has none to look for
+        parts = _inputs()
         obj = parts[owner]
-        setattr(obj, attr, np.full_like(getattr(obj, attr), np.nan))
-        for entry in (project_softmax, summarize):
-            with pytest.raises(ValueError, match=f"{attr} contains NaN"):
-                entry(parts["seq"], parts["proj"])
+        arr = getattr(obj, attr)
+        with pytest.raises(FrozenInstanceError, match=attr):
+            setattr(obj, attr, np.full_like(arr, np.nan))
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = np.nan
+        assert np.isfinite(project_softmax(parts["seq"], parts["proj"]).probs).all()
+        summarize(parts["seq"], parts["proj"])._check()
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
     def test_float64_overflow_set_after_construction_rejected(self):
-        # finite inputs, but a float64 array swapped in overflows the logits
+        # float64 values whose product would overflow the float64 logits
+        # can be neither swapped in nor built: construction casts to float32
         seq = LatentSequence(np.ones((3, 2), dtype=np.float32))
         proj = ProjectionMatrix(np.ones((4, 2)))
-        seq.frames = np.full((3, 2), 1e200)
-        proj.weights = np.full((4, 2), 1e200)
-        for entry in (project_softmax, summarize):
-            with pytest.raises(ValueError, match="logits overflow float64"):
-                entry(seq, proj)
+        with pytest.raises(FrozenInstanceError, match="frames"):
+            seq.frames = np.full((3, 2), 1e200)
+        with pytest.raises(FrozenInstanceError, match="weights"):
+            proj.weights = np.full((4, 2), 1e200)
+        with pytest.raises(ValueError, match="frames holds a value beyond the float32 range"):
+            LatentSequence(np.full((3, 2), 1e200))
+        with pytest.raises(ValueError, match="weights holds a value beyond the float32 range"):
+            ProjectionMatrix(np.full((4, 2), 1e200))
+
+    @pytest.mark.parametrize("d", [1, 16, 4096])
+    def test_extreme_finite_inputs_keep_the_logits_finite(self, d):
+        # the bound that lets the softmax skip a finiteness test: every
+        # float64 logit of finite float32 inputs is at most
+        # D * max**2 + max, about 4.7e80 at D = 4096
+        big = float(np.finfo(np.float32).max)
+        rng = np.random.default_rng(d)
+        frames = big * rng.choice([-1.0, 1.0], size=(6, d))
+        weights = big * rng.choice([-1.0, 1.0], size=(5, d))
+        bias = big * rng.choice([-1.0, 1.0], size=5)
+        frames[:2], weights[:2], bias[:2] = big, [[big], [-big]], [big, -big]  # both extremes
+        seq, proj = LatentSequence(frames), ProjectionMatrix(weights, bias)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            probs = project_softmax(seq, proj).probs
+            summ = summarize(seq, proj)
+        assert np.isfinite(probs).all()
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+        summ._check()
+        assert summ.num_segments >= 1
 
 
 class TestFrameArgmax:
@@ -636,12 +743,11 @@ class TestContainerRewrite:
     @pytest.mark.parametrize(
         "fmt, attr, value, message",
         [
-            ("lseq", "frames", np.nan, "refusing to write non-finite float32 values"),
-            ("proj", "bias", np.inf, "refusing to write non-finite float32 values"),
+            ("lseq", "frames", np.nan, "underlying array is read-only"),
+            ("proj", "bias", np.inf, "underlying array is read-only"),
             ("sseq", "vectors", np.nan, "vectors contains NaN or Inf"),
             ("ctsm", "params", 1e39, "refusing to write non-finite float32 values"),  # inf as f32
-            ("lseq", "frame_shift_ms", 0.0,
-             "frame_shift_ms must be positive and finite as float32, got 0.0"),
+            ("lseq", "frame_shift_ms", 0.0, "cannot assign to field 'frame_shift_ms'"),
             ("sseq", "rep_scores", np.nan, SEGMENT_RULE),
             ("sseq", "rep_scores", 1.5, SEGMENT_RULE),
             ("sseq", "rep_frames", 3, SEGMENT_RULE),  # the end of the last span, [2, 3)
@@ -652,17 +758,15 @@ class TestContainerRewrite:
     def test_non_finite_value_refused_before_opening(self, tmp_path, monkeypatch, fmt, attr,
                                                      value, message):
         # each type checks itself at construction; these values are set
-        # afterwards, and the writer refuses them instead of writing a file
-        # its reader rejects
+        # afterwards. A frozen input refuses the value itself, and the
+        # writer of any other type refuses it instead of writing a file its
+        # reader rejects
         write, read, make = CONTAINERS[fmt]
         path = tmp_path / "x"
         write(path, make(3))
         before = path.read_bytes()
         bad = make(3)
-        if isinstance(getattr(bad, attr), np.ndarray):
-            getattr(bad, attr).flat[-1] = value
-        else:
-            setattr(bad, attr, value)
+        frozen = isinstance(bad, (LatentSequence, ProjectionMatrix))
         real_open = os.open
         opened = []
 
@@ -671,9 +775,13 @@ class TestContainerRewrite:
             return real_open(file, *args, **kwargs)
 
         monkeypatch.setattr(os, "open", spy)
-        with pytest.raises(ValueError) as err:
+        with pytest.raises((ValueError, FrozenInstanceError)) as err:
+            if isinstance(getattr(bad, attr), np.ndarray):
+                getattr(bad, attr).flat[-1] = value
+            else:
+                setattr(bad, attr, value)
             write(path, bad)
-        assert str(err.value) == f"{path}: {message}"
+        assert str(err.value) == (message if frozen else f"{path}: {message}")
         assert opened == []
         assert path.read_bytes() == before
         read(path)
