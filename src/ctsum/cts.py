@@ -171,7 +171,8 @@ class SummarizedSequence:
         return [Segment(*row) for row in zip(*(col.tolist() for col in self.table))]
 
     def to_latent(self) -> LatentSequence:
-        """View the representatives as a frame sequence, e.g. for re-decoding."""
+        """Copy the representatives into a frozen frame sequence, e.g. for
+        re-decoding."""
         return LatentSequence(self.vectors, self.frame_shift_ms)
 
 

@@ -156,15 +156,17 @@ def _frame_shift(value) -> float:
     return shift
 
 
-def _sealed(name: str, values) -> np.ndarray:
-    """``values`` as ``_as_reals`` makes it float32, finite, read-only and
-    written by nothing else: copied once, unless the conversion made a new
-    array or it views immutable ``bytes`` (a reader's ``np.frombuffer``)."""
-    arr = owner = _as_reals(name, values, np.float32)
+def _sealed(name: str, values, ndim: int) -> np.ndarray:
+    """``values`` as ``_as_reals`` makes it float32: ``ndim``-d with no
+    empty axis, finite, read-only and written by nothing else. It is
+    copied, unless the conversion made a new array (from a list, or by a
+    cast); an object's ``__array__`` may return an array the object still
+    holds, so that is copied too."""
+    arr = _as_reals(name, values, np.float32)
+    if arr.ndim != ndim or 0 in arr.shape:
+        raise ValueError(f"{name} must be a {ndim}-d array with no empty axis, got {arr.shape}")
     _require_finite(name, arr)
-    while isinstance(owner, np.ndarray) and owner.base is not None:
-        owner = owner.base
-    if not isinstance(owner, bytes) and (owner is not arr or arr is values):
+    if arr is values or arr.base is not None or not isinstance(values, (np.ndarray, list, tuple)):
         arr = arr.copy()
     arr.flags.writeable = False
     return arr
@@ -182,11 +184,11 @@ class LatentSequence:
     frame_shift_ms: float = 10.0
 
     def __post_init__(self):
-        frames = _sealed("frames", self.frames)
-        if frames.ndim != 2 or frames.shape[0] < 1 or frames.shape[1] < 1:
-            raise ValueError(f"frames must be (T>=1, D>=1), got {frames.shape}")
-        object.__setattr__(self, "frames", frames)
+        object.__setattr__(self, "frames", _sealed("frames", self.frames, 2))
         object.__setattr__(self, "frame_shift_ms", _frame_shift(self.frame_shift_ms))
+
+    def __reduce__(self):  # copy and pickle rebuild through __post_init__
+        return type(self), (self.frames, self.frame_shift_ms)
 
     @property
     def num_frames(self):
@@ -246,14 +248,15 @@ class ProjectionMatrix:
     bias: np.ndarray | None = None
 
     def __post_init__(self):
-        weights = _sealed("weights", self.weights)
-        if weights.ndim != 2 or min(weights.shape) < 1:
-            raise ValueError(f"weights must be (V>=1, D>=1), got {weights.shape}")
-        bias = _sealed("bias", np.zeros(len(weights)) if self.bias is None else self.bias)
-        if bias.shape != (len(weights),):
-            raise ValueError(f"bias shape {bias.shape} does not match V={len(weights)}")
+        weights = _sealed("weights", self.weights, 2)
+        bias = _sealed("bias", np.zeros(len(weights)) if self.bias is None else self.bias, 1)
+        if len(bias) != len(weights):
+            raise ValueError(f"bias length {len(bias)} does not match V={len(weights)}")
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "bias", bias)
+
+    def __reduce__(self):
+        return type(self), (self.weights, self.bias)
 
     @property
     def num_labels(self):
