@@ -1,9 +1,10 @@
 """Hot numeric kernels: CTC forward recursion and GRU forward/backward.
 
-All kernels are plain numpy. The CTC recursion runs state by state: the
-column of one target state over all frames is a first-order recurrence,
-solved with one ``np.logaddexp.accumulate``, so the Python loop has S =
-2L+1 iterations rather than T x S.
+All kernels are plain numpy. The CTC recursion runs label by label: the
+blank after a label and the label share one running sum, and the label's
+state and that sum over all frames are first-order recurrences, each
+solved with one ``np.logaddexp.accumulate``, so the Python loop has L
+iterations of two scans rather than T x (2L+1) steps.
 
 The GRU kernels run over a packed minibatch (see ``Packing``): the
 input projection of every row is made once, for both kernels, and each
@@ -31,46 +32,65 @@ _ONE = np.ones(())
 _ONE.flags.writeable = False
 
 
-def ctc_forward_ll(log_probs, ext):
-    """Total log-probability of all alignments of an expanded CTC target.
+def ctc_forward_ll(log_emit, target):
+    """Total log-probability of all CTC alignments of a target.
 
-    log_probs : (T, V) per-frame label log-posteriors, all finite (the
-                state-major solve subtracts running sums of them, so a
-                -inf entry would turn into nan; ``PosteriorGrid`` floors
-                probabilities, which guarantees this)
-    ext       : (2L+1,) target interleaved with blanks, blanks at even slots
+    log_emit : (L+1, T) per-frame log-emissions, C-contiguous: row 0
+               the blank's, row j the j-th target label's (a repeated
+               label has a row per occurrence). All entries must be
+               finite: the solve subtracts running sums of them, so a
+               -inf entry would turn into nan (``ctc.ctc_forward_logprob``
+               floors the probabilities it logs, which guarantees this).
+    target   : (L,) the target's label ids, none the blank; only whether
+               neighbours are equal is read.
 
-    Standard forward recursion over the expanded target, log domain. The
-    skip transition s-2 -> s is allowed only between distinct non-blank
-    labels, which is equivalent to ext[s] != ext[s-2] since even slots all
-    hold the blank. Returns exactly -inf when no alignment fits in T
-    frames, that is when T is less than L plus the number of adjacent
-    equal labels (each needs a blank between them); this is the one
-    feasibility rule, and no caller counts frames first.
+    Returns exactly -inf when no alignment fits in T frames, that is
+    when T is less than L plus the number of adjacent equal labels (each
+    needs a blank between them). This is the one feasibility rule, and
+    no caller counts frames first.
 
-    Column s over time is alpha[t] = logaddexp(alpha[t-1], in[t-1]) +
-    e[t], with e the emissions of state s and in the log-sum of the
-    already-solved columns s-1 (and s-2 where the skip is allowed). With
-    c = cumsum(e), alpha - c is the running log-sum-exp of
-    [alpha0, in[0] - c[0], ..., in[T-2] - c[T-2]], where alpha0 is 0 for
-    the two start states and -inf for the rest.
+    In the linear domain, with e the emissions of row 0, b_j the forward
+    sum of the blank after label j (b_0 the leading blank) and l_j that
+    of label j, the blank after label j and label j share one running
+    sum g_j = b_j + l_j, and the standard recursion becomes
+
+        b_j[t] = e[t] * g_j[t-1]          (b_0 = g_0 = cumprod of e)
+        g_j[t] = e[t] * g_j[t-1] + l_j[t]
+        l_j[t] = e_j[t] * (l_j[t-1] + in_j[t-1])
+
+    where in_j is g_{j-1} when j = 1 or y_j != y_{j-1} (the skip over
+    the blank is allowed) and b_{j-1} when y_j = y_{j-1}; l_1 alone
+    starts at frame 0. The score is g_L at the last frame. Each of l_j
+    and g_j is a first-order recurrence, solved in the log domain with
+    one ``np.logaddexp.accumulate`` against cumulative log-emissions:
+    with c_j the cumulative log-emissions of label j, c those of the
+    blank, d_j = c - c_j and G_j = g_j - c (so G_0 = 0),
+
+        l_j - c_j = scan of [l_j[0] - c_j[0], in_j[t-1] - c_j[t-1] ...]
+        G_j       = scan of (l_j - c_j) - d_j
+
+    where in_j[t] - c_j[t] is G_{j-1}[t] + d_j[t] from g_{j-1}, and
+    G_{j-1}[t-1] + d_j[t] from b_{j-1} (-inf at t = 0). So each label
+    costs two scans and no two-term log-sum-exp. An unreachable frame
+    enters a scan as -inf and stays -inf through every later label.
     """
-    emit_cum = np.cumsum(log_probs.T[ext], axis=1)  # (S, T): c of each state
-    labels = ext.tolist()
-    scan = np.empty(log_probs.shape[0])
-    col_1, col_2 = emit_cum[0], None  # alpha columns of states s-1 and s-2
-    for s in range(1, len(labels)):
-        c = emit_cum[s]
-        skip = s >= 2 and labels[s] != labels[s - 2]
-        into = np.logaddexp(col_1, col_2) if skip else col_1
-        scan[0] = 0.0 if s == 1 else -np.inf
-        np.subtract(into[:-1], c[:-1], out=scan[1:])
-        col = np.logaddexp.accumulate(scan)
-        col += c
-        col_1, col_2 = col, col_1
-    if col_2 is None:
-        return col_1[-1]
-    return np.logaddexp(col_1[-1], col_2[-1])
+    cum = np.cumsum(log_emit, axis=1)
+    labels = target.tolist()
+    d = cum[0] - cum[1:]  # (L, T): d_j of each label
+    scan = np.empty(log_emit.shape[1])
+    g = np.zeros_like(scan)  # G_0
+    for j, y in enumerate(labels):
+        dj = d[j]
+        if j and y == labels[j - 1]:  # from b_{j-1}: no skip over the blank
+            scan[:2] = -np.inf
+            np.add(g[:-2], dj[1:-1], out=scan[2:])
+        else:
+            scan[0] = 0.0 if j == 0 else -np.inf  # only l_1 starts at frame 0
+            np.add(g[:-1], dj[:-1], out=scan[1:])
+        np.logaddexp.accumulate(scan, out=scan)  # l_j - c_j
+        np.subtract(scan, dj, out=scan)
+        np.logaddexp.accumulate(scan, out=g)  # G_j, once G_{j-1} is read
+    return g[-1] + cum[0, -1]
 
 
 class Packing(NamedTuple):

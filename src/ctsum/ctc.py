@@ -3,9 +3,11 @@
 greedy_decode is the no-beam realization of argmax decoding: take the
 per-frame argmax path, collapse consecutive repeats, delete blanks.
 Argmax and run-length encoder are ``seqcore``'s, shared with ``cts``.
-ctc_forward_logprob sums over all alignments with the standard forward
-recursion; enumerate_alignments_logprob brute-forces the same quantity on
-instances small enough to enumerate and exists purely to cross-check it.
+ctc_forward_logprob sums over all alignments with the forward recursion,
+handing ``_kernels.ctc_forward_ll`` the floored logs of only the blank's
+and the target labels' columns; enumerate_alignments_logprob
+brute-forces the same quantity on instances small enough to enumerate
+and exists purely to cross-check it.
 Both check their inputs alike: the grid's width must be the vocabulary
 size (``_check_vocab``) and the target a transcript of the vocabulary,
 its ids labels and none the blank (``Vocabulary.check_transcript``); a
@@ -74,12 +76,6 @@ def greedy_decode(grid: PosteriorGrid, vocab: Vocabulary) -> LabelSequence:
     return LabelSequence(collapse_path(labels, vocab.blank_index), score)
 
 
-def _expanded_target(ids, blank_index):
-    ext = np.full(2 * len(ids) + 1, blank_index, dtype=np.int64)
-    ext[1::2] = ids
-    return ext
-
-
 def ctc_forward_logprob(
     grid: PosteriorGrid, target: LabelSequence, vocab: Vocabulary
 ) -> float:
@@ -91,8 +87,8 @@ def ctc_forward_logprob(
     """
     _check_vocab(grid, vocab)
     vocab.check_transcript(target.ids)
-    ext = _expanded_target(target.ids, vocab.blank_index)
-    return float(_kernels.ctc_forward_ll(grid.log_probs, ext))
+    rows = np.concatenate(([vocab.blank_index], target.ids))
+    return float(_kernels.ctc_forward_ll(_floored_log(grid.probs.T[rows]), target.ids))
 
 
 def enumerate_alignments_logprob(

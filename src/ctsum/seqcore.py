@@ -271,10 +271,10 @@ class ProjectionMatrix:
 class PosteriorGrid:
     """T x V row-stochastic per-frame label posteriors.
 
-    ``log_probs`` is computed on each access, from the ``probs`` of that
-    moment: the logs are floored at PROB_FLOOR so that -inf never enters
-    downstream forward sums, and only CTC scoring reads the whole grid,
-    once per call.
+    A grid keeps no logs: each reader logs the cells it needs from the
+    ``probs`` of that moment, floored at PROB_FLOOR (``_floored_log``)
+    so that -inf never enters a sum. CTC scoring logs the blank's and
+    the target labels' columns, best-path decoding the T path cells.
     """
 
     probs: np.ndarray
@@ -297,10 +297,6 @@ class PosteriorGrid:
         grid = cls.__new__(cls)
         grid.probs = probs
         return grid
-
-    @property
-    def log_probs(self) -> np.ndarray:
-        return _floored_log(self.probs)
 
     @property
     def num_frames(self):

@@ -5,10 +5,10 @@
 differs from the previous one, and a score read from the whole floored
 log grid. ``ctsum.ctc`` must match them exactly.
 
-The forward recursion is a double loop over frames and target states,
-one two-term log-sum-exp at a time: ``ctsum._kernels.ctc_forward_ll``
-solves the same recursion one state column at a time and is checked
-against this.
+The forward recursion is a double loop over frames and the states of
+the expanded target (``expanded_target``), one two-term log-sum-exp at
+a time: ``ctsum._kernels.ctc_forward_ll`` solves the same recursion
+with two running scans per target label and is checked against this.
 """
 
 import numpy as np
@@ -35,6 +35,13 @@ def greedy_decode(probs, blank_index):
     path = np.argmax(probs, axis=1)
     score = float(log_probs[np.arange(probs.shape[0]), path].sum())
     return collapse_path(path, blank_index), score
+
+
+def expanded_target(ids, blank_index):
+    """The target interleaved with blanks, blanks at even slots: (2L+1,)."""
+    ext = np.full(2 * len(ids) + 1, blank_index, dtype=np.int64)
+    ext[1::2] = ids
+    return ext
 
 
 def _logaddexp2(a, b):

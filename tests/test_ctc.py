@@ -14,6 +14,7 @@ from ctsum.ctc import (
     greedy_decode,
 )
 from ctsum.seqcore import (
+    PROB_FLOOR,
     LatentSequence,
     PosteriorGrid,
     ProjectionMatrix,
@@ -248,6 +249,22 @@ class TestForwardScoring:
             == -np.inf
         )
 
+    @pytest.mark.parametrize("ids", [[1, 1], [1, 1, 2, 2], [2, 1, 2]], ids=str)
+    def test_skip_rule_at_the_minimum_length(self, ids):
+        # equal neighbours need a blank between them and other labels do
+        # not, so T = L + (adjacent equal pairs) frames fit and one less
+        # does not
+        t = len(ids) + sum(a == b for a, b in zip(ids, ids[1:]))
+        rng = np.random.default_rng(t)
+        target, vocab = LabelSequence(ids), vocab_of(3)
+        grid = random_grid(rng, t, 3)
+        got = ctc_forward_logprob(grid, target, vocab)
+        oracle = enumerate_alignments_logprob(grid, target, vocab)
+        recursion = ref.ctc_forward_ll_py(np.log(grid.probs), ref.expanded_target(target.ids, 0))
+        for want in (oracle, recursion):
+            assert abs(got - want) <= 1e-12 * abs(want), (got, want)
+        assert ctc_forward_logprob(random_grid(rng, t - 1, 3), target, vocab) == -np.inf
+
     def test_blank_in_target_rejected(self):
         grid = make_grid([[0.5, 0.5]])
         with pytest.raises(ValueError):
@@ -273,8 +290,8 @@ class TestForwardScoring:
             score(grid, LabelSequence(ids), vocab_of(v))
 
     def test_projected_grid_scores_as_validated_grid(self):
-        # project_softmax skips the public constructor's checks and
-        # computes log_probs on access; CTC scoring must not notice either
+        # project_softmax skips the public constructor's checks; CTC
+        # scoring must not notice
         rng = np.random.default_rng(8)
         for _ in range(20):
             t, v, d = int(rng.integers(1, 12)), int(rng.integers(2, 6)), 3
@@ -286,9 +303,9 @@ class TestForwardScoring:
                 PosteriorGrid(grid.probs), target, vocab
             )
 
-    def test_log_probs_follow_replaced_probs(self):
-        # a grid stays mutable, and its logs are read from the probs of the
-        # moment: logs kept from an earlier read would score the old grid
+    def test_scoring_reads_probs_as_they_are_at_the_call(self):
+        # a grid stays mutable, and CTC scoring logs the probs of the
+        # moment: logs kept from an earlier call would score the old grid
         rng = np.random.default_rng(4)
         grid, other = random_grid(rng, 5, 3), random_grid(rng, 5, 3)
         target, vocab = LabelSequence([1, 2]), vocab_of(3)
@@ -297,6 +314,19 @@ class TestForwardScoring:
         after = ctc_forward_logprob(grid, target, vocab)
         assert after == ctc_forward_logprob(PosteriorGrid(other.probs), target, vocab)
         assert after != before
+
+    def test_probs_below_the_floor_score_at_the_floor(self):
+        # the logits are far enough apart that most posteriors underflow
+        # below PROB_FLOOR; scoring logs them floored, so no -inf enters
+        rng = np.random.default_rng(9)
+        seq = LatentSequence(rng.normal(size=(7, 3)).astype(np.float32))
+        grid = project_softmax(seq, ProjectionMatrix(rng.normal(size=(6, 3)) * 300))
+        assert (grid.probs < PROB_FLOOR).any()
+        target = LabelSequence([1, 2, 2])
+        floored = np.log(np.maximum(grid.probs, PROB_FLOOR))
+        want = ref.ctc_forward_ll_py(floored, ref.expanded_target(target.ids, 0))
+        got = ctc_forward_logprob(grid, target, vocab_of(6))
+        assert abs(got - want) <= 1e-12 * abs(want), (got, want)
 
     def test_matches_enumeration_on_random_instances(self):
         rng = np.random.default_rng(21)

@@ -1,9 +1,11 @@
 """Hot kernels against their references.
 
-The CTC recursion is solved one state column at a time, which subtracts
-running emission sums and so rounds differently from the scalar double
-loop in ``ctc_reference``: it is held to 1e-12 relative to max(1, |ref|)
-there, and to exactly -inf where no alignment fits.
+The CTC recursion is solved with two running scans per target label,
+which subtract running emission sums and so round differently from the
+scalar double loop in ``ctc_reference``: it is held to 1e-12 relative
+to max(1, |ref|) there, and to exactly -inf where no alignment fits.
+Every CTC case goes through ``ctc_kernel``, which hands the kernel the
+reference's (T, V) grid and expanded target in its own layout.
 
 The GRU kernels run a packed minibatch and go through matrix products
 over many rows at once, so they are held to a tight allclose against the
@@ -25,8 +27,7 @@ from ctsum._kernels import (
     gru_forward,
     pack,
 )
-from ctsum.ctc import _expanded_target
-from ctc_reference import ctc_forward_ll_py
+from ctc_reference import ctc_forward_ll_py, expanded_target
 from gru_reference import gru_backward_py, gru_forward_py
 
 
@@ -35,8 +36,15 @@ def random_ctc_instance(seed, t=12, v=6, l=4):
     probs = rng.dirichlet(np.ones(v), size=t)
     log_probs = np.ascontiguousarray(np.log(probs))
     target = rng.integers(1, v, size=l)  # repeats allowed
-    ext = _expanded_target(np.asarray(target, dtype=np.int64), 0)
+    ext = expanded_target(np.asarray(target, dtype=np.int64), 0)
     return log_probs, ext
+
+
+def ctc_kernel(log_probs, ext):
+    """``ctc_forward_ll`` on the reference's arguments: the blank's and
+    the target labels' columns of the (T, V) grid, as contiguous rows."""
+    ids = ext[1::2]
+    return ctc_forward_ll(log_probs.T[np.concatenate((ext[:1], ids))], ids)
 
 
 def random_gru_instance(seed, lengths=(7, 2, 7, 1, 5), din=5, h=4):
@@ -82,15 +90,15 @@ def ctc_reference_cases():
         n = int(rng.integers(0, t + 3)) if i % 4 == 0 else int(rng.integers(0, min(t, 15) + 1))
         probs = rng.dirichlet(np.full(v, concentrations[i % 4]), size=t)
         log_probs = np.log(np.maximum(probs, 1e-30))
-        yield log_probs, _expanded_target(rng.integers(1, v, size=n), 0)
+        yield log_probs, expanded_target(rng.integers(1, v, size=n), 0)
     for t, n in ((1, 0), (1, 1), (7, 0), (1, 2)):
         log_probs = np.log(rng.dirichlet(np.ones(4), size=t))
-        yield log_probs, _expanded_target(rng.integers(1, 4, size=n), 0)
+        yield log_probs, expanded_target(rng.integers(1, 4, size=n), 0)
 
 
 def assert_matches_reference(log_probs, ext):
     ref = ctc_forward_ll_py(log_probs, ext)
-    got = ctc_forward_ll(log_probs, ext)
+    got = ctc_kernel(log_probs, ext)
     if ref == -np.inf:
         assert got == -np.inf
     else:
@@ -115,18 +123,28 @@ class TestCtcKernel:
         for n in (0, 3, 12):
             probs = rng.dirichlet(np.full(6, 0.02), size=2000)
             log_probs = np.log(np.maximum(probs, 1e-30))
-            ext = _expanded_target(rng.integers(1, 6, size=n), 0)
+            ext = expanded_target(rng.integers(1, 6, size=n), 0)
             assert_matches_reference(log_probs, ext)
+
+    @pytest.mark.parametrize("t, n, concentration", [(3000, 60, 0.02), (500, 200, 0.1)])
+    def test_matches_reference_long_targets(self, t, n, concentration):
+        # many labels over many frames: each label's scans start from the
+        # previous label's, so rounding could build up label by label
+        rng = np.random.default_rng(t + n)
+        probs = rng.dirichlet(np.full(6, concentration), size=t)
+        log_probs = np.log(np.maximum(probs, 1e-30))
+        ext = expanded_target(rng.integers(1, 6, size=n), 0)
+        assert assert_matches_reference(log_probs, ext) > -np.inf
 
     def test_single_frame_single_state(self):
         log_probs = np.log(np.array([[0.25, 0.75]]))
         ext = np.array([0], dtype=np.int64)
-        assert ctc_forward_ll(log_probs, ext) == pytest.approx(np.log(0.25))
+        assert ctc_kernel(log_probs, ext) == pytest.approx(np.log(0.25))
 
     def test_infeasible_returns_neg_inf(self):
         log_probs, _ = random_ctc_instance(0, t=2)
-        ext = _expanded_target(np.array([1, 2, 3], dtype=np.int64), 0)
-        assert ctc_forward_ll(log_probs, ext) == -np.inf
+        ext = expanded_target(np.array([1, 2, 3], dtype=np.int64), 0)
+        assert ctc_kernel(log_probs, ext) == -np.inf
 
 
 class TestPacking:

@@ -18,7 +18,6 @@ from ctsum.cts import SummarizedSequence, read_sseq, select_representatives, sum
 from ctsum.harness import HarnessConfig
 from ctsum.lu import LUConfig, load_model, lu_forward, lu_init, save_model
 from ctsum.seqcore import (
-    PROB_FLOOR,
     FormatError,
     FramePath,
     LatentSequence,
@@ -386,18 +385,6 @@ class TestProjectSoftmax:
             LatentSequence(frame), ProjectionMatrix(weights, np.full(5, shift))
         )
         np.testing.assert_allclose(base.probs, shifted.probs, atol=1e-6)
-
-
-    def test_log_probs_are_floored_logs(self):
-        # the logits are far enough apart that most posteriors underflow
-        # below the floor
-        rng = np.random.default_rng(9)
-        seq = LatentSequence(rng.normal(size=(7, 3)).astype(np.float32))
-        grid = project_softmax(seq, ProjectionMatrix(rng.normal(size=(6, 3)) * 300))
-        assert (grid.probs < PROB_FLOOR).any()
-        want = np.log(np.maximum(grid.probs, PROB_FLOOR))
-        assert grid.log_probs.tobytes() == want.tobytes()
-        assert PosteriorGrid(grid.probs).log_probs.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("owner, attr", ARRAY_FIELDS)
     def test_nan_set_after_construction_rejected(self, owner, attr):
