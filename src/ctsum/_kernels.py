@@ -8,7 +8,9 @@ iterations of two scans rather than T x (2L+1) steps.
 
 The GRU kernels run over a packed minibatch (see ``Packing``): the
 input projection of every row is made once, for both kernels, and each
-time step advances all sequences still running with one matrix product.
+time step advances all sequences still running with one matrix product;
+a single sequence, as in every serving call, is stepped one 1-d row at
+a time through the same gate function.
 ``gru_forward`` is one recurrence of any width; ``bigru_layer`` runs both
 directions of a bidirectional layer as one recurrence of width 2H, and
 its docstring is the one account of that layer's layout.
@@ -143,21 +145,22 @@ def pack(xs) -> tuple[Packing, np.ndarray]:
 
 
 def _cell(nzr, an, v):
-    """Gates (z, r, n) of K units in k rows from the negated update and
-    reset projections nzr = -[a_z | a_r], (k, 2K), the candidate
-    projection an = a_n, (k, K), and the recurrent products v = [v_z |
-    v_r | v_n], (k, 3K). The one copy of the gate equations.
+    """Gates (z, r, n) of K units from the negated update and reset
+    projections nzr = -[a_z | a_r], (..., 2K), the candidate projection
+    an = a_n, (..., K), and the recurrent products v = [v_z | v_r | v_n],
+    (..., 3K): one 1-d row, or k rows as a 2-d block. The one copy of the
+    gate equations.
 
     (-a) - v equals -(a + v) exactly, so the sigmoid's argument costs no
     negation here, and it is computed in place on its own temporary.
     """
-    K = an.shape[1]
-    zr = nzr - v[:, : 2 * K]
+    K = an.shape[-1]
+    zr = nzr - v[..., : 2 * K]
     np.exp(zr, out=zr)
     zr += _ONE
     np.reciprocal(zr, out=zr)
-    r = zr[:, K:]
-    return zr[:, :K], r, np.tanh(an + r * v[:, 2 * K :])
+    r = zr[..., K:]
+    return zr[..., :K], r, np.tanh(an + r * v[..., 2 * K :])
 
 
 def gru_forward(a, ut, pk: Packing):
@@ -179,12 +182,24 @@ def gru_forward(a, ut, pk: Packing):
     product checked and costs about 1.4 us a call less on these small
     operands (3.4 against 4.8 us for k = 1, K = 64 on a 2-vCPU Xeon VM,
     numpy 2.4 with OpenBLAS on one thread).
+
+    A packing of one sequence (every serving call) has one row a step,
+    in time order, so it is stepped over the 1-d row views that
+    iterating the arrays yields, with a (K,) state: the same ``_cell``,
+    update and bits, without three slices and a (1, K) block a step.
     Returns the packed hidden states h, (N, K); ``gru_backward``
     recomputes the gates (``_cell``).
     """
     N, K = a.shape[0], ut.shape[0]
     nzr, an = -a[:, : 2 * K], a[:, 2 * K :]  # negated once for the whole batch (``_cell``)
     h = np.empty((N, K))
+    if pk.lengths.size == 1:
+        h_prev = np.zeros(K)
+        for nzr_t, an_t, ht in zip(nzr, an, h):
+            z, _, n = _cell(nzr_t, an_t, h_prev.dot(ut))
+            np.add((_ONE - z) * n, z * h_prev, out=ht)
+            h_prev = ht
+        return h
     h_prev = np.zeros((pk.active[0], K))
     for lo, k in zip(pk.offsets, pk.active):
         hp = h_prev[:k]

@@ -20,11 +20,15 @@ writer.
 ``Segment`` is the per-record form at the edge: ``SummarizedSequence``
 also accepts a list of them, and ``.segments`` derives one per row on
 demand. The benchmark under ``perfbench/`` builds and reads summaries in
-that form, which is why it stays; so do the ``project_softmax`` and
-``frame_argmax`` re-imports, which it patches on this module, and the
-name ``segment_path``: the encoder lives in ``seqcore``, shared with CTC
-best-path decoding, and ``summarize`` looks it up among this module's
-globals, so the benchmark's patch traces summarize's calls alone.
+that form, which is why it stays; so does the name ``segment_path``: the
+encoder lives in ``seqcore``, shared with CTC best-path decoding, and
+``summarize`` looks it up among this module's globals, so the
+benchmark's patch traces summarize's calls alone. The benchmark also
+patches the ``project_softmax`` and ``frame_argmax`` re-imports on this
+module, which is why they stay, but ``summarize`` no longer calls
+either: it calls ``seqcore``'s ``_softmax_probs`` and ``_argmax_path``
+and builds no grid or path. So the benchmark's spans for the two read 0
+calls until the benchmark stops patching the package (ROADMAP item 15).
 """
 
 from __future__ import annotations

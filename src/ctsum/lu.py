@@ -159,6 +159,9 @@ class LUModel:
         self.embedding = table[0] if table else None
         self.scratch = [{} for _ in self.stacked]
 
+    def __reduce__(self):  # copy and pickle rebuild the views into params and an empty scratch
+        return LUModel, (self.config, self.params.copy(), list(self.train_losses))
+
     def param_arrays(self) -> list[np.ndarray]:
         """All parameters in canonical order, as views into ``params``."""
         out, pos = [], 0

@@ -29,7 +29,7 @@ from ctsum.seqcore import (
 )
 from ctsum.synth import SynthSpec, save_spec
 from test_corruption import FORMATS, variants
-from test_lu import no_layer_walk  # noqa: F401  (fixture)
+from test_lu import no_layer_walk, package_env  # noqa: F401  (fixture)
 
 SMALL_SPEC = dict(
     num_intents=3,
@@ -120,7 +120,7 @@ class TestUsage:
         else:
             res = subprocess.run(
                 [sys.executable, "-m", "ctsum.cli", "--version"],
-                capture_output=True, text=True,
+                capture_output=True, text=True, env=package_env(),
             )
         assert res.returncode == 0
         assert "ctsum" in res.stdout
@@ -643,7 +643,7 @@ class TestHostileJson:
         proc = subprocess.run(
             [sys.executable, "-m", "ctsum.cli", "synth", "--spec", spec,
              "--out", str(tmp_path / "c"), "--seed", "1"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=package_env(),
         )
         assert proc.returncode == 2
         assert "num_intents must be an integer" in proc.stderr

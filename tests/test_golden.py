@@ -8,7 +8,6 @@ reads its thread count when numpy loads.
 """
 
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import ctsum
+from test_lu import package_env
 
 HERE = Path(__file__).parent
 GOLDEN = json.loads((HERE / "golden" / "systems.json").read_text(encoding="utf-8"))
@@ -25,9 +24,7 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_systems_match_golden(tmp_path, threads):
-    env = dict(os.environ, **{var: str(threads) for var in THREAD_VARS})
-    src = str(Path(ctsum.__file__).parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    env = dict(package_env(), **{var: str(threads) for var in THREAD_VARS})
     out = tmp_path / "systems.json"
     subprocess.run(
         [sys.executable, str(HERE / "make_golden.py"), "--out", str(out)],

@@ -11,7 +11,9 @@ The GRU kernels run a packed minibatch and go through matrix products
 over many rows at once, so they are held to a tight allclose against the
 per-sequence reference in ``gru_reference``. The forward kernel is one
 recurrence of any width: single-direction tests run it at width H, and
-``bigru_layer`` runs a bidirectional layer through it at width 2H.
+``bigru_layer`` runs a bidirectional layer through it at width 2H. A
+packing of one sequence is stepped over 1-d rows instead, and is held
+to the exact bits of the batched loop's (1, K) blocks.
 """
 
 import numpy as np
@@ -20,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctsum._kernels import (
+    _cell,
     bigru_layer,
     bigru_layer_backward,
     ctc_forward_ll,
@@ -339,6 +342,34 @@ class TestGruKernels:
                 minus[arg][idx] -= step
                 fd = (loss(*plus) - loss(*minus)) / (2 * step)
                 assert grad[idx] == pytest.approx(fd, rel=1e-5, abs=1e-8)
+
+    @settings(deadline=None, max_examples=60)
+    @given(t=st.integers(1, 80), k=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+    def test_one_sequence_equals_one_row_block_steps(self, t, k, seed):
+        # a one-sequence packing is stepped over 1-d rows; it must give
+        # the bits of the batched loop's (1, K) blocks, written out here
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((t, 3 * k))
+        ut = rng.standard_normal((k, 3 * k)) / np.sqrt(k)
+        nzr, an = -a[:, : 2 * k], a[:, 2 * k :]
+        want = np.empty((t, k))
+        hp = np.zeros((1, k))
+        for s in range(t):
+            z, _, n = _cell(nzr[s : s + 1], an[s : s + 1], hp.dot(ut))
+            want[s] = (1.0 - z) * n + z * hp
+            hp = want[s : s + 1]
+        assert np.array_equal(gru_forward(a, ut, pack([a])[0]), want)
+
+    @settings(deadline=None, max_examples=60)
+    @given(k=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+    def test_cell_on_a_row_equals_cell_on_a_one_row_block(self, k, seed):
+        rng = np.random.default_rng(seed)
+        nzr, an, v = rng.standard_normal(2 * k), rng.standard_normal(k), rng.standard_normal(3 * k)
+        rows = _cell(nzr, an, v)
+        blocks = _cell(nzr[None], an[None], v[None])
+        for row, block in zip(rows, blocks):
+            assert row.shape == (k,) and block.shape == (1, k)
+            assert np.array_equal(row, block[0])
 
     def test_zero_state_start(self):
         _, w, u, b, pk, x = random_gru_instance(5, lengths=(1, 1, 1))

@@ -1,5 +1,7 @@
+import copy
 import json
 import os
+import pickle
 import platform
 import struct
 import subprocess
@@ -52,6 +54,15 @@ def mean_ce(model, corpus):
         probs = lu_forward(model, x)
         losses.append(-np.log(max(probs[y], 1e-30)))
     return float(np.mean(losses))
+
+
+def package_env():
+    """The environment of a child interpreter that imports the ctsum under
+    test, also when pytest put ``src`` on this process's path alone."""
+    env = dict(os.environ)
+    src = str(Path(lu.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
 
 
 @pytest.fixture
@@ -200,6 +211,28 @@ class TestParamBuffer:
             after = lu_forward(model, x)
             assert np.abs(after - before).max() > 1e-6, name
             np.testing.assert_allclose(after, rebuilt(), rtol=1e-12, err_msg=name)
+
+    @pytest.mark.parametrize(
+        "clone", [copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))], ids=["deepcopy", "pickle"]
+    )
+    def test_copies_follow_their_own_params(self, clone):
+        # a copy rebuilds its views into its own params and an empty
+        # scratch, so a later write to its params reaches its forward pass
+        # and leaves the original's alone
+        x = np.random.default_rng(10).standard_normal((5, 3))
+        model = lu_init(tiny_config(vocab_size=5))
+        model.train_losses.append(0.5)
+        before = lu_forward(model, x)  # the scratch is filled before the copy
+        c = clone(model)
+        self.assert_views(c)
+        assert c.config == model.config and c.train_losses == [0.5]
+        assert not np.shares_memory(c.params, model.params)
+        np.testing.assert_array_equal(lu_forward(c, x), before)
+        c.params[:] *= 0.5
+        halved = lu_forward(LUModel(c.config, c.params.copy()), x)
+        assert not np.array_equal(halved, before)
+        np.testing.assert_array_equal(lu_forward(c, x), halved)
+        np.testing.assert_array_equal(lu_forward(model, x), before)
 
     def test_recurrent_buffer_follows_live_weights_exactly(self):
         # the layer's kept recurrent matrix is refreshed from u on every
@@ -822,9 +855,7 @@ def test_training_does_not_refault_its_freed_memory():
     # A fresh interpreter, so the allocator state is lu_train's own; the
     # third call has nothing new to allocate and should fault almost
     # nothing in (thousands when glibc trims the heap between minibatches).
-    env = dict(os.environ)
-    src = str(Path(lu.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    env = package_env()
     for var in ("MALLOC_TRIM_THRESHOLD_", "MALLOC_TOP_PAD_", "MALLOC_MMAP_THRESHOLD_"):
         env.pop(var, None)
     done = subprocess.run(
