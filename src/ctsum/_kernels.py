@@ -8,9 +8,10 @@ iterations of two scans rather than T x (2L+1) steps.
 
 The GRU kernels run over a packed minibatch (see ``Packing``): the
 input projection of every row is made once, for both kernels, and each
-time step advances all sequences still running with one matrix product;
-a single sequence, as in every serving call, is stepped one 1-d row at
-a time through the same gate function.
+time step advances all sequences still running with one matrix product,
+written into a buffer that, like the gates' sigmoid buffer, is made once
+per call; a single sequence, as in every serving call, is stepped one
+1-d row at a time through the same gate function.
 ``gru_forward`` is one recurrence of any width; ``bigru_layer`` runs both
 directions of a bidirectional layer as one recurrence of width 2H, and
 its docstring is the one account of that layer's layout.
@@ -144,23 +145,23 @@ def pack(xs) -> tuple[Packing, np.ndarray]:
     return Packing(order, ranked, offsets.tolist(), active.tolist(), rows, rev, starts, prev), packed
 
 
-def _cell(nzr, an, v):
-    """Gates (z, r, n) of K units from the negated update and reset
-    projections nzr = -[a_z | a_r], (..., 2K), the candidate projection
-    an = a_n, (..., K), and the recurrent products v = [v_z | v_r | v_n],
-    (..., 3K): one 1-d row, or k rows as a 2-d block. The one copy of the
-    gate equations.
+def _cell(nzr, an, vzr, vn, zr, r):
+    """Gates of K units from the negated update and reset projections
+    nzr = -[a_z | a_r], (..., 2K), the candidate projection an = a_n,
+    (..., K), and the recurrent products' blocks vzr = [v_z | v_r],
+    (..., 2K), and vn = v_n, (..., K): one 1-d row, or k rows as a 2-d
+    block. The one copy of the gate equations.
 
-    (-a) - v equals -(a + v) exactly, so the sigmoid's argument costs no
-    negation here, and it is computed in place on its own temporary.
+    Writes [z | r] = [s(a_z + v_z) | s(a_r + v_r)] into zr, a caller-owned
+    (..., 2K) buffer whose view ``zr[..., K:]`` the caller passes as r,
+    and returns n. (-a) - v equals -(a + v) exactly, so the sigmoid's
+    argument costs no negation here.
     """
-    K = an.shape[-1]
-    zr = nzr - v[..., : 2 * K]
+    np.subtract(nzr, vzr, out=zr)
     np.exp(zr, out=zr)
     zr += _ONE
     np.reciprocal(zr, out=zr)
-    r = zr[..., K:]
-    return zr[..., :K], r, np.tanh(an + r * v[..., 2 * K :])
+    return np.tanh(an + r * vn)
 
 
 def gru_forward(a, ut, pk: Packing):
@@ -183,10 +184,19 @@ def gru_forward(a, ut, pk: Packing):
     operands (3.4 against 4.8 us for k = 1, K = 64 on a 2-vCPU Xeon VM,
     numpy 2.4 with OpenBLAS on one thread).
 
+    Each call allocates its step buffers once, with their gate views:
+    the product v, (B, 3K) for B sequences, and the sigmoids [z | r]
+    that ``_cell`` writes, (B, 2K). Step t writes its product into the
+    first k rows, ``h_prev.dot(ut, out=...)``, and takes k-row prefixes
+    of the views; every ufunc sees the operands it saw when each step
+    allocated its own, so the bits are the same. The buffers are locals,
+    never kept between calls, so concurrent calls share none of them.
+
     A packing of one sequence (every serving call) has one row a step,
     in time order, so it is stepped over the 1-d row views that
-    iterating the arrays yields, with a (K,) state: the same ``_cell``,
-    update and bits, without three slices and a (1, K) block a step.
+    iterating the arrays yields, with a (K,) state and (3K,) and (2K,)
+    buffers: the same ``_cell``, update and bits, without the batched
+    loop's slices and (1, K) blocks.
     Returns the packed hidden states h, (N, K); ``gru_backward``
     recomputes the gates (``_cell``).
     """
@@ -194,16 +204,22 @@ def gru_forward(a, ut, pk: Packing):
     nzr, an = -a[:, : 2 * K], a[:, 2 * K :]  # negated once for the whole batch (``_cell``)
     h = np.empty((N, K))
     if pk.lengths.size == 1:
-        h_prev = np.zeros(K)
+        v, zr, h_prev = np.empty(3 * K), np.empty(2 * K), np.zeros(K)
+        vzr, vn, z, r = v[: 2 * K], v[2 * K :], zr[:K], zr[K:]
         for nzr_t, an_t, ht in zip(nzr, an, h):
-            z, _, n = _cell(nzr_t, an_t, h_prev.dot(ut))
+            h_prev.dot(ut, out=v)
+            n = _cell(nzr_t, an_t, vzr, vn, zr, r)
             np.add((_ONE - z) * n, z * h_prev, out=ht)
             h_prev = ht
         return h
-    h_prev = np.zeros((pk.active[0], K))
+    B = pk.active[0]
+    vb, zrb, h_prev = np.empty((B, 3 * K)), np.empty((B, 2 * K)), np.zeros((B, K))
+    vzr, vn, zb, rb = vb[:, : 2 * K], vb[:, 2 * K :], zrb[:, :K], zrb[:, K:]
     for lo, k in zip(pk.offsets, pk.active):
         hp = h_prev[:k]
-        z, _, n = _cell(nzr[lo : lo + k], an[lo : lo + k], hp.dot(ut))
+        hp.dot(ut, out=vb[:k])
+        n = _cell(nzr[lo : lo + k], an[lo : lo + k], vzr[:k], vn[:k], zrb[:k], rb[:k])
+        z = zb[:k]
         h_prev = h[lo : lo + k]
         np.add((_ONE - z) * n, z * hp, out=h_prev)
     return h
@@ -227,9 +243,11 @@ def gru_backward(x, a, h, w, u, pk: Packing, dh_out):
     h_prev = np.zeros_like(h)  # zero at step 0
     h_prev[pk.active[0] :] = h[pk.prev]
     v = h_prev @ u.T
-    a = a.reshape(-1, 3, H)
-    z, r, n = _cell((-a[:, :2]).reshape(-1, 2 * H), a[:, 2], v)
     vn = v[:, 2 * H :]
+    a = a.reshape(-1, 3, H)
+    zr = np.empty((h.shape[0], 2 * H))
+    z, r = zr[:, :H], zr[:, H:]
+    n = _cell((-a[:, :2]).reshape(-1, 2 * H), a[:, 2], v[:, : 2 * H], vn, zr, r)
     # dLoss/dv of a row is dh times these three blocks, row by row
     g_n = (1.0 - z) * (1.0 - n * n)
     g = np.stack(((h_prev - n) * z * (1.0 - z), g_n * vn * r * (1.0 - r), g_n * r), axis=1)

@@ -11,14 +11,15 @@ The GRU kernels run a packed minibatch and go through matrix products
 over many rows at once, so they are held to a tight allclose against the
 per-sequence reference in ``gru_reference``. The forward kernel is one
 recurrence of any width: single-direction tests run it at width H, and
-``bigru_layer`` runs a bidirectional layer through it at width 2H. A
-packing of one sequence is stepped over 1-d rows instead, and is held
-to the exact bits of the batched loop's (1, K) blocks.
+``bigru_layer`` runs a bidirectional layer through it at width 2H.
+The kernel steps in buffers made once per call, and a packing of one
+sequence over 1-d rows; both are held to the exact bits of a stepping
+over 2-d blocks that allocates every step afresh (``block_steps``).
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ctsum._kernels import (
@@ -74,6 +75,24 @@ def sequence_rows(pk):
     for j, i in enumerate(pk.order):
         out[i] = pk.rows[ends[j] - pk.lengths[j] : ends[j]]
     return out
+
+
+def block_steps(a, ut, pk):
+    """``gru_forward`` stepped over 2-d blocks of the packed rows, every
+    step's product, sigmoids and state freshly allocated, through the
+    kernel's own ``_cell``: the bits the kernel's buffers must keep."""
+    K = ut.shape[0]
+    nzr, an = -a[:, : 2 * K], a[:, 2 * K :]
+    h = np.empty((a.shape[0], K))
+    hp = np.zeros((pk.active[0], K))
+    for lo, k in zip(pk.offsets, pk.active):
+        v = hp[:k].dot(ut)
+        zr = np.empty((k, 2 * K))
+        n = _cell(nzr[lo : lo + k], an[lo : lo + k], v[:, : 2 * K], v[:, 2 * K :], zr, zr[:, K:])
+        z = zr[:, :K]
+        h[lo : lo + k] = (1.0 - z) * n + z * hp[:k]
+        hp = h[lo : lo + k]
+    return h
 
 
 def ctc_reference_cases():
@@ -347,29 +366,55 @@ class TestGruKernels:
     @given(t=st.integers(1, 80), k=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
     def test_one_sequence_equals_one_row_block_steps(self, t, k, seed):
         # a one-sequence packing is stepped over 1-d rows; it must give
-        # the bits of the batched loop's (1, K) blocks, written out here
+        # the bits of (1, K) blocks stepped with fresh arrays, written out here
         rng = np.random.default_rng(seed)
         a = rng.standard_normal((t, 3 * k))
         ut = rng.standard_normal((k, 3 * k)) / np.sqrt(k)
-        nzr, an = -a[:, : 2 * k], a[:, 2 * k :]
-        want = np.empty((t, k))
-        hp = np.zeros((1, k))
-        for s in range(t):
-            z, _, n = _cell(nzr[s : s + 1], an[s : s + 1], hp.dot(ut))
-            want[s] = (1.0 - z) * n + z * hp
-            hp = want[s : s + 1]
-        assert np.array_equal(gru_forward(a, ut, pack([a])[0]), want)
+        assert np.array_equal(gru_forward(a, ut, pack([a])[0]), block_steps(a, ut, packing([t])))
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        lengths=st.lists(st.integers(1, 12), min_size=1, max_size=16),
+        k=st.integers(1, 24),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(lengths=[5, 5, 5, 5], k=3, seed=0)  # all lengths equal: k = B at every step
+    @example(lengths=[1, 7, 3, 7, 1], k=4, seed=1)  # ties and length-1 sequences
+    @example(lengths=[12] + [1] * 15, k=2, seed=2)  # B = 16 down to one row after step 0
+    def test_batched_loop_equals_fresh_block_steps(self, lengths, k, seed):
+        # the batched loop writes each step into k-row prefixes of buffers
+        # sized for the first step; it must give the bits of a stepping
+        # that allocates every step's arrays afresh
+        rng = np.random.default_rng(seed)
+        pk = packing(lengths)
+        a = rng.standard_normal((pk.rows.size, 3 * k))
+        ut = rng.standard_normal((k, 3 * k)) / np.sqrt(k)
+        assert np.array_equal(gru_forward(a, ut, pk), block_steps(a, ut, pk))
 
     @settings(deadline=None, max_examples=60)
     @given(k=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
     def test_cell_on_a_row_equals_cell_on_a_one_row_block(self, k, seed):
         rng = np.random.default_rng(seed)
         nzr, an, v = rng.standard_normal(2 * k), rng.standard_normal(k), rng.standard_normal(3 * k)
-        rows = _cell(nzr, an, v)
-        blocks = _cell(nzr[None], an[None], v[None])
+        zr_row, zr_block = np.empty(2 * k), np.empty((1, 2 * k))
+        n_row = _cell(nzr, an, v[: 2 * k], v[2 * k :], zr_row, zr_row[k:])
+        n_block = _cell(nzr[None], an[None], v[None, : 2 * k], v[None, 2 * k :], zr_block, zr_block[:, k:])
+        rows = zr_row[:k], zr_row[k:], n_row
+        blocks = zr_block[:, :k], zr_block[:, k:], n_block
         for row, block in zip(rows, blocks):
             assert row.shape == (k,) and block.shape == (1, k)
             assert np.array_equal(row, block[0])
+
+    def test_calls_share_no_buffers(self):
+        # the step buffers are locals of a call: a second call, on other
+        # inputs, leaves the first call's states as they were
+        for lengths in ((9,), (7, 2, 7, 1, 5)):
+            _, w, u, b, pk, x = random_gru_instance(11, lengths=lengths)
+            first = gru_forward(x @ w.T + b, u.T, pk)
+            kept = first.copy()
+            second = gru_forward(x @ w.T - b, u.T, pk)
+            assert not np.shares_memory(first, second)
+            assert np.array_equal(first, kept) and not np.array_equal(first, second)
 
     def test_zero_state_start(self):
         _, w, u, b, pk, x = random_gru_instance(5, lengths=(1, 1, 1))
